@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 from scipy.optimize import linear_sum_assignment
-from scipy.signal import resample
 
 from .walkspec import WalkSpec, symbol_on_grid
 
@@ -377,6 +376,26 @@ def _divisors(d: int):
     return [k for k in range(1, d + 1) if d % k == 0]
 
 
+def _upsample2(samples: np.ndarray) -> np.ndarray:
+    """Trigonometric interpolant of periodic samples on a grid twice as fine.
+
+    The spectrum is zero-padded, which is exact for a trigonometric
+    polynomial of degree below half the sample count; the unpaired Nyquist
+    bin of an even count is split evenly between +m/2 and -m/2.  Entry 2i
+    is samples[i], entry 2i + 1 the value midway to the next sample.
+    """
+    m = samples.size
+    coef = np.fft.fft(samples)
+    padded = np.zeros(2 * m, dtype=complex)
+    half = m // 2 + 1
+    padded[:half] = coef[:half]
+    padded[m + half :] = coef[half:]
+    if m % 2 == 0:
+        padded[m // 2] /= 2
+        padded[2 * m - m // 2] = padded[m // 2]
+    return 2.0 * np.fft.ifft(padded)
+
+
 def _winding_from_samples(samples: np.ndarray, retry: bool = True) -> int:
     inc = np.angle(np.roll(samples, -1) / samples)
     total = float(inc.sum() / (2.0 * np.pi))
@@ -386,8 +405,7 @@ def _winding_from_samples(samples: np.ndarray, retry: bool = True) -> int:
     if retry:
         # one spectral upsampling pass before giving up; the samples define
         # a trigonometric polynomial, so resampling is faithful
-        up = resample(samples, 2 * samples.size)
-        return _winding_from_samples(up, retry=False)
+        return _winding_from_samples(_upsample2(samples), retry=False)
     raise NonIntegerWinding(
         "argument sum %.3e turns is not an integer within %.0e" % (total, WINDING_TOL)
     )

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qwalk import (
     DistributionSnapshot,
     MemoryCapExceeded,
     State,
+    adjoint_walk,
     ballistic_bound_check,
     basis_state,
     decompose,
@@ -21,8 +23,19 @@ from qwalk import (
     uniform_coin_state,
     write_distribution_csv,
 )
-from qwalk.dynamics import MEM_CAP_ENV
-from qwalk.fixtures import constant, coined, free, grover3, grover4
+from qwalk.dynamics import MEM_CAP_ENV, _propagate, _step
+from qwalk.fixtures import (
+    FIXTURES,
+    constant,
+    coined,
+    cube_root,
+    fixture_names,
+    free,
+    grover3,
+    grover4,
+)
+
+from conftest import random_walk
 
 
 def occupied(state, tol=1e-12):
@@ -129,6 +142,73 @@ def test_memory_cap_param_and_env(monkeypatch):
         evolve(grover4(), st, 5000, mem_cap_mb=1)
     monkeypatch.setenv(MEM_CAP_ENV, "4096")
     evolve(grover4(), st, 3)
+
+
+def test_memory_cap_counts_propagator_grids():
+    # at 20000 steps evolve takes the propagator; the stepper's two windows
+    # alone need 15 MB, the propagator's padded grids and fiber stacks 33 MB
+    with pytest.raises(MemoryCapExceeded, match=r"cap is 20 MB") as info:
+        evolve(grover4(), basis_state(4, 0), 20000, mem_cap_mb=20)
+    need = int(re.search(r"needs about (\d+) MB", str(info.value)).group(1))
+    assert need > 30
+
+
+ORACLE_WALKS = [(name, FIXTURES[name]()) for name in fixture_names()] + [
+    ("walk(%d)" % seed, random_walk(seed)) for seed in range(20)
+]
+
+
+@pytest.mark.parametrize("name,spec", ORACLE_WALKS, ids=[w[0] for w in ORACLE_WALKS])
+def test_propagator_matches_stepper(name, spec):
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=(3, spec.n)) + 1j * rng.normal(size=(3, spec.n))
+    amps[1] = 0.0
+    amps /= np.linalg.norm(amps)
+    states = [uniform_coin_state(spec.n), State(x_min=-1, amplitudes=amps)]
+    for steps in (1, -1, 37, -37, 400, -400, 1000, -1000):
+        walk = spec if steps > 0 else adjoint_walk(spec)
+        for st in states:
+            ref = _step(walk, st, abs(steps))
+            got = _propagate(walk, st, abs(steps))
+            assert got.x_min == ref.x_min, (name, steps)
+            assert got.amplitudes.shape == ref.amplitudes.shape, (name, steps)
+            err = np.max(np.abs(got.amplitudes - ref.amplitudes))
+            assert err <= 1e-12, (name, steps, err)
+
+
+@pytest.mark.parametrize("t", [400, 1000])
+@pytest.mark.parametrize(
+    "make_spec", [lambda: coined(0.5), grover4, cube_root], ids=["coined", "grover4", "cube_root"]
+)
+def test_propagator_keeps_structural_zeros(make_spec, t):
+    """Entries no path reaches stay exact zeros on the propagator.
+
+    coined(0.5) and grover4 leave every other row empty by parity, and one
+    component of each edge row.  cube_root, whose U^3 is a pure shift,
+    occupies two rows; it is propagated in two legs, as simulate does.
+    From about 540 steps on, the edge amplitudes of coined and grover4
+    (0.5^t) fall below 1.5e-162, so the stepper's masses there underflow
+    to 0.0.  The propagator's absolute rounding (~1e-17) cannot follow, so
+    at t = 1000 the paths share the entries of nonzero amplitude but not
+    the rows of nonzero mass.
+    """
+    spec = make_spec()
+    st = uniform_coin_state(spec.n)
+    ref, got = _step(spec, st, t), _propagate(spec, st, t)
+    if make_spec is cube_root:
+        got = _propagate(spec, _propagate(spec, st, t // 2), t - t // 2)
+    np.testing.assert_array_equal(got.amplitudes != 0, ref.amplitudes != 0)
+    ref_rows = np.any(ref.amplitudes != 0, axis=1)
+    assert ref_rows.mean() < 0.6
+    ref_mass = position_distribution(ref, t).masses
+    got_mass = position_distribution(got, t).masses
+    underflow = ref_rows & (ref_mass == 0.0)
+    np.testing.assert_array_equal(got_mass > 0.0, ref_rows)
+    np.testing.assert_array_equal(ref_mass > 0.0, ref_rows & ~underflow)
+    if t == 400 or make_spec is cube_root:
+        assert not underflow.any()
+    assert np.max(np.abs(ref.amplitudes[underflow]), initial=0.0) < 1.5e-162
+    assert np.max(got_mass[underflow], initial=0.0) < 1e-28
 
 
 def test_limit_law_rejects_wide_state():

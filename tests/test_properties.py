@@ -163,6 +163,19 @@ def test_kolmogorov_distance_extrapolates_to_zero():
     assert slope > 0.0
 
 
+def test_long_horizon_approaches_limit_law():
+    # t = 10^4 is the weak-limit regime; evolve takes the propagator there
+    spec = coined(0.5)
+    st = uniform_coin_state(2)
+    law = limit_law(decompose(spec, 512), st)
+    ks = {}
+    for t in (400, 10_000):
+        cur = evolve(spec, st, t)
+        assert abs(cur.norm() - 1.0) <= 1e-10
+        ks[t] = kolmogorov_distance(law, position_distribution(cur, t))
+    assert ks[10_000] < ks[400]
+
+
 def test_atoms_kept_out_of_histogram(grover3_dec):
     law = limit_law(grover3_dec, uniform_coin_state(3))
     assert [v for v, _ in law.atoms] == [0.0]

@@ -17,6 +17,7 @@ from qwalk import (
     write_band_csv,
 )
 from qwalk.fixtures import FIXTURES, coined, cube_root, free, grover3, grover4
+from qwalk.spectral import _upsample2
 
 from conftest import random_walk
 
@@ -140,6 +141,18 @@ def test_value_and_derivative_interpolation():
     pts = np.array([0.1, 1.7, 5.5])
     np.testing.assert_allclose(band.value_at(pts), np.exp(1j * pts), atol=1e-12)
     np.testing.assert_allclose(band.derivative_at(pts), 1j * np.exp(1j * pts), atol=1e-10)
+
+
+def test_upsample_matches_band_fourier_series():
+    # the winding retry upsamples by zero-padding the spectrum; band samples
+    # are a trigonometric polynomial, so the new midpoints are its values
+    for spec in (coined(0.5), grover3(), grover4(), cube_root()):
+        for band in sample_bands(spec, 256).bands:
+            up = _upsample2(band.samples)
+            np.testing.assert_allclose(up[::2], band.samples, rtol=0, atol=1e-12)
+            kg = band.kgrid
+            mid = kg + 0.5 * (kg[1] - kg[0])
+            np.testing.assert_allclose(up[1::2], band.value_at(mid), rtol=0, atol=1e-12)
 
 
 def test_fourier_decay_bound_holds():
