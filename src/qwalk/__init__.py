@@ -61,15 +61,12 @@ from .realize import (
 from .spectral import (
     Band,
     BandSet,
-    ConstantBand,
     NonIntegerWinding,
     UnresolvedCrossing,
     det_winding,
     fourier_decay,
-    minimal_period,
     monodromy,
     sample_bands,
-    winding_number,
     write_band_csv,
 )
 from .walkspec import (

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .decompose import decompose, decomposition_to_json
+from .decompose import decompose
 from .dynamics import (
     MemoryCapExceeded,
     basis_state,
@@ -122,7 +122,7 @@ def _cmd_analyze(args) -> int:
             "commutator_bound": dec.commutator_bound,
             "monodromy": sorted(lengths),
             "bands": _band_summaries(band_set),
-            "decomposition": json.loads(decomposition_to_json(dec)),
+            "decomposition": dec.to_dict(),
             "det_winding": verdict.det_winding,
             "realizable": verdict.realizable,
             "homogeneity_broken": dec.homogeneity_broken,
@@ -140,7 +140,7 @@ def _cmd_decompose(args) -> int:
         )
     dec = decompose(spec, args.grid)
     doc = _report_header("decompose", spec, args)
-    doc.update(json.loads(decomposition_to_json(dec)))
+    doc.update(dec.to_dict())
     _emit(_dump(doc), args.out)
     return 0
 
@@ -158,16 +158,7 @@ def _cmd_realizable(args) -> int:
         _emit(buf.getvalue(), args.out)
         return 0
     doc = _report_header("realizable", spec, args)
-    doc.update(
-        {
-            "realizable": verdict.realizable,
-            "det_winding": verdict.det_winding,
-            "bands": [
-                {"degree": b.degree, "winding": b.winding}
-                for b in verdict.band_set.bands
-            ],
-        }
-    )
+    doc.update(verdict.to_dict())
     _emit(_dump(doc), args.out)
     return 0
 
@@ -214,25 +205,17 @@ def _cmd_intertwine(args) -> int:
         write_intertwiner_csv(v, buf)
         _emit(buf.getvalue(), args.out)
         return 0
-    rep1 = json.loads(_commutant_json(dec1))
-    rep2 = json.loads(_commutant_json(dec2))
     doc = _report_header("intertwine", spec1, args)
     doc.update(
         {
             "spec_digest_2": spec_digest(spec2),
             "pairs": pairs,
-            "commutant_1": rep1,
-            "commutant_2": rep2,
+            "commutant_1": commutant_report(dec1).to_dict(),
+            "commutant_2": commutant_report(dec2).to_dict(),
         }
     )
     _emit(_dump(doc), args.out)
     return 0
-
-
-def _commutant_json(dec) -> str:
-    from .intertwine import commutant_report_to_json
-
-    return commutant_report_to_json(commutant_report(dec))
 
 
 def _initial_state(args, n):

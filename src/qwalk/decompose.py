@@ -75,6 +75,26 @@ class Decomposition:
     def n(self) -> int:
         return self.band_set.n
 
+    def to_dict(self) -> dict:
+        """The classification data as JSON types (bands are omitted)."""
+        return {
+            "n": self.n,
+            "constants": [
+                {"alpha": [c.alpha.real, c.alpha.imag], "mult": c.multiplicity}
+                for c in self.constants
+            ],
+            "primes": [
+                {
+                    "rate": {"num": p.rate.numerator, "den": p.rate.denominator},
+                    "mult": p.multiplicity,
+                    "winding": p.winding,
+                }
+                for p in self.primes
+            ],
+            "homogeneity_broken": self.homogeneity_broken,
+            "commutator_bound": self.commutator_bound,
+        }
+
 
 def _prime_band(band: Band, q: int) -> Band:
     """Restrict a band to one fundamental loop of its prime's cover."""
@@ -202,21 +222,4 @@ def assemble(dec: Decomposition) -> WalkSpec:
 
 def decomposition_to_json(dec: Decomposition) -> str:
     """Serialize the classification data (bands themselves are omitted)."""
-    doc = {
-        "n": dec.n,
-        "constants": [
-            {"alpha": [c.alpha.real, c.alpha.imag], "mult": c.multiplicity}
-            for c in dec.constants
-        ],
-        "primes": [
-            {
-                "rate": {"num": p.rate.numerator, "den": p.rate.denominator},
-                "mult": p.multiplicity,
-                "winding": p.winding,
-            }
-            for p in dec.primes
-        ],
-        "homogeneity_broken": dec.homogeneity_broken,
-        "commutator_bound": dec.commutator_bound,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(dec.to_dict(), indent=2, sort_keys=True)

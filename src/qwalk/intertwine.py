@@ -257,6 +257,24 @@ class CommutantReport:
     def factor_count(self) -> int:
         return len(self.constant_classes) + len(self.prime_classes)
 
+    def to_dict(self) -> dict:
+        """The equivalence classes and the factor count as JSON types."""
+        return {
+            "constants": [
+                {"alpha": [c.alpha.real, c.alpha.imag], "size": c.size}
+                for c in self.constant_classes
+            ],
+            "primes": [
+                {
+                    "rate": {"num": p.rate.numerator, "den": p.rate.denominator},
+                    "size": p.size,
+                    "alphas": list(p.alphas),
+                }
+                for p in self.prime_classes
+            ],
+            "factor_count": self.factor_count,
+        }
+
 
 def commutant_report(dec: Decomposition) -> CommutantReport:
     """Group summands into equivalence classes; classes index the factors
@@ -297,22 +315,7 @@ def commutant_report(dec: Decomposition) -> CommutantReport:
 
 
 def commutant_report_to_json(report: CommutantReport) -> str:
-    doc = {
-        "constants": [
-            {"alpha": [c.alpha.real, c.alpha.imag], "size": c.size}
-            for c in report.constant_classes
-        ],
-        "primes": [
-            {
-                "rate": {"num": p.rate.numerator, "den": p.rate.denominator},
-                "size": p.size,
-                "alphas": list(p.alphas),
-            }
-            for p in report.prime_classes
-        ],
-        "factor_count": report.factor_count,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
 def write_intertwiner_csv(v: np.ndarray, fileobj, tol: float = 1e-12) -> None:

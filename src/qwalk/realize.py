@@ -41,6 +41,17 @@ class RealizabilityVerdict:
     band_set: BandSet
     witnesses: tuple | None
 
+    def to_dict(self) -> dict:
+        """The verdict and each band's degree and winding as JSON types."""
+        return {
+            "realizable": self.realizable,
+            "det_winding": self.det_winding,
+            "bands": [
+                {"degree": b.degree, "winding": b.winding}
+                for b in self.band_set.bands
+            ],
+        }
+
 
 def is_ct_realizable(spec: WalkSpec, grid_size: int = 2048) -> RealizabilityVerdict:
     """Decide realizability from the band windings.
@@ -109,15 +120,7 @@ def generator_coefficients(verdict: RealizabilityVerdict, max_shift: int) -> dic
 
 
 def verdict_to_json(verdict: RealizabilityVerdict) -> str:
-    doc = {
-        "realizable": verdict.realizable,
-        "det_winding": verdict.det_winding,
-        "bands": [
-            {"degree": b.degree, "winding": b.winding}
-            for b in verdict.band_set.bands
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(verdict.to_dict(), indent=2, sort_keys=True)
 
 
 def write_witness_csv(verdict: RealizabilityVerdict, fileobj) -> None:

@@ -8,12 +8,26 @@ T_{2pi d}, d the cycle length.  Cycles whose concatenated values are
 identical copies), and bands that coincide pointwise are merged into one
 band with a multiplicity.
 
+The symbol grid is solved by one batched eigensolve of the (G, n, n)
+stack.  Fibers where that is not enough are solved again by a complex
+Schur decomposition of the same matrix: the start fiber, whose
+eigenvalue order fixes the sheet labels, and every fiber with two
+eigenvalues closer than EIG_GAP_TOL, where eigenvectors from the batched
+solve lose accuracy or orthogonality.
+
 Tracking starts at the grid point with the best-separated spectrum and
 sweeps both ways, matching eigenvalues to linearly extrapolated sheet
 values with an optimal assignment.  Near-degeneracies where the prediction
 residual is comparable to the local gap trigger local grid refinement (up
 to 4 halvings, quadratic extrapolation); if the assignment still cannot be
 trusted an UnresolvedCrossing is raised with the offending k-interval.
+
+sample_bands memoizes its result on the spec object, per grid size, for
+as long as some caller holds the BandSet: decompose and is_ct_realizable
+on one spec and grid then share a single extraction.  The memo holds the
+BandSet weakly, never serves another spec object, even an equal one, and
+never stores a failure, so a refused walk is tracked (and refused) again
+on every call.
 """
 
 from __future__ import annotations
@@ -31,11 +45,8 @@ __all__ = [
     "BandSet",
     "UnresolvedCrossing",
     "NonIntegerWinding",
-    "ConstantBand",
     "sample_bands",
     "monodromy",
-    "minimal_period",
-    "winding_number",
     "det_winding",
     "fourier_decay",
     "write_band_csv",
@@ -47,6 +58,12 @@ COEF_TOL = 1e-9        # Fourier support floor for period detection
 WINDING_TOL = 1e-6     # |raw winding - integer| must stay below this
 AMBIG_FACTOR = 0.2     # prediction residual vs gap ratio that triggers refinement
 MAX_HALVINGS = 4
+# smallest eigenvalue gap at which the batched eigensolve's vectors are
+# kept.  A backward-stable eigenvector of a unitary matrix is off by about
+# n * eps / gap (Davis-Kahan), below 2e-10 at this gap for n <= 8; fibers
+# with a closer pair, degenerate clusters included, get an orthonormal
+# Schur frame instead
+EIG_GAP_TOL = 1e-5
 
 
 class UnresolvedCrossing(RuntimeError):
@@ -63,10 +80,6 @@ class UnresolvedCrossing(RuntimeError):
 
 class NonIntegerWinding(RuntimeError):
     """Argument unwrapping did not close to an integer number of turns."""
-
-
-class ConstantBand(ValueError):
-    """Minimal period requested for a constant band (undefined)."""
 
 
 @dataclass(frozen=True)
@@ -156,15 +169,39 @@ def _validate_grid(grid_size: int) -> None:
 
 
 def _eig_grid(spec: WalkSpec, ks: np.ndarray):
-    # Schur of a normal matrix gives eigenvalues plus an orthonormal frame,
-    # which plain eig does not guarantee inside degenerate clusters.
+    """Eigenvalues (G, n) and eigenvector columns (G, n, n) on the grid.
+
+    One batched eig solves every fiber.  Schur of a normal matrix gives
+    eigenvalues plus an orthonormal frame, which plain eig does not
+    guarantee inside degenerate clusters, so fibers with a pair closer
+    than EIG_GAP_TOL are solved again by schur, and so is the start fiber
+    _best_start will pick, whose column order becomes the sheet labels.
+    A lone fiber (a refinement point) is its own start fiber and goes to
+    schur alone: an eig call per point would be discarded, and on walks
+    that refine often those calls raised peak RSS by about 5 MB through
+    heap fragmentation.
+    """
     mats = symbol_on_grid(spec, ks)
-    vals = np.empty((ks.size, spec.n), dtype=complex)
-    vecs = np.empty((ks.size, spec.n, spec.n), dtype=complex)
-    for g in range(ks.size):
+    if ks.size == 1:
+        t, z = schur(mats[0], output="complex")
+        return np.diagonal(t)[None].copy(), z[None]
+    vals, vecs = np.linalg.eig(mats)
+    done = set()
+
+    def resolve(g):
         t, z = schur(mats[g], output="complex")
         vals[g] = np.diagonal(t)
         vecs[g] = z
+        done.add(g)
+
+    for g in np.flatnonzero((_pair_gaps(vals) < EIG_GAP_TOL).any(axis=1)):
+        resolve(int(g))
+    # new start values can move the start itself (ties up to rounding), so
+    # repeat until the start fiber is a schur fiber; the set only grows
+    g0 = _best_start(vals)
+    while g0 not in done:
+        resolve(g0)
+        g0 = _best_start(vals)
     return vals, vecs
 
 
@@ -267,6 +304,12 @@ def _neighborhood_min(score: np.ndarray) -> np.ndarray:
     return np.minimum(score, np.minimum(np.roll(score, 1), np.roll(score, -1)))
 
 
+def _pair_gaps(vals: np.ndarray) -> np.ndarray:
+    """|vals[g, i] - vals[g, j]| for every pair i < j, shape (G, n(n-1)/2)."""
+    iu = np.triu_indices(vals.shape[1], k=1)
+    return np.abs(vals[:, iu[0]] - vals[:, iu[1]])
+
+
 def _best_start(vals: np.ndarray) -> int:
     """Grid point whose spectrum is best separated.
 
@@ -277,12 +320,9 @@ def _best_start(vals: np.ndarray) -> int:
     band touch makes the masked gap tiny next to the touch even though the
     touching pair itself falls under the mask at the touch fiber.
     """
-    n = vals.shape[1]
-    if n == 1:
+    if vals.shape[1] == 1:
         return 0
-    dist = np.abs(vals[:, :, None] - vals[:, None, :])
-    iu = np.triu_indices(n, k=1)
-    gaps = dist[:, iu[0], iu[1]]
+    gaps = _pair_gaps(vals)
     score = _neighborhood_min(gaps.min(axis=1))
     best = int(np.argmax(score))
     if score[best] > 100.0 * MERGE_TOL:
@@ -543,6 +583,8 @@ def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:
     BandSet
         Bands with covering degrees, multiplicities, windings, minimal
         periods and continuously matched orthonormal eigenvector sections.
+        While a caller holds it, later calls with this spec object and
+        grid size return the same BandSet (see the module docstring).
 
     Raises
     ------
@@ -551,12 +593,17 @@ def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:
         maximum local refinement.
     """
     _validate_grid(grid_size)
+    band_set = spec._band_memo.get(grid_size)
+    if band_set is not None:
+        return band_set
     ks = 2.0 * np.pi * np.arange(grid_size) / grid_size
     vals, vecs = _eig_grid(spec, ks)
     tv, tw = _track(spec, ks, vals, vecs)
     sigma = _seam_permutation(spec, ks, tv, tw)
     bands = _assemble_bands(tv, tw, sigma, grid_size)
-    return BandSet(bands=tuple(bands), n=spec.n, grid_size=grid_size)
+    band_set = BandSet(bands=tuple(bands), n=spec.n, grid_size=grid_size)
+    spec._band_memo[grid_size] = band_set
+    return band_set
 
 
 def monodromy(spec: WalkSpec, grid_size: int = 2048) -> tuple:
@@ -570,18 +617,6 @@ def monodromy(spec: WalkSpec, grid_size: int = 2048) -> tuple:
     for band in bs.bands:
         lengths.extend([band.degree] * band.multiplicity)
     return tuple(sorted(lengths))
-
-
-def minimal_period(band: Band) -> int:
-    """Largest m with lambda(k + 2pi d / m) = lambda(k); period 2pi d / m."""
-    if band.is_constant:
-        raise ConstantBand("constant bands have every period")
-    return band.min_period
-
-
-def winding_number(band: Band) -> int:
-    """Integer degree of lambda as a loop on its covering torus."""
-    return band.winding
 
 
 def det_winding(spec: WalkSpec, grid_size: int = 2048, band_set: BandSet | None = None) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,12 +79,24 @@ class WalkSpec:
         matrices are dropped; at least one term must survive.
 
     Instances are immutable (arrays are marked read-only) and safe to share
-    across threads; every operation on them is pure.
+    across threads; every operation on them is pure.  A spec also carries a
+    memo of results derived from it: the BandSet of each grid size that
+    some caller still holds (weakly referenced, so the memo keeps nothing
+    alive) and the commutator norm.  Concurrent callers may compute the
+    same result twice, but a result is stored only once complete, so none
+    sees a partial one.  Copies and unpickled specs start with an empty
+    memo.
     """
 
     n: int
     terms: dict
     bandwidth: int = field(init=False)
+    _band_memo: weakref.WeakValueDictionary = field(
+        init=False, repr=False, compare=False, default_factory=weakref.WeakValueDictionary
+    )
+    _commutator_norm: float | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -107,6 +120,10 @@ class WalkSpec:
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "bandwidth", max(abs(j) for j in cleaned))
         _check_unitarity(self)
+
+    def __reduce__(self):
+        # the weak memo cannot be pickled; a copy gets a fresh one
+        return (WalkSpec, (self.n, self.terms))
 
     def shifts(self) -> list:
         """Supported shift exponents, ascending."""
@@ -255,8 +272,15 @@ def commutator_norm(spec: WalkSpec) -> float:
     sum_j j e^{ijk} A_j and its norm is the maximum largest singular value
     of that matrix over the torus.  A coarse grid locates the global
     maximum; a bounded local search polishes it; the result is accepted
-    once doubling the grid moves it by less than 1e-8.
+    once doubling the grid moves it by less than 1e-8.  It is computed
+    once per spec object and memoized on it.
     """
+    if spec._commutator_norm is None:
+        object.__setattr__(spec, "_commutator_norm", _max_derivative_sigma(spec))
+    return spec._commutator_norm
+
+
+def _max_derivative_sigma(spec: WalkSpec) -> float:
     if all(j == 0 for j in spec.terms):
         return 0.0
 

@@ -175,3 +175,14 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal alone took about half of the import time of qwalk
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qwalk; print('scipy.signal' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

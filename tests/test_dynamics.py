@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qwalk import (
     uniform_coin_state,
     write_distribution_csv,
 )
-from qwalk.dynamics import MEM_CAP_ENV, _propagate, _step
+from qwalk.dynamics import MEM_CAP_ENV, _propagate, _step, _stepper_bytes
 from qwalk.fixtures import (
     FIXTURES,
     constant,
@@ -151,6 +152,24 @@ def test_memory_cap_counts_propagator_grids():
         evolve(grover4(), basis_state(4, 0), 20000, mem_cap_mb=20)
     need = int(re.search(r"needs about (\d+) MB", str(info.value)).group(1))
     assert need > 30
+
+
+@pytest.mark.parametrize(
+    "make_spec", [grover4, lambda: coined(0.5), lambda: random_walk(3)],
+    ids=["grover4", "coined", "walk(3)"],
+)
+def test_stepper_projection_covers_its_peak(make_spec):
+    # amps, out and the amps @ A_j^T product are live together in _step
+    spec = make_spec()
+    state = uniform_coin_state(spec.n)
+    for steps in (10, 400):
+        tracemalloc.start()
+        try:
+            _step(spec, state, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _stepper_bytes(spec, 1, steps) >= peak, (steps, peak)
 
 
 ORACLE_WALKS = [(name, FIXTURES[name]()) for name in fixture_names()] + [

@@ -1,23 +1,40 @@
+import gc
 import io
+import pickle
+import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import schur
 
+import qwalk.spectral
+import qwalk.walkspec
 from qwalk import (
-    ConstantBand,
+    UnresolvedCrossing,
+    WalkSpec,
     amplify,
+    commutator_norm,
+    decompose,
     det_winding,
     direct_sum,
     fourier_decay,
-    minimal_period,
+    is_ct_realizable,
     monodromy,
     sample_bands,
+    serialize_walk_spec,
     symbol_on_grid,
-    winding_number,
     write_band_csv,
 )
-from qwalk.fixtures import FIXTURES, coined, cube_root, free, grover3, grover4
-from qwalk.spectral import _upsample2
+from qwalk.fixtures import (
+    FIXTURES,
+    coined,
+    cube_root,
+    fixture_names,
+    free,
+    grover3,
+    grover4,
+)
+from qwalk.spectral import EIG_GAP_TOL, _best_start, _pair_gaps, _upsample2
 
 from conftest import random_walk
 
@@ -69,7 +86,7 @@ def test_cube_root_band():
     (band,) = bs.bands
     assert band.degree == 3
     assert band.winding == 2
-    assert minimal_period(band) == 2
+    assert band.min_period == 2
     oracle = np.exp(2j * band.kgrid / 3)
     assert match_up_to_deck(band.samples, oracle, 256) < 1e-10
 
@@ -83,11 +100,10 @@ def test_monodromy_cycle_types():
 
 def test_minimal_period_and_constant_band():
     bs = sample_bands(free(), 128)
-    assert minimal_period(bs.bands[0]) == 1
-    assert winding_number(bs.bands[0]) == 1
+    assert bs.bands[0].min_period == 1
+    assert bs.bands[0].winding == 1
     cbs = sample_bands(FIXTURES["constant"](1, 0.4), 128)
-    with pytest.raises(ConstantBand):
-        minimal_period(cbs.bands[0])
+    assert cbs.bands[0].is_constant and cbs.bands[0].min_period is None
     assert cbs.bands[0].samples[0] == pytest.approx(np.exp(0.4j))
 
 
@@ -200,3 +216,136 @@ def test_band_values_stable_under_grid_doubling():
                     rolled = np.roll(band2.samples, r * 256)[::2]
                     cands.append(np.max(np.abs(rolled - band1.samples)))
             assert cands and min(cands) < 1e-8
+
+
+def walk_power(spec, p):
+    """U^p: coefficient m is the sum of A_j1 ... A_jp over j1 + ... + jp = m."""
+    terms = {0: np.eye(spec.n, dtype=complex)}
+    for _ in range(p):
+        nxt = {}
+        for i, a in terms.items():
+            for j, b in spec.terms.items():
+                nxt[i + j] = nxt.get(i + j, 0) + a @ b
+        terms = nxt
+    return WalkSpec(n=spec.n, terms=terms)
+
+
+def modulated(spec, alpha):
+    """U_alpha with symbol U_hat(k + alpha)."""
+    return WalkSpec(
+        n=spec.n, terms={j: np.exp(1j * j * alpha) * a for j, a in spec.terms.items()}
+    )
+
+
+def schur_grid(spec, ks):
+    """Reference eigensolve: one complex Schur decomposition per fiber."""
+    mats = symbol_on_grid(spec, ks)
+    vals = np.empty((ks.size, spec.n), dtype=complex)
+    vecs = np.empty((ks.size, spec.n, spec.n), dtype=complex)
+    for g in range(ks.size):
+        t, z = schur(mats[g], output="complex")
+        vals[g] = np.diagonal(t)
+        vecs[g] = z
+    return vals, vecs
+
+
+EIG_ORACLE_WALKS = (
+    [(name, FIXTURES[name]) for name in fixture_names()]
+    + [("walk(%d)" % seed, lambda seed=seed: random_walk(seed)) for seed in range(20)]
+    + [
+        ("walk(5)^2", lambda: walk_power(random_walk(5), 2)),
+        ("walk(7)+alpha", lambda: direct_sum(random_walk(7), modulated(random_walk(7), 0.7))),
+    ]
+)
+
+
+def band_projectors(band):
+    v = np.asarray(band.eigvec_samples)
+    return np.einsum("cgi,cgj->gij", v, v.conj())
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize(
+    "name,make_spec", EIG_ORACLE_WALKS, ids=[w[0] for w in EIG_ORACLE_WALKS]
+)
+def test_batched_eigensolve_matches_schur_loop(monkeypatch, name, make_spec, grid):
+    try:
+        got = sample_bands(make_spec(), grid)
+    except UnresolvedCrossing:
+        got = None
+    monkeypatch.setattr(qwalk.spectral, "_eig_grid", schur_grid)
+    try:
+        want = sample_bands(make_spec(), grid)
+    except UnresolvedCrossing:
+        want = None
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    key = lambda b: (b.degree, b.multiplicity, b.winding, b.min_period, b.is_constant)
+    assert [key(b) for b in got.bands] == [key(b) for b in want.bands]
+    for bg, bw in zip(got.bands, want.bands):
+        assert np.max(np.abs(bg.samples - bw.samples)) <= 1e-12
+        assert np.max(np.abs(band_projectors(bg) - band_projectors(bw))) <= 1e-10
+
+
+def test_bands_are_extracted_once_per_spec_and_grid():
+    spec = grover4()
+    dec = decompose(spec, 256)
+    assert is_ct_realizable(spec, 256).band_set is dec.band_set
+    # an equal spec is another object and gets its own extraction, and so
+    # do copies, which start with an empty memo
+    assert sample_bands(grover4(), 256) is not dec.band_set
+    clone = pickle.loads(pickle.dumps(spec))
+    assert serialize_walk_spec(clone) == serialize_walk_spec(spec)
+    assert sample_bands(clone, 256) is not dec.band_set
+    # the memo holds the BandSet weakly
+    ref = weakref.ref(dec.band_set)
+    del dec
+    gc.collect()
+    assert ref() is None
+
+
+def test_unresolved_crossing_is_not_memoized(monkeypatch):
+    tracks = []
+    real = qwalk.spectral._track
+
+    def counting(*args):
+        tracks.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(qwalk.spectral, "_track", counting)
+    spec = coined(1 - 1e-9)
+    for attempt in (1, 2):
+        with pytest.raises(UnresolvedCrossing):
+            sample_bands(spec, 256)
+        assert len(tracks) == attempt
+
+
+def test_start_and_near_degenerate_fibers_come_from_schur():
+    ks = 2.0 * np.pi * np.arange(256) / 256
+    for spec in (grover4(), amplify(grover3(), 2), walk_power(random_walk(5), 2)):
+        vals, vecs = qwalk.spectral._eig_grid(spec, ks)
+        ref_vals, ref_vecs = schur_grid(spec, ks)
+        close = (_pair_gaps(ref_vals) < EIG_GAP_TOL).any(axis=1)
+        for g in {_best_start(vals), *np.flatnonzero(close)}:
+            assert np.array_equal(vals[g], ref_vals[g])
+            assert np.array_equal(vecs[g], ref_vecs[g])
+
+
+def test_commutator_norm_computed_once_per_spec(monkeypatch):
+    calls = []
+    real = qwalk.walkspec.derivative_symbol_on_grid
+
+    def counting(spec, ks):
+        calls.append(spec)
+        return real(spec, ks)
+
+    monkeypatch.setattr(qwalk.walkspec, "derivative_symbol_on_grid", counting)
+    spec = coined(0.5)
+    first = commutator_norm(spec)
+    count = len(calls)
+    assert count > 0
+    assert commutator_norm(spec) == first
+    assert len(calls) == count
+    assert commutator_norm(coined(0.5)) == first
+    assert len(calls) == 2 * count
