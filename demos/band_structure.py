@@ -55,5 +55,5 @@ spec = FIXTURES["grover4"]()
 band_set = sample_bands(spec, GRID)
 k = 2 * np.pi * 37 / GRID
 got = np.sort_complex(band_set.sheet_values_at(k))
-want = np.sort_complex(np.linalg.eigvals(symbol_at(spec, k).entries))
+want = np.sort_complex(np.linalg.eigvals(symbol_at(spec, k)))
 print("\nfiber check at k = %.4f: max error %.2e" % (k, np.max(np.abs(got - want))))

@@ -70,7 +70,6 @@ from .spectral import (
     write_band_csv,
 )
 from .walkspec import (
-    SymbolMatrix,
     UnitarityError,
     WalkSpec,
     WalkSpecError,

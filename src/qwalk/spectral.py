@@ -16,11 +16,24 @@ eigenvalues closer than EIG_GAP_TOL, where eigenvectors from the batched
 solve lose accuracy or orthogonality.
 
 Tracking starts at the grid point with the best-separated spectrum and
-sweeps both ways, matching eigenvalues to linearly extrapolated sheet
-values with an optimal assignment.  Near-degeneracies where the prediction
-residual is comparable to the local gap trigger local grid refinement (up
-to 4 halvings, quadratic extrapolation); if the assignment still cannot be
-trusted an UnresolvedCrossing is raised with the offending k-interval.
+sweeps both ways, predicting each sheet by linear extrapolation (zeroth
+order on a sweep's first step).  The sweep runs in blocks of fibers.  A
+batched pass gives each prediction its nearest eigenvalue, composes the
+relative permutations of consecutive fibers by a prefix scan, and aligns
+the section phases by one batched vdot and a cumulative product.  A fiber
+is flagged when that nearest choice is not a permutation, when a pair of
+its values is closer than MERGE_TOL or fails the AMBIG_FACTOR rule, when
+a row margin is too thin to rule out the eigenvector overlap term, when a
+section's overlap with its predecessor vanishes, or when its prediction
+was built from a permutation that the scalar step changed.  Flagged
+fibers take the scalar step in order: an optimal assignment on values and
+overlaps, with the real tracked history.  On every other fiber the nearest
+choice is that assignment, so the bands are those of the scalar step
+everywhere.  Near-degeneracies where the prediction residual is comparable
+to the local gap trigger local grid refinement (up to 4 halvings,
+quadratic extrapolation); if the assignment still cannot be trusted an
+UnresolvedCrossing is raised with the offending k-interval, the smallest
+gap on its end fibers and the first grid size whose spacing is below it.
 
 sample_bands memoizes its result on the spec object, per grid size, for
 as long as some caller holds the BandSet: decompose and is_ct_realizable
@@ -32,6 +45,7 @@ on every call.
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +71,9 @@ CONST_TOL = 1e-9       # constant-band detection threshold
 COEF_TOL = 1e-9        # Fourier support floor for period detection
 WINDING_TOL = 1e-6     # |raw winding - integer| must stay below this
 AMBIG_FACTOR = 0.2     # prediction residual vs gap ratio that triggers refinement
+OVERLAP_WEIGHT = 1e-6  # weight of eigenvector overlap in the assignment cost
+TRACK_BLOCK = 512      # fibers matched per batch; bounds the (B, n, n) temporaries
+MATCH_PASSES = 3       # extrapolation passes per batch before unsettled fibers are flagged
 MAX_HALVINGS = 4
 # smallest eigenvalue gap at which the batched eigensolve's vectors are
 # kept.  A backward-stable eigenvector of a unitary matrix is off by about
@@ -67,15 +84,33 @@ EIG_GAP_TOL = 1e-5
 
 
 class UnresolvedCrossing(RuntimeError):
-    """Two bands could not be disambiguated at a near-degeneracy."""
+    """Two bands could not be disambiguated at a near-degeneracy.
 
-    def __init__(self, k_lo: float, k_hi: float):
+    min_gap is the smallest distance above MERGE_TOL between two
+    eigenvalues on the fibers at k_lo and k_hi, and next_grid the smallest
+    valid grid size (a power of two, at least 64) whose spacing 2pi/G lies
+    below it.  next_grid is None when no positive gap is given.
+    """
+
+    def __init__(self, k_lo: float, k_hi: float, min_gap: float | None = None):
         self.k_lo = float(k_lo)
         self.k_hi = float(k_hi)
-        super().__init__(
-            "band assignment ambiguous on k in [%.9f, %.9f] after %d refinements"
-            % (k_lo, k_hi, MAX_HALVINGS)
+        self.min_gap = None if min_gap is None else float(min_gap)
+        self.next_grid = None
+        message = "band assignment ambiguous on k in [%.9f, %.9f] after %d refinements" % (
+            k_lo, k_hi, MAX_HALVINGS
         )
+        if self.min_gap is not None and self.min_gap > 0:
+            self.next_grid = 64
+            while 2.0 * np.pi / self.next_grid >= self.min_gap:
+                self.next_grid *= 2
+            message += "; smallest gap on its end fibers %.3e, first grid with a finer spacing %d" % (
+                self.min_gap, self.next_grid
+            )
+        super().__init__(message)
+
+    def __reduce__(self):
+        return (UnresolvedCrossing, (self.k_lo, self.k_hi, self.min_gap))
 
 
 class NonIntegerWinding(RuntimeError):
@@ -225,20 +260,28 @@ def _clusters(vals: np.ndarray, tol: float):
     return groups
 
 
+def _pair_check(resid, vals):
+    """The matching rule: True per fiber where the assignment is ambiguous.
+
+    Works over any leading fiber axes.  vals[..., s] is the eigenvalue
+    assigned to sheet s and resid[..., s] its distance from the sheet's
+    prediction.  A pair closer than MERGE_TOL is numerically one point and
+    any assignment of it works; any other pair is ambiguous when either
+    residual exceeds AMBIG_FACTOR times the pair's gap.
+    """
+    iu = np.triu_indices(vals.shape[-1], k=1)
+    gap = np.abs(vals[..., iu[0]] - vals[..., iu[1]])
+    resid = np.maximum(resid[..., iu[0]], resid[..., iu[1]])
+    return ((gap > MERGE_TOL) & (resid > AMBIG_FACTOR * gap)).any(axis=-1)
+
+
 def _match_step(pred, prev_frame, w, frame):
     """Assign candidate eigenvalues w to sheets; None when untrustworthy."""
-    n = len(w)
     dist = np.abs(pred[:, None] - w[None, :])
     overlap = np.abs(prev_frame.conj().T @ frame)
-    perm = linear_sum_assignment(dist + 1e-6 * (1.0 - overlap))[1]
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(w[perm[i]] - w[perm[j]])
-            if gap <= MERGE_TOL:
-                continue  # numerically one point, any assignment works
-            resid = max(dist[i, perm[i]], dist[j, perm[j]])
-            if resid > AMBIG_FACTOR * gap:
-                return None
+    perm = linear_sum_assignment(dist + OVERLAP_WEIGHT * (1.0 - overlap))[1]
+    if _pair_check(dist[np.arange(len(w)), perm], w[perm]):
+        return None
     return perm
 
 
@@ -334,6 +377,135 @@ def _best_start(vals: np.ndarray) -> int:
     return int(np.argmax(np.where(np.isinf(score), -1.0, score)))
 
 
+def _min_gap(*fibers):
+    """Smallest distance above MERGE_TOL between two values of one given fiber."""
+    gaps = _pair_gaps(np.array(fibers))
+    return float(gaps[gaps > MERGE_TOL].min(initial=np.inf))
+
+
+def _compose_prefix(q):
+    """out[t] = q[t] o q[t-1] o ... o q[0] for a stack of permutations.
+
+    A Hillis-Steele scan: after the pass with stride d, out[t] composes
+    the last 2d factors up to t.
+    """
+    out = q.copy()
+    d = 1
+    while d < len(out):
+        out[d:] = np.take_along_axis(out[d:], out[:-d], axis=1)
+        d *= 2
+    return out
+
+
+def _match_block(vals, tv, perm, a, b):
+    """Batched matching of positions [a, b) of one sweep.
+
+    Works in raw column labels: q[i] maps column c of fiber a+i-1 to the
+    column of fiber a+i that the tracked sheet through c continues into.
+    The prediction of position a comes from the tracked values (perm maps
+    sheets to columns of fiber a-1); later positions extrapolate through
+    the batch's own q, which starts from zeroth order and is recomputed
+    for up to MATCH_PASSES passes until it stops changing.  The row-wise
+    argmin is _match_step's optimal assignment wherever it is a
+    permutation, passes _pair_check, and beats every other candidate of
+    its row by more than the overlap term can add.  That margin also fails
+    wherever two values are closer than MERGE_TOL, which _align_frame
+    must rotate as a block.  Every other position is flagged, and so is
+    one whose prediction used a relation the last pass changed.
+    Returns (q, flagged).
+    """
+    m, n = b - a, vals.shape[1]
+    cur, prev = vals[a:b], vals[a - 1 : b - 1]
+    pred = np.empty((m, n), dtype=vals.dtype)
+    pred[0, perm] = tv[0] if a == 1 else 2 * tv[a - 1] - tv[a - 2]
+    q = None
+    for _ in range(MATCH_PASSES):
+        used = q  # the relation this pass extrapolates through
+        if used is None:
+            pred[1:] = prev[1:]
+        else:
+            back = np.argsort(used[:-1], axis=1)  # inverse where a permutation
+            pred[1:] = 2 * prev[1:] - np.take_along_axis(vals[a - 1 : b - 2], back, axis=1)
+        dist = np.abs(pred[:, :, None] - cur[:, None, :])
+        q = dist.argmin(axis=2)
+        if used is not None and np.array_equal(q[:-1], used[:-1]):
+            break
+    flagged = np.zeros(m, dtype=bool)
+    flagged[1:] = True if used is None else (q[:-1] != used[:-1]).any(axis=1)
+    flagged |= (np.sort(q, axis=1) != np.arange(n)).any(axis=1)
+    resid = np.take_along_axis(dist, q[:, :, None], axis=2)[:, :, 0]
+    flagged |= _pair_check(resid, np.take_along_axis(cur, q, axis=1))
+    if n > 1:
+        low = np.partition(dist, 1, axis=2)
+        flagged |= (low[:, :, 1] - low[:, :, 0] <= 2 * OVERLAP_WEIGHT).any(axis=1)
+    return q, flagged
+
+
+def _scalar_step(spec, ks, vals, vecs, tv, tw, t):
+    """Track position t of a sweep alone; returns its sheet -> column map."""
+    last, last2 = t - 1, (t - 2 if t >= 2 else None)
+    pred = tv[last] if last2 is None else 2 * tv[last] - tv[last2]
+    perm = _match_step(pred, tw[last], vals[t], vecs[t])
+    if perm is None:
+        anchor = last2 if last2 is not None else last
+        slope = None
+        if last2 is not None:
+            slope = (tv[last] - tv[last2]) / (ks[last] - ks[last2])
+        perm = _chain_match(
+            spec, ks[anchor], ks[t], tv[anchor], tw[anchor],
+            vals[t], vecs[t], slope=slope,
+        )
+        if perm is None:
+            lo, hi = sorted((ks[last], ks[t]))
+            raise UnresolvedCrossing(lo, hi, _min_gap(vals[last], vals[t]))
+    tv[t] = vals[t][perm]
+    tw[t] = _align_frame(tw[last], vecs[t][:, perm], tv[t])
+    return perm
+
+
+def _sweep(spec, ks, vals, vecs, tv, tw):
+    """Track positions 1.. of one sweep; position 0 is the start fiber.
+
+    Every argument is a view in sweep order, tv[0] and tw[0] already set.
+    Unflagged runs are composed by _compose_prefix and phase-aligned by
+    one batched vdot and a cumulative product; flagged fibers take the
+    scalar step with the real tracked history, in order.
+    """
+    L, n = vals.shape
+    perm = np.arange(n)  # sheet -> column of the last tracked fiber
+    for a in range(1, L, TRACK_BLOCK):
+        b = min(a + TRACK_BLOCK, L)
+        q, flagged = _match_block(vals, tv, perm, a, b)
+        t = a
+        while t < b:
+            f = t + int(np.argmax(np.append(flagged[t - a :], True)))
+            if f > t:
+                perms = _compose_prefix(q[t - a : f - a])[:, perm]
+                tv[t:f] = np.take_along_axis(vals[t:f], perms, axis=1)
+                tw[t:f] = np.take_along_axis(vecs[t:f], perms[:, None, :], axis=2)
+                z = np.einsum("tis,tis->ts", tw[t - 1 : f - 1].conj(), tw[t:f])
+                mag = np.abs(z)
+                # _align_frame leaves a section with |vdot| <= 1e-12 as it
+                # is; the margin keeps rounding from deciding that
+                weak = np.flatnonzero((mag <= 2e-12).any(axis=1))
+                if weak.size:
+                    f = t + int(weak[0])
+                    flagged[f - a] = True
+                phase = np.cumprod(z[: f - t].conj() / mag[: f - t], axis=0)
+                # rounding drifts the product's modulus, and the section
+                # norms would drift with it
+                tw[t:f] *= (phase / np.abs(phase))[:, None, :]
+                if f > t:
+                    perm = perms[f - t - 1]
+                t = f
+            if t < b:
+                new = _scalar_step(spec, ks, vals, vecs, tv, tw, t)
+                if t + 1 < b and not np.array_equal(q[t - a][perm], new):
+                    flagged[t + 1 - a] = True
+                perm = new
+                t += 1
+
+
 def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     G, n = vals.shape
     tv = np.empty_like(vals)
@@ -341,30 +513,8 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     g0 = _best_start(vals)
     tv[g0] = vals[g0]
     tw[g0] = vecs[g0]
-
-    def sweep(seq):
-        last2, last = None, g0
-        for g in seq:
-            pred = tv[last] if last2 is None else 2 * tv[last] - tv[last2]
-            perm = _match_step(pred, tw[last], vals[g], vecs[g])
-            if perm is None:
-                anchor = last2 if last2 is not None else last
-                slope = None
-                if last2 is not None:
-                    slope = (tv[last] - tv[last2]) / (ks[last] - ks[last2])
-                perm = _chain_match(
-                    spec, ks[anchor], ks[g], tv[anchor], tw[anchor],
-                    vals[g], vecs[g], slope=slope,
-                )
-                if perm is None:
-                    lo, hi = sorted((ks[last], ks[g]))
-                    raise UnresolvedCrossing(lo, hi)
-            tv[g] = vals[g][perm]
-            tw[g] = _align_frame(tw[last], vecs[g][:, perm], tv[g])
-            last2, last = last, g
-
-    sweep(range(g0 + 1, G))
-    sweep(range(g0 - 1, -1, -1))
+    _sweep(spec, ks[g0:], vals[g0:], vecs[g0:], tv[g0:], tw[g0:])
+    _sweep(spec, ks[g0::-1], vals[g0::-1], vecs[g0::-1], tv[g0::-1], tw[g0::-1])
     # the start frame of a degenerate cluster is an arbitrary basis; rotate
     # it toward its neighbour so the section is continuous there too
     for idx in _clusters(tv[g0], MERGE_TOL):
@@ -377,27 +527,17 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
 
 
 def _seam_permutation(spec, ks, tv, tw):
-    G, n = tv.shape
+    G = tv.shape[0]
     p0 = 3 * tv[G - 1] - 3 * tv[G - 2] + tv[G - 3]
     p1 = 6 * tv[G - 1] - 8 * tv[G - 2] + 3 * tv[G - 3]
     cost = (
         np.abs(p0[:, None] - tv[0][None, :])
         + np.abs(p1[:, None] - tv[1][None, :])
-        + 1e-6 * (1.0 - np.abs(tw[G - 1].conj().T @ tw[0]))
+        + OVERLAP_WEIGHT * (1.0 - np.abs(tw[G - 1].conj().T @ tw[0]))
     )
     sigma = linear_sum_assignment(cost)[1]
-    ambiguous = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(tv[1][sigma[i]] - tv[1][sigma[j]])
-            if gap <= MERGE_TOL:
-                continue
-            resid = max(
-                abs(p1[i] - tv[1][sigma[i]]), abs(p1[j] - tv[1][sigma[j]])
-            )
-            if resid > AMBIG_FACTOR * gap:
-                ambiguous = True
-    if not ambiguous:
+    w = tv[1][sigma]
+    if not _pair_check(np.abs(p1 - w), w):
         return sigma
     # carry the sheets across the seam on a refined chain ending at k = h,
     # then identify them with the tracked sheets there
@@ -408,7 +548,7 @@ def _seam_permutation(spec, ks, tv, tw):
         slope=slope,
     )
     if perm is None:
-        raise UnresolvedCrossing(ks[G - 1], 2.0 * np.pi)
+        raise UnresolvedCrossing(ks[G - 1], 2.0 * np.pi, _min_gap(tv[G - 1], tv[0]))
     return perm
 
 
@@ -569,6 +709,14 @@ def _band_sort_key(band: Band):
     )
 
 
+def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
+    ks = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    vals, vecs = _eig_grid(spec, ks)
+    tv, tw = _track(spec, ks, vals, vecs)
+    sigma = _seam_permutation(spec, ks, tv, tw)
+    return _assemble_bands(tv, tw, sigma, grid_size)
+
+
 def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:
     """Extract all analytic eigenvalue bands of the walk symbol.
 
@@ -590,17 +738,20 @@ def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:
     ------
     UnresolvedCrossing
         If two bands stay indistinguishable at a near-degeneracy after the
-        maximum local refinement.
+        maximum local refinement.  The frames of its traceback below this
+        call are cleared, so a kept exception holds no tracking arrays.
     """
     _validate_grid(grid_size)
     band_set = spec._band_memo.get(grid_size)
     if band_set is not None:
         return band_set
-    ks = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    vals, vecs = _eig_grid(spec, ks)
-    tv, tw = _track(spec, ks, vals, vecs)
-    sigma = _seam_permutation(spec, ks, tv, tw)
-    bands = _assemble_bands(tv, tw, sigma, grid_size)
+    try:
+        bands = _extract_bands(spec, grid_size)
+    except UnresolvedCrossing as exc:
+        # a caller that keeps the exception keeps its traceback; clear the
+        # finished frames in it so they do not keep the (G, n, n) arrays
+        traceback.clear_frames(exc.__traceback__)
+        raise
     band_set = BandSet(bands=tuple(bands), n=spec.n, grid_size=grid_size)
     spec._band_memo[grid_size] = band_set
     return band_set

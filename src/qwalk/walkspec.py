@@ -27,7 +27,6 @@ from scipy.optimize import minimize_scalar
 
 __all__ = [
     "WalkSpec",
-    "SymbolMatrix",
     "WalkSpecError",
     "UnitarityError",
     "parse_walk_spec",
@@ -43,8 +42,6 @@ __all__ = [
 
 # entrywise tolerance for the coefficient unitarity identities
 UNITARITY_TOL = 1e-12
-# tolerance for pointwise symbol unitarity
-SYMBOL_TOL = 1e-10
 
 
 class WalkSpecError(ValueError):
@@ -66,7 +63,7 @@ class UnitarityError(WalkSpecError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkSpec:
     """A validated homogeneous walk U = sum_j S^j (x) A_j.
 
@@ -85,18 +82,17 @@ class WalkSpec:
     alive) and the commutator norm.  Concurrent callers may compute the
     same result twice, but a result is stored only once complete, so none
     sees a partial one.  Copies and unpickled specs start with an empty
-    memo.
+    memo.  Two specs are equal when they have the same n, the same shifts
+    and equal coefficient matrices; the memo takes no part in equality.
     """
 
     n: int
     terms: dict
     bandwidth: int = field(init=False)
     _band_memo: weakref.WeakValueDictionary = field(
-        init=False, repr=False, compare=False, default_factory=weakref.WeakValueDictionary
+        init=False, repr=False, default_factory=weakref.WeakValueDictionary
     )
-    _commutator_norm: float | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    _commutator_norm: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -120,6 +116,19 @@ class WalkSpec:
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "bandwidth", max(abs(j) for j in cleaned))
         _check_unitarity(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, WalkSpec):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.terms.keys() == other.terms.keys()
+            and all(np.array_equal(a, other.terms[j]) for j, a in self.terms.items())
+        )
+
+    def __hash__(self):
+        # equal specs share n and shifts; coefficients only refine equality
+        return hash((self.n, tuple(self.shifts())))
 
     def __reduce__(self):
         # the weak memo cannot be pickled; a copy gets a fresh one
@@ -148,24 +157,6 @@ def _check_unitarity(spec: WalkSpec) -> None:
             worst_m, worst_res = m, res
     if worst_res > UNITARITY_TOL:
         raise UnitarityError(worst_m, worst_res)
-
-
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """The symbol U_hat(k) = sum_j e^{ijk} A_j at one quasi-momentum."""
-
-    k: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        object.__setattr__(self, "entries", entries)
-        gram = entries @ entries.conj().T - np.eye(entries.shape[0])
-        dev = float(np.linalg.norm(gram, 2))
-        if dev > SYMBOL_TOL:
-            raise WalkSpecError(
-                "symbol at k=%.6f is not unitary (deviation %.3e)" % (self.k, dev)
-            )
 
 
 def parse_walk_spec(text: str) -> WalkSpec:
@@ -234,12 +225,15 @@ def spec_digest(spec: WalkSpec) -> str:
     return "sha256:" + hashlib.sha256(serialize_walk_spec(spec).encode()).hexdigest()
 
 
-def symbol_at(spec: WalkSpec, k: float) -> SymbolMatrix:
-    """Evaluate the symbol at one quasi-momentum k."""
+def symbol_at(spec: WalkSpec, k: float) -> np.ndarray:
+    """The symbol U_hat(k) at one quasi-momentum k, shape (n, n).
+
+    Unitary for every k because the coefficient identities hold.
+    """
     acc = np.zeros((spec.n, spec.n), dtype=np.complex128)
     for j, aj in spec.terms.items():
         acc += np.exp(1j * j * k) * aj
-    return SymbolMatrix(k=float(k), entries=acc)
+    return acc
 
 
 def symbol_on_grid(spec: WalkSpec, ks: np.ndarray) -> np.ndarray:

@@ -244,7 +244,7 @@ def test_random_walk_ensemble_invariants():
         for g in rng.integers(0, 256, 16):
             k = 2.0 * np.pi * g / 256
             got = np.sort_complex(bs2.sheet_values_at(k))
-            want = np.sort_complex(np.linalg.eigvals(symbol_at(spec, k).entries))
+            want = np.sort_complex(np.linalg.eigvals(symbol_at(spec, k)))
             assert np.max(np.abs(got - want)) < 1e-7, seed
 
         assert all(isinstance(b.winding, int) for b in bs2.bands), seed

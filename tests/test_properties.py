@@ -47,7 +47,7 @@ def test_random_symbols_are_unitary():
     for seed in range(50):
         spec = random_walk(seed)
         for k in rng.uniform(0.0, 2.0 * np.pi, 8):
-            u = symbol_at(spec, k).entries
+            u = symbol_at(spec, k)
             assert np.linalg.norm(u @ u.conj().T - np.eye(spec.n)) < 1e-12
 
 
@@ -59,7 +59,7 @@ def test_fiber_values_match_symbol_eigenvalues():
         for g in rng.integers(0, 256, 32):
             k = 2.0 * np.pi * g / 256
             got = np.sort_complex(band_set.sheet_values_at(k))
-            want = np.sort_complex(np.linalg.eigvals(symbol_at(spec, k).entries))
+            want = np.sort_complex(np.linalg.eigvals(symbol_at(spec, k)))
             assert np.max(np.abs(got - want)) < 1e-7, seed
 
 

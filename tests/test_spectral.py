@@ -34,7 +34,16 @@ from qwalk.fixtures import (
     grover3,
     grover4,
 )
-from qwalk.spectral import EIG_GAP_TOL, _best_start, _pair_gaps, _upsample2
+from qwalk.spectral import (
+    EIG_GAP_TOL,
+    MERGE_TOL,
+    _align_frame,
+    _best_start,
+    _chain_match,
+    _clusters,
+    _pair_gaps,
+    _upsample2,
+)
 
 from conftest import random_walk
 
@@ -349,3 +358,203 @@ def test_commutator_norm_computed_once_per_spec(monkeypatch):
     assert len(calls) == count
     assert commutator_norm(coined(0.5)) == first
     assert len(calls) == 2 * count
+
+
+def scalar_track(spec, ks, vals, vecs):
+    """Reference tracker: one _match_step per fiber, swept both ways from the start."""
+    G, n = vals.shape
+    tv = np.empty_like(vals)
+    tw = np.empty_like(vecs)
+    g0 = _best_start(vals)
+    tv[g0] = vals[g0]
+    tw[g0] = vecs[g0]
+
+    def sweep(seq):
+        last2, last = None, g0
+        for g in seq:
+            pred = tv[last] if last2 is None else 2 * tv[last] - tv[last2]
+            perm = qwalk.spectral._match_step(pred, tw[last], vals[g], vecs[g])
+            if perm is None:
+                anchor = last2 if last2 is not None else last
+                slope = None
+                if last2 is not None:
+                    slope = (tv[last] - tv[last2]) / (ks[last] - ks[last2])
+                perm = _chain_match(
+                    spec, ks[anchor], ks[g], tv[anchor], tw[anchor],
+                    vals[g], vecs[g], slope=slope,
+                )
+                if perm is None:
+                    lo, hi = sorted((ks[last], ks[g]))
+                    raise UnresolvedCrossing(lo, hi)
+            tv[g] = vals[g][perm]
+            tw[g] = _align_frame(tw[last], vecs[g][:, perm], tv[g])
+            last2, last = last, g
+
+    sweep(range(g0 + 1, G))
+    sweep(range(g0 - 1, -1, -1))
+    for idx in _clusters(tv[g0], MERGE_TOL):
+        if len(idx) > 1 and G > 1:
+            nb = g0 + 1 if g0 + 1 < G else g0 - 1
+            b, a = tw[g0][:, idx], tw[nb][:, idx]
+            u, _, vh = np.linalg.svd(b.conj().T @ a)
+            tw[g0][:, idx] = b @ (u @ vh)
+    return tv, tw
+
+
+TRACK_ORACLE_WALKS = EIG_ORACLE_WALKS + [
+    ("walk(3)^3", lambda: walk_power(random_walk(3, shift_max=2), 3)),
+    ("coined(1-1e-9)", lambda: coined(1 - 1e-9)),
+    # two predictions share a nearest eigenvalue on one fiber at each grid
+    ("walk(10)^2", lambda: walk_power(random_walk(10), 2)),
+]
+
+
+def extract_or_refusal(spec, grid):
+    try:
+        return sample_bands(spec, grid)
+    except UnresolvedCrossing as exc:
+        return exc
+
+
+def assert_tracks_like_scalar(monkeypatch, make_spec, grid):
+    got = extract_or_refusal(make_spec(), grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(qwalk.spectral, "_track", scalar_track)
+        want = extract_or_refusal(make_spec(), grid)
+    if isinstance(want, UnresolvedCrossing):
+        assert isinstance(got, UnresolvedCrossing)
+        assert (got.k_lo, got.k_hi) == (want.k_lo, want.k_hi)
+        return
+    assert isinstance(got, qwalk.spectral.BandSet)
+    key = lambda b: (b.degree, b.multiplicity, b.winding, b.min_period, b.is_constant)
+    assert [key(b) for b in got.bands] == [key(b) for b in want.bands]
+    for bg, bw in zip(got.bands, want.bands):
+        assert np.array_equal(bg.samples, bw.samples)
+        # the gauge fixes each copy's phase by its largest component at
+        # ktilde = 0, a tie that rounding breaks (coined at k = 0); compare
+        # the sections with that one constant phase taken out
+        for cg, cw in zip(bg.eigvec_samples, bw.eigvec_samples):
+            z = np.vdot(cg[0], cw[0])
+            assert np.max(np.abs(cg * (z / abs(z)) - cw)) <= 1e-12
+            norms = np.linalg.norm(cg, axis=1) - np.linalg.norm(cw, axis=1)
+            assert np.max(np.abs(norms)) <= 8 * np.finfo(float).eps
+        assert np.max(np.abs(band_projectors(bg) - band_projectors(bw))) <= 1e-10
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize(
+    "name,make_spec", TRACK_ORACLE_WALKS, ids=[w[0] for w in TRACK_ORACLE_WALKS]
+)
+def test_batched_tracking_matches_scalar_tracker(monkeypatch, name, make_spec, grid):
+    assert_tracks_like_scalar(monkeypatch, make_spec, grid)
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+def test_unsettled_predictions_take_the_scalar_step(monkeypatch, passes):
+    # with fewer passes, the batch's own relations have not settled on
+    # walk(5)^2, and fibers predicted through a changed one are flagged
+    monkeypatch.setattr(qwalk.spectral, "MATCH_PASSES", passes)
+    for grid in (256, 2048):
+        assert_tracks_like_scalar(monkeypatch, lambda: walk_power(random_walk(5), 2), grid)
+
+
+def test_vanishing_overlap_takes_the_scalar_step():
+    # synthetic fibers with fixed, separated values; the columns swap their
+    # vectors on fibers 20 to 23, so consecutive sections there are
+    # orthogonal and _align_frame leaves them unphased.  Nothing refines,
+    # so no walk is needed
+    rng = np.random.default_rng(1)
+    G = 64
+    ks = 2.0 * np.pi * np.arange(G) / G
+    vals = np.tile(np.exp(2j * np.pi * np.arange(3) / 3), (G, 1))
+    vecs = np.eye(3) * np.exp(2j * np.pi * rng.random((G, 1, 3)))
+    vecs[20:24] = vecs[20:24][:, :, [1, 2, 0]]
+    got = qwalk.spectral._track(None, ks, vals, vecs)
+    want = scalar_track(None, ks, vals, vecs)
+    assert np.array_equal(got[0], want[0])
+    assert np.max(np.abs(got[1] - want[1])) <= 1e-12
+
+
+def test_separated_fibers_skip_the_scalar_matcher(monkeypatch):
+    calls = []
+    real = qwalk.spectral._match_step
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(qwalk.spectral, "_match_step", counting)
+    for spec, most in ((coined(0.5), 0), (random_walk(3), 0), (grover4(), 16)):
+        calls.clear()
+        sample_bands(spec, 2048)
+        assert len(calls) <= most
+
+
+def fiber_min_gap(spec, *ks):
+    vals = np.array([np.linalg.eigvals(symbol_on_grid(spec, np.array([k]))[0]) for k in ks])
+    gaps = _pair_gaps(vals)
+    return gaps[gaps > MERGE_TOL].min()
+
+
+def assert_refusal_advice(exc, spec):
+    want = fiber_min_gap(spec, exc.k_lo, exc.k_hi)
+    assert exc.min_gap == pytest.approx(want, rel=1e-6)
+    g = exc.next_grid
+    assert g >= 64 and g & (g - 1) == 0
+    assert 2 * np.pi / g < exc.min_gap
+    assert g == 64 or 2 * np.pi / (g // 2) >= exc.min_gap
+    text = str(exc)
+    assert text.startswith("band assignment ambiguous on k in [")
+    assert "%.3e" % exc.min_gap in text and str(g) in text
+    clone = pickle.loads(pickle.dumps(exc))
+    assert (clone.k_lo, clone.k_hi, clone.min_gap, clone.next_grid) == (
+        exc.k_lo, exc.k_hi, exc.min_gap, exc.next_grid,
+    )
+    assert str(clone) == text
+
+
+def test_unresolved_crossing_reports_gap_and_next_grid():
+    spec = coined(1 - 1e-9)
+    with pytest.raises(UnresolvedCrossing) as info:
+        sample_bands(spec, 256)
+    assert info.value.k_hi - info.value.k_lo == pytest.approx(2 * np.pi / 256)
+    assert_refusal_advice(info.value, spec)
+    # the two-argument form still works and still pickles
+    bare = pickle.loads(pickle.dumps(UnresolvedCrossing(0.1, 0.2)))
+    assert (bare.k_lo, bare.k_hi, bare.min_gap, bare.next_grid) == (0.1, 0.2, None, None)
+
+
+def test_kept_refusal_holds_no_tracking_arrays():
+    # a caller may keep the exception, and with it every frame of its
+    # traceback; none of them may still hold the grid-sized arrays
+    try:
+        sample_bands(coined(1 - 1e-9), 2048)
+    except UnresolvedCrossing as exc:
+        kept = exc
+    tb, big = kept.__traceback__, []
+    while tb is not None:
+        big += [
+            name for name, value in tb.tb_frame.f_locals.items()
+            if isinstance(value, np.ndarray) and value.size >= 2048
+        ]
+        tb = tb.tb_next
+    assert big == []
+
+
+def test_seam_refusal_reports_gap_and_next_grid(monkeypatch):
+    # coined(0.9999) at 256 is the one walk found whose seam needs the
+    # refined chain; make that chain fail to reach the seam's raise
+    real = qwalk.spectral._chain_match
+
+    def seam_fails(spec, k_start, k_end, *args, **kwargs):
+        if k_end > 2 * np.pi:
+            return None
+        return real(spec, k_start, k_end, *args, **kwargs)
+
+    monkeypatch.setattr(qwalk.spectral, "_chain_match", seam_fails)
+    spec = coined(0.9999)
+    with pytest.raises(UnresolvedCrossing) as info:
+        sample_bands(spec, 256)
+    assert info.value.k_hi == 2 * np.pi
+    assert info.value.k_lo == 2 * np.pi * 255 / 256
+    assert_refusal_advice(info.value, spec)

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_symbol_is_unitary_pointwise():
     spec = grover4()
     rng = np.random.default_rng(7)
     for k in rng.uniform(0.0, 2.0 * np.pi, 16):
-        u = symbol_at(spec, k).entries
+        u = symbol_at(spec, k)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 
@@ -67,7 +68,7 @@ def test_symbol_grid_matches_single_evaluations():
     ks = np.linspace(0.0, 2.0 * np.pi, 9)
     grid = symbol_on_grid(spec, ks)
     for i, k in enumerate(ks):
-        np.testing.assert_allclose(grid[i], symbol_at(spec, k).entries, atol=1e-14)
+        np.testing.assert_allclose(grid[i], symbol_at(spec, k), atol=1e-14)
 
 
 def test_commutator_norm_known_values():
@@ -81,18 +82,34 @@ def test_direct_sum_and_amplify_block_structure():
     s = direct_sum(a, b)
     assert s.n == a.n + b.n
     k = 0.7
-    u = symbol_at(s, k).entries
-    np.testing.assert_allclose(u[:1, :1], symbol_at(a, k).entries, atol=1e-14)
-    np.testing.assert_allclose(u[1:, 1:], symbol_at(b, k).entries, atol=1e-14)
+    u = symbol_at(s, k)
+    np.testing.assert_allclose(u[:1, :1], symbol_at(a, k), atol=1e-14)
+    np.testing.assert_allclose(u[1:, 1:], symbol_at(b, k), atol=1e-14)
     np.testing.assert_allclose(u[:1, 1:], 0, atol=1e-14)
 
     m = amplify(b, 3)
     assert m.n == 3 * b.n
-    um = symbol_at(m, k).entries
+    um = symbol_at(m, k)
     for c in range(3):  # copies are interleaved, kron(A_j, I)
-        np.testing.assert_allclose(um[c::3, c::3], symbol_at(b, k).entries, atol=1e-14)
+        np.testing.assert_allclose(um[c::3, c::3], symbol_at(b, k), atol=1e-14)
 
 
 def test_shifts_lists_occupied_terms():
     spec = shift_coin_walk((1, -1), np.eye(2))
     assert spec.shifts() == [-1, 1]
+
+
+def test_spec_equality_compares_coefficients():
+    spec = grover4()
+    clone = pickle.loads(pickle.dumps(spec))
+    assert spec == clone and hash(spec) == hash(clone)
+    assert spec == grover4() and hash(spec) == hash(grover4())
+    assert len({spec, clone, grover4()}) == 1
+    # same n and shifts, different coefficients
+    assert coined(0.5) != coined(0.3)
+    assert coined(0.5).shifts() == coined(0.3).shifts()
+    assert spec != coined(0.5) and spec != free() and spec != "grover4"
+    # -0.0 and 0.0 are equal entries, so the specs are equal and hash alike
+    neg = WalkSpec(n=1, terms={1: np.array([[complex(1.0, -0.0)]])})
+    pos = WalkSpec(n=1, terms={1: np.array([[complex(1.0, 0.0)]])})
+    assert neg == pos and hash(neg) == hash(pos)
