@@ -58,7 +58,7 @@ shifted = WalkSpec(
 d1, d2 = decompose(base, 512), decompose(shifted, 512)
 for p1 in d1.primes:
     for p2 in d2.primes:
-        match = find_translation(p1.band, p2.band, rate=p1.rate)
+        match = find_translation(p1.band, p2.band)
         if match is None:
             continue
         v = build_intertwiner(match, p1.rate, 128)

@@ -15,7 +15,6 @@ from .decompose import (
     assemble,
     cover_walk,
     decompose,
-    decomposition_to_json,
 )
 from .dynamics import (
     DistributionSnapshot,
@@ -43,7 +42,6 @@ from .intertwine import (
     TranslationMatch,
     build_intertwiner,
     commutant_report,
-    commutant_report_to_json,
     find_translation,
     intertwiner_residual,
     intertwiner_space,
@@ -54,7 +52,6 @@ from .realize import (
     RealizabilityVerdict,
     generator_coefficients,
     is_ct_realizable,
-    verdict_to_json,
     witness_step,
     write_witness_csv,
 )

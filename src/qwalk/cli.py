@@ -38,7 +38,7 @@ from .intertwine import (
     write_intertwiner_csv,
 )
 from .realize import is_ct_realizable, write_witness_csv
-from .spectral import UnresolvedCrossing, write_band_csv
+from .spectral import UnresolvedCrossing, monodromy, write_band_csv
 from .walkspec import (
     UnitarityError,
     WalkSpec,
@@ -47,7 +47,7 @@ from .walkspec import (
     spec_digest,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _load_walk(token: str) -> WalkSpec:
@@ -111,16 +111,13 @@ def _cmd_analyze(args) -> int:
         write_band_csv(band_set, buf)
         _emit(buf.getvalue(), args.out)
         return 0
-    lengths = []
-    for band in band_set.bands:
-        lengths.extend([band.degree] * band.multiplicity)
     verdict = is_ct_realizable(spec, args.grid)
     doc = _report_header("analyze", spec, args)
     doc.update(
         {
             "bandwidth": spec.bandwidth,
             "commutator_bound": dec.commutator_bound,
-            "monodromy": sorted(lengths),
+            "monodromy": monodromy(spec, args.grid),
             "bands": _band_summaries(band_set),
             "decomposition": dec.to_dict(),
             "det_winding": verdict.det_winding,
@@ -233,6 +230,8 @@ def _initial_state(args, n):
 
 
 def _cmd_simulate(args) -> int:
+    if args.steps <= 0:
+        raise ValueError("--steps must be a positive number of steps, got %d" % args.steps)
     spec = _load_walk(args.spec)
     state = _initial_state(args, spec.n)
     checkpoints = sorted({max(args.steps // 4, 1), max(args.steps // 2, 1), args.steps})
@@ -260,7 +259,6 @@ def _cmd_simulate(args) -> int:
     doc = _report_header("simulate", spec, args)
     doc.update(
         {
-            "seed": args.seed,
             "steps": args.steps,
             "total_mass": snap.total_mass(),
             "support": [int(snap.sites[0]), int(snap.sites[-1])],
@@ -306,12 +304,6 @@ def _add_common(parser, two_specs=False, simulate=False):
         choices=("json", "csv"),
         default="json",
         help="report format (default json)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="random seed recorded in reports (reserved, default 0)",
     )
     if simulate:
         parser.add_argument(

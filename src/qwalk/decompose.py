@@ -12,7 +12,6 @@ renders the canonical representative back as a banded walk.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,6 @@ __all__ = [
     "decompose",
     "cover_walk",
     "assemble",
-    "decomposition_to_json",
 ]
 
 COEF_KEEP = 1e-14  # smallest Fourier coefficient rendered into a walk term
@@ -161,21 +159,22 @@ def decompose(spec: WalkSpec, grid_size: int = 2048) -> Decomposition:
     )
 
 
-def cover_walk(band: Band, coef_keep: float = COEF_KEEP) -> WalkSpec:
+def cover_walk(band: Band) -> WalkSpec:
     """Render the d-dimensional walk whose only band is the given one.
 
     The walk acts on ell_2(Z) tensor C^d; entry (s', s) of coefficient A_j
     is the band's Fourier coefficient at frequency d j + s' - s.  If the
-    truncation at coef_keep leaves the coefficients measurably non-unitary
+    truncation at COEF_KEEP leaves the coefficients measurably non-unitary
     the threshold is lowered and the rendering retried.
     """
     d = band.degree
     freqs = band.fourier_freqs
     coefs = np.asarray(band.fourier)
+    keep = COEF_KEEP
     while True:
         terms: dict[int, np.ndarray] = {}
         for ell, c in zip(freqs, coefs):
-            if abs(c) <= coef_keep:
+            if abs(c) <= keep:
                 continue
             for sp in range(d):
                 s = (sp - ell) % d
@@ -184,9 +183,9 @@ def cover_walk(band: Band, coef_keep: float = COEF_KEEP) -> WalkSpec:
         try:
             return WalkSpec(n=d, terms=terms)
         except UnitarityError:
-            if coef_keep < 1e-18:
+            if keep < 1e-18:
                 raise
-            coef_keep *= 1e-2
+            keep *= 1e-2
 
 
 def assemble(dec: Decomposition) -> WalkSpec:
@@ -218,8 +217,3 @@ def assemble(dec: Decomposition) -> WalkSpec:
     for blk in blocks[1:]:
         out = direct_sum(out, blk)
     return out
-
-
-def decomposition_to_json(dec: Decomposition) -> str:
-    """Serialize the classification data (bands themselves are omitted)."""
-    return json.dumps(dec.to_dict(), indent=2, sort_keys=True)

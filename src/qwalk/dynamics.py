@@ -8,9 +8,12 @@ U_hat(k)^t, raised by repeated squaring, on an FFT grid wide enough that
 nothing wraps around; its cost grows like t log t instead of t^2.  A flop
 model picks the cheaper path, which is the stepper below a few dozen steps.
 Both return the same window and agree to 1e-12 (the stepper is the
-propagator's oracle in the tests).  Entries no path of nonzero
-coefficients can reach are exact zeros on both, such as the rows of the
-wrong parity for coined and Grover walks.  The rescaled position
+propagator's oracle in the tests).  Entries that the shift cosets or the
+least and largest path displacements rule out, such as the rows of the
+wrong parity for coined and Grover walks, are exact zeros on both.  The
+stepper has more exact zeros, at holes in the sumset of the shifts next
+to the light-cone edge and where edge amplitudes underflow; there the
+propagator leaves rounding-level mass (below 1e-28).  The rescaled position
 x/t converges weakly; limit_law computes the limit measure from the band
 data: each band contributes its group velocity Re(lambda' / (i lambda))
 distributed according to the overlap of the initial state with the band's
@@ -29,7 +32,7 @@ import numpy as np
 
 from .decompose import Decomposition
 from .spectral import BandSet
-from .walkspec import WalkSpec, symbol_on_grid
+from .walkspec import WalkSpec, _complex_cell, symbol_on_grid
 
 __all__ = [
     "State",
@@ -142,15 +145,9 @@ def parse_state(text: str) -> State:
         vec = ent["vector"]
         if not isinstance(vec, list) or not vec:
             raise ValueError("entry vector must be a non-empty list")
-        row = []
-        for cell in vec:
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(isinstance(u, (int, float)) for u in cell)
-            ):
-                raise ValueError("vector components must be [re, im] pairs")
-            row.append(complex(cell[0], cell[1]))
+        row = [_complex_cell(cell) for cell in vec]
+        if None in row:
+            raise ValueError("vector components must be [re, im] pairs of finite numbers")
         if n is None:
             n = len(row)
         elif len(row) != n:
@@ -469,7 +466,7 @@ class LimitLaw:
         return cont + sum(m * v**order for v, m in self.atoms)
 
 
-def limit_law(dec: Decomposition, state: State, bins: int = HISTOGRAM_BINS) -> LimitLaw:
+def limit_law(dec: Decomposition, state: State) -> LimitLaw:
     """Limit distribution of x/t for the walk started in the given state.
 
     Band velocities live inside [-L, L], L the commutator norm bound; the
@@ -526,7 +523,7 @@ def limit_law(dec: Decomposition, state: State, bins: int = HISTOGRAM_BINS) -> L
         merged[key] = merged.get(key, 0.0) + m
     atom_tuple = tuple(sorted(merged.items()))
     bin_masses, bin_edges = np.histogram(
-        velocities, bins=bins, range=(-vmax, vmax), weights=weights
+        velocities, bins=HISTOGRAM_BINS, range=(-vmax, vmax), weights=weights
     )
     return LimitLaw(
         atoms=atom_tuple,

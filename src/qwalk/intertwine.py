@@ -16,7 +16,6 @@ agree; then every matrix on the multiplicity space intertwines
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,12 +36,12 @@ __all__ = [
     "model_walk_matrix",
     "intertwiner_residual",
     "commutant_report",
-    "commutant_report_to_json",
     "write_intertwiner_csv",
 ]
 
 RESIDUAL_TOL = 1e-7    # max coefficient mismatch for an accepted translation
 CONST_MATCH_TOL = 1e-9
+CSV_ZERO_TOL = 1e-12   # window entries at or below this magnitude are not dumped
 
 
 @dataclass(frozen=True)
@@ -93,20 +92,17 @@ def _normalized_coefficients(band: Band) -> dict[int, complex]:
     return out
 
 
-def find_translation(
-    band1: Band, band2: Band, rate: Fraction | None = None
-) -> TranslationMatch | None:
+def find_translation(band1: Band, band2: Band) -> TranslationMatch | None:
     """Find c with lambda_2(x) = lambda_1(x + c), reported physically.
 
     Returns None when no translation aligns the bands within
-    RESIDUAL_TOL.  The search correlates the Fourier phases and polishes
-    the best candidate, so the answer is accurate to rounding when it
-    exists.
+    RESIDUAL_TOL.  The physical translation is c over the bands' rate
+    min_period / degree.  The search correlates the Fourier phases and
+    polishes the best candidate, so the answer is accurate to rounding
+    when it exists.
     """
     if band1.degree != band2.degree or band1.min_period != band2.min_period:
         return None
-    if rate is None:
-        rate = Fraction(band1.min_period, band1.degree)
     c1 = _normalized_coefficients(band1)
     c2 = _normalized_coefficients(band2)
     support = sorted(set(c1) | set(c2))
@@ -152,6 +148,7 @@ def find_translation(
     )
     if residual > RESIDUAL_TOL:
         return None
+    rate = Fraction(band1.min_period, band1.degree)
     return TranslationMatch(alpha=c / float(rate), residual=float(residual))
 
 
@@ -168,7 +165,7 @@ def intertwiner_space(a, b) -> IntertwinerSpace:
         return IntertwinerSpace(kind="zero", generator_count=0)
     if a.rate != b.rate:
         return IntertwinerSpace(kind="zero", generator_count=0)
-    match = find_translation(a.band, b.band, rate=a.rate)
+    match = find_translation(a.band, b.band)
     if match is None:
         return IntertwinerSpace(kind="zero", generator_count=0)
     p = a.rate.numerator
@@ -193,12 +190,7 @@ def build_intertwiner(
     """
     c = match.alpha * float(rate)
     positions = np.arange(window) - window // 2
-    rho_hat = {0: 1.0 + 0.0j} if rho is None else rho
-    v = np.zeros((window, window), dtype=complex)
-    for off, coef in rho_hat.items():
-        if abs(off) >= window:
-            continue
-        v += coef * np.eye(window, k=-int(off))
+    v = _toeplitz_window({0: 1.0 + 0.0j} if rho is None else rho, window)
     v *= np.exp(1j * c * positions)[None, :]
     return v
 
@@ -209,13 +201,16 @@ def model_walk_matrix(band: Band, window: int) -> np.ndarray:
     The walk is multiplication by the band on the torus; its position
     matrix is the Toeplitz array of the normalized Fourier coefficients.
     """
-    coefs = _normalized_coefficients(band)
-    u = np.zeros((window, window), dtype=complex)
-    for ell, c in coefs.items():
-        if abs(ell) >= window:
-            continue
-        u += c * np.eye(window, k=-ell)
-    return u
+    return _toeplitz_window(_normalized_coefficients(band), window)
+
+
+def _toeplitz_window(coefs: dict, window: int) -> np.ndarray:
+    """Square window of the Toeplitz matrix whose entry (i, j) is coefs[i - j]."""
+    out = np.zeros((window, window), dtype=complex)
+    for off, coef in coefs.items():
+        if abs(off) < window:
+            out += coef * np.eye(window, k=-int(off))
+    return out
 
 
 def intertwiner_residual(u1, u2, v, margin: int) -> float:
@@ -301,7 +296,7 @@ def commutant_report(dec: Decomposition) -> CommutantReport:
             pj = dec.primes[j]
             if taken[j] or pi.rate != pj.rate:
                 continue
-            match = find_translation(pi.band, pj.band, rate=pi.rate)
+            match = find_translation(pi.band, pj.band)
             if match is not None:
                 size += pj.multiplicity
                 alphas.append(match.alpha)
@@ -314,14 +309,10 @@ def commutant_report(dec: Decomposition) -> CommutantReport:
     )
 
 
-def commutant_report_to_json(report: CommutantReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
-
-
-def write_intertwiner_csv(v: np.ndarray, fileobj, tol: float = 1e-12) -> None:
+def write_intertwiner_csv(v: np.ndarray, fileobj) -> None:
     """Sparse triplet dump row,col,re,im of the window matrix."""
     fileobj.write("row,col,re,im\n")
-    rows, cols = np.nonzero(np.abs(v) > tol)
+    rows, cols = np.nonzero(np.abs(v) > CSV_ZERO_TOL)
     for i, j in zip(rows, cols):
         fileobj.write(
             "%d,%d,%.17g,%.17g\n" % (i, j, v[i, j].real, v[i, j].imag)

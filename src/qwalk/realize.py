@@ -10,7 +10,6 @@ exp(i h) = lambda on the covering torus, unique up to 2 pi Z per band.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "is_ct_realizable",
     "witness_step",
     "generator_coefficients",
-    "verdict_to_json",
     "write_witness_csv",
 ]
 
@@ -61,7 +59,7 @@ def is_ct_realizable(spec: WalkSpec, grid_size: int = 2048) -> RealizabilityVerd
     continuous logarithm no matter the choice of branch.
     """
     band_set = sample_bands(spec, grid_size)
-    dw = det_winding(spec, grid_size, band_set=band_set)
+    dw = det_winding(spec, grid_size)
     realizable = all(b.winding == 0 for b in band_set.bands)
     witnesses = None
     if realizable:
@@ -117,10 +115,6 @@ def generator_coefficients(verdict: RealizabilityVerdict, max_shift: int) -> dic
         j: (np.exp(-1j * j * ks)[:, None, None] * hhat).mean(axis=0)
         for j in range(-max_shift, max_shift + 1)
     }
-
-
-def verdict_to_json(verdict: RealizabilityVerdict) -> str:
-    return json.dumps(verdict.to_dict(), indent=2, sort_keys=True)
 
 
 def write_witness_csv(verdict: RealizabilityVerdict, fileobj) -> None:

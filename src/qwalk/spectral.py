@@ -240,12 +240,6 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
     return vals, vecs
 
 
-def _eig_single(spec: WalkSpec, k: float):
-    twopi = 2.0 * np.pi
-    vals, vecs = _eig_grid(spec, np.array([k % twopi]))
-    return vals[0], vecs[0]
-
-
 def _clusters(vals: np.ndarray, tol: float):
     """Indices grouped by chained closeness on the unit circle."""
     order = np.argsort(np.angle(vals), kind="stable")
@@ -270,7 +264,7 @@ def _pair_check(resid, vals):
     residual exceeds AMBIG_FACTOR times the pair's gap.
     """
     iu = np.triu_indices(vals.shape[-1], k=1)
-    gap = np.abs(vals[..., iu[0]] - vals[..., iu[1]])
+    gap = _pair_gaps(vals)
     resid = np.maximum(resid[..., iu[0]], resid[..., iu[1]])
     return ((gap > MERGE_TOL) & (resid > AMBIG_FACTOR * gap)).any(axis=-1)
 
@@ -295,10 +289,14 @@ def _align_frame(prev, cur, vals):
             if abs(z) > 1e-12:
                 cur[:, s] *= np.conj(z) / abs(z)
         else:
-            b, a = cur[:, idx], prev[:, idx]
-            u, _, vh = np.linalg.svd(b.conj().T @ a)
-            cur[:, idx] = b @ (u @ vh)
+            cur[:, idx] = _rotate_onto(cur[:, idx], prev[:, idx])
     return cur
+
+
+def _rotate_onto(b, a):
+    """b times the unitary that brings it closest to a (orthogonal Procrustes)."""
+    u, _, vh = np.linalg.svd(b.conj().T @ a)
+    return b @ (u @ vh)
 
 
 def _chain_match(spec, k_start, k_end, start_vals, start_frame, end_vals,
@@ -324,7 +322,8 @@ def _chain_match(spec, k_start, k_end, start_vals, start_frame, end_vals,
             if t == steps:
                 w, frame = end_vals, end_frame
             else:
-                w, frame = _eig_single(spec, sub[t])
+                vals, vecs = _eig_grid(spec, np.array([sub[t] % (2.0 * np.pi)]))
+                w, frame = vals[0], vecs[0]
             if len(hist) >= 3:
                 pred = 3 * hist[-1] - 3 * hist[-2] + hist[-3]
             elif len(hist) == 2:
@@ -348,9 +347,9 @@ def _neighborhood_min(score: np.ndarray) -> np.ndarray:
 
 
 def _pair_gaps(vals: np.ndarray) -> np.ndarray:
-    """|vals[g, i] - vals[g, j]| for every pair i < j, shape (G, n(n-1)/2)."""
-    iu = np.triu_indices(vals.shape[1], k=1)
-    return np.abs(vals[:, iu[0]] - vals[:, iu[1]])
+    """|vals[..., i] - vals[..., j]| for every pair i < j, over any leading axes."""
+    iu = np.triu_indices(vals.shape[-1], k=1)
+    return np.abs(vals[..., iu[0]] - vals[..., iu[1]])
 
 
 def _best_start(vals: np.ndarray) -> int:
@@ -520,9 +519,7 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     for idx in _clusters(tv[g0], MERGE_TOL):
         if len(idx) > 1 and G > 1:
             nb = g0 + 1 if g0 + 1 < G else g0 - 1
-            b, a = tw[g0][:, idx], tw[nb][:, idx]
-            u, _, vh = np.linalg.svd(b.conj().T @ a)
-            tw[g0][:, idx] = b @ (u @ vh)
+            tw[g0][:, idx] = _rotate_onto(tw[g0][:, idx], tw[nb][:, idx])
     return tv, tw
 
 
@@ -770,13 +767,14 @@ def monodromy(spec: WalkSpec, grid_size: int = 2048) -> tuple:
     return tuple(sorted(lengths))
 
 
-def det_winding(spec: WalkSpec, grid_size: int = 2048, band_set: BandSet | None = None) -> int:
+def det_winding(spec: WalkSpec, grid_size: int = 2048) -> int:
     """Winding number of k -> det U_hat(k) on the base torus.
 
     Cross-checked against the sum of band windings weighted by
-    multiplicity, which it must equal exactly.
+    multiplicity, which it must equal exactly.  The bands come from
+    sample_bands, so a caller holding this spec's BandSet shares it.
     """
-    _validate_grid(grid_size)
+    band_set = sample_bands(spec, grid_size)
     ks = 2.0 * np.pi * np.arange(grid_size) / grid_size
     dets = np.linalg.det(symbol_on_grid(spec, ks))
     try:
@@ -784,8 +782,6 @@ def det_winding(spec: WalkSpec, grid_size: int = 2048, band_set: BandSet | None 
     except NonIntegerWinding:
         ks2 = 2.0 * np.pi * np.arange(2 * grid_size) / (2 * grid_size)
         w = _winding_from_samples(np.linalg.det(symbol_on_grid(spec, ks2)))
-    if band_set is None:
-        band_set = sample_bands(spec, grid_size)
     sheet_sum = sum(b.multiplicity * b.winding for b in band_set.bands)
     if sheet_sum != w:
         raise RuntimeError(

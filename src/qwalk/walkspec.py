@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -95,11 +96,11 @@ class WalkSpec:
     _commutator_norm: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise WalkSpecError("coin dimension n must be a positive integer")
         cleaned = {}
         for j, mat in self.terms.items():
-            if not isinstance(j, (int, np.integer)):
+            if not (_is_int(j) or isinstance(j, np.integer)):
                 raise WalkSpecError("shift exponents must be integers, got %r" % (j,))
             arr = np.asarray(mat, dtype=np.complex128)
             if arr.shape != (self.n, self.n):
@@ -107,6 +108,9 @@ class WalkSpec:
                     "coefficient matrix for shift %d has shape %s, expected (%d, %d)"
                     % (j, arr.shape, self.n, self.n)
                 )
+            if not np.all(np.isfinite(arr)):
+                # NaN would pass every tolerance comparison of the unitarity check
+                raise WalkSpecError("coefficient matrix for shift %d has a non-finite entry" % j)
             if np.any(arr != 0):
                 arr = arr.copy()
                 arr.setflags(write=False)
@@ -137,6 +141,28 @@ class WalkSpec:
     def shifts(self) -> list:
         """Supported shift exponents, ascending."""
         return sorted(self.terms)
+
+
+def _is_int(value) -> bool:
+    """True for a Python int that is not a bool (JSON true loads as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _complex_cell(cell) -> complex | None:
+    """A JSON [re, im] pair of finite numbers as a complex; None otherwise.
+
+    Booleans are not numbers here, and NaN, infinities and integers too
+    large for a double are refused.
+    """
+    if not isinstance(cell, list) or len(cell) != 2:
+        return None
+    if not all(_is_int(v) or isinstance(v, float) for v in cell):
+        return None
+    try:
+        z = complex(cell[0], cell[1])
+    except OverflowError:
+        return None
+    return z if math.isfinite(z.real) and math.isfinite(z.imag) else None
 
 
 def _check_unitarity(spec: WalkSpec) -> None:
@@ -173,7 +199,7 @@ def parse_walk_spec(text: str) -> WalkSpec:
     if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
         raise WalkSpecError('walk spec must be an object with "n" and "terms"')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise WalkSpecError('"n" must be a positive integer')
     if not isinstance(doc["terms"], list) or not doc["terms"]:
         raise WalkSpecError('"terms" must be a non-empty list')
@@ -182,7 +208,7 @@ def parse_walk_spec(text: str) -> WalkSpec:
         if not isinstance(entry, dict) or "shift" not in entry or "matrix" not in entry:
             raise WalkSpecError('each term needs "shift" and "matrix"')
         j = entry["shift"]
-        if not isinstance(j, int):
+        if not _is_int(j):
             raise WalkSpecError("shift must be an integer, got %r" % (j,))
         if j in terms:
             raise WalkSpecError("duplicate shift %d" % j)
@@ -198,15 +224,13 @@ def _parse_matrix(rows, n: int, j: int) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise WalkSpecError("matrix for shift %d is not %d x %d" % (j, n, n))
         for c, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
-            ):
+            z = _complex_cell(cell)
+            if z is None:
                 raise WalkSpecError(
-                    "entry (%d, %d) of shift %d must be [re, im]" % (r, c, j)
+                    "entry (%d, %d) of shift %d must be [re, im] of finite numbers"
+                    % (r, c, j)
                 )
-            out[r, c] = complex(cell[0], cell[1])
+            out[r, c] = z
     return out
 
 

@@ -211,7 +211,7 @@ def test_intertwiner_classification_and_construction():
     shifted = decompose(modulate(coined(0.5), alpha), 512)
     p1 = base.primes[0]
     hits = [
-        (p1, p2, find_translation(p1.band, p2.band, rate=p1.rate))
+        (p1, p2, find_translation(p1.band, p2.band))
         for p2 in shifted.primes
     ]
     hits = [h for h in hits if h[2] is not None]
@@ -249,7 +249,7 @@ def test_random_walk_ensemble_invariants():
 
         assert all(isinstance(b.winding, int) for b in bs2.bands), seed
         total = sum(b.winding * b.multiplicity for b in bs2.bands)
-        assert total == det_winding(spec, 256, band_set=bs2), seed
+        assert total == det_winding(spec, 256), seed
 
         sig1 = sorted(
             (b.degree, b.winding, 0 if b.is_constant else b.min_period, b.multiplicity)

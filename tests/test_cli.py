@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
+from qwalk.cli import main
 from qwalk.fixtures import coined
 from qwalk.walkspec import serialize_walk_spec
+
+from conftest import BAD_STATE_DOCUMENTS, BAD_WALK_DOCUMENTS
 
 
 def run_cli(*argv):
@@ -169,6 +172,40 @@ def test_invalid_inputs_exit_2(tmp_path):
     assert run_cli("analyze", str(bad)).returncode == 2
     assert run_cli("analyze", "grover3", "--grid", "100").returncode == 2
     assert run_cli("analyze", "no_such_walk").returncode == 2
+
+
+@pytest.mark.parametrize("name", sorted(BAD_WALK_DOCUMENTS))
+def test_rejected_walk_files_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "walk.json"
+    path.write_text(BAD_WALK_DOCUMENTS[name])
+    assert main(["analyze", str(path), "--grid", "64"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STATE_DOCUMENTS))
+def test_rejected_state_files_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "state.json"
+    path.write_text(BAD_STATE_DOCUMENTS[name])
+    argv = ["simulate", "free", "--steps", "4", "--state", str(path), "--format", "csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("steps", ["0", "-4"])
+def test_simulate_rejects_non_positive_steps(capsys, steps):
+    assert main(["simulate", "free", "--steps", steps, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--steps" in captured.err
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "free", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_version_flag():

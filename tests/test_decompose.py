@@ -9,7 +9,6 @@ from qwalk import (
     assemble,
     cover_walk,
     decompose,
-    decomposition_to_json,
     sample_bands,
 )
 from qwalk.fixtures import FIXTURES, cube_root, grover3, grover4
@@ -120,7 +119,7 @@ def test_bookkeeping_exact_on_random_walks():
 
 
 def test_json_document():
-    doc = json.loads(decomposition_to_json(decompose(cube_root(), 256)))
+    doc = json.loads(json.dumps(decompose(cube_root(), 256).to_dict()))
     assert doc["n"] == 3
     assert doc["constants"] == []
     (p,) = doc["primes"]

@@ -36,7 +36,7 @@ from qwalk.fixtures import (
     grover4,
 )
 
-from conftest import random_walk
+from conftest import BAD_STATE_DOCUMENTS, random_walk
 
 
 def occupied(state, tol=1e-12):
@@ -60,7 +60,7 @@ def test_parse_state_rejects_malformed():
         ' {"site": 1, "vector": [[1, 0], [0, 0]]}]}',
         '{"entries": [{"site": 0, "vector": [[1, 0]]},'
         ' {"site": 0, "vector": [[0, 1]]}]}',
-    ]
+    ] + list(BAD_STATE_DOCUMENTS.values())
     for text in bad:
         with pytest.raises(ValueError):
             parse_state(text)

@@ -9,7 +9,6 @@ from qwalk import (
     WalkSpec,
     build_intertwiner,
     commutant_report,
-    commutant_report_to_json,
     decompose,
     find_translation,
     intertwiner_residual,
@@ -34,7 +33,7 @@ def test_translation_recovered_from_modulated_walk():
     d2 = decompose(modulate(coined(0.5), alpha), 512)
     for p2 in d2.primes:
         matches = [
-            find_translation(p1.band, p2.band, rate=p1.rate) for p1 in d1.primes
+            find_translation(p1.band, p2.band) for p1 in d1.primes
         ]
         hits = [m for m in matches if m is not None]
         assert len(hits) == 1
@@ -45,7 +44,7 @@ def test_translation_recovered_from_modulated_walk():
 def test_self_translation_is_zero():
     dec = decompose(grover4(), 256)
     for p in dec.primes:
-        m = find_translation(p.band, p.band, rate=p.rate)
+        m = find_translation(p.band, p.band)
         assert m is not None
         assert min(m.alpha, 2 * np.pi / float(p.rate) - m.alpha) == pytest.approx(
             0.0, abs=1e-9
@@ -113,7 +112,7 @@ def test_commutant_report_grover4(grover4_dec):
     assert all(p.size == 1 for p in rep.prime_classes)
     assert rep.factor_count == 4
 
-    doc = json.loads(commutant_report_to_json(rep))
+    doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["factor_count"] == 4
     assert len(doc["constants"]) == 2
     assert len(doc["primes"]) == 2

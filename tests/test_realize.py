@@ -7,7 +7,6 @@ import pytest
 from qwalk import (
     generator_coefficients,
     is_ct_realizable,
-    verdict_to_json,
     witness_step,
     write_witness_csv,
 )
@@ -66,7 +65,7 @@ def test_generator_of_constant_walk():
 
 def test_verdict_json_and_csv():
     v = is_ct_realizable(grover3(), 128)
-    doc = json.loads(verdict_to_json(v))
+    doc = json.loads(json.dumps(v.to_dict()))
     assert doc["realizable"] is True
     assert doc["det_winding"] == 0
     assert {b["winding"] for b in doc["bands"]} == {0}

@@ -297,10 +297,27 @@ def test_batched_eigensolve_matches_schur_loop(monkeypatch, name, make_spec, gri
         assert np.max(np.abs(band_projectors(bg) - band_projectors(bw))) <= 1e-10
 
 
-def test_bands_are_extracted_once_per_spec_and_grid():
+@pytest.fixture
+def tracks(monkeypatch):
+    """The spec of every _track call made while the test runs."""
+    calls = []
+    real = qwalk.spectral._track
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(qwalk.spectral, "_track", counting)
+    return calls
+
+
+def test_bands_are_extracted_once_per_spec_and_grid(tracks):
     spec = grover4()
     dec = decompose(spec, 256)
     assert is_ct_realizable(spec, 256).band_set is dec.band_set
+    assert det_winding(spec, 256) == 0
+    assert monodromy(spec, 256) == (1, 1, 1, 1)
+    assert len(tracks) == 1
     # an equal spec is another object and gets its own extraction, and so
     # do copies, which start with an empty memo
     assert sample_bands(grover4(), 256) is not dec.band_set
@@ -314,15 +331,7 @@ def test_bands_are_extracted_once_per_spec_and_grid():
     assert ref() is None
 
 
-def test_unresolved_crossing_is_not_memoized(monkeypatch):
-    tracks = []
-    real = qwalk.spectral._track
-
-    def counting(*args):
-        tracks.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(qwalk.spectral, "_track", counting)
+def test_unresolved_crossing_is_not_memoized(tracks):
     spec = coined(1 - 1e-9)
     for attempt in (1, 2):
         with pytest.raises(UnresolvedCrossing):

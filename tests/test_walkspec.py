@@ -19,6 +19,8 @@ from qwalk import (
 )
 from qwalk.fixtures import FIXTURES, coined, free, grover4, shift_coin_walk
 
+from conftest import BAD_WALK_DOCUMENTS
+
 
 def test_parse_serialize_round_trip():
     spec = grover4()
@@ -53,6 +55,11 @@ def test_parse_rejects_malformed_documents():
         parse_walk_spec(json.dumps({"n": 2, "terms": {"0": [[1, 0]]}}))
     with pytest.raises(WalkSpecError):
         parse_walk_spec("not json at all")
+    for text in BAD_WALK_DOCUMENTS.values():
+        with pytest.raises(WalkSpecError):
+            parse_walk_spec(text)
+    with pytest.raises(WalkSpecError, match="non-finite"):
+        WalkSpec(n=2, terms={0: np.full((2, 2), np.nan)})
 
 
 def test_symbol_is_unitary_pointwise():
