@@ -230,8 +230,6 @@ def _initial_state(args, n):
 
 
 def _cmd_simulate(args) -> int:
-    if args.steps <= 0:
-        raise ValueError("--steps must be a positive number of steps, got %d" % args.steps)
     spec = _load_walk(args.spec)
     state = _initial_state(args, spec.n)
     checkpoints = sorted({max(args.steps // 4, 1), max(args.steps // 2, 1), args.steps})
@@ -373,6 +371,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.grid < 64 or args.grid & (args.grid - 1):
+            raise ValueError("--grid must be a power of two and at least 64, got %d" % args.grid)
+        for flag in ("steps", "window"):
+            if getattr(args, flag, 1) <= 0:
+                raise ValueError("--%s must be positive, got %d" % (flag, getattr(args, flag)))
         return args.func(args)
     except UnresolvedCrossing as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -8,12 +8,12 @@ T_{2pi d}, d the cycle length.  Cycles whose concatenated values are
 identical copies), and bands that coincide pointwise are merged into one
 band with a multiplicity.
 
-The symbol grid is solved by one batched eigensolve of the (G, n, n)
-stack.  Fibers where that is not enough are solved again by a complex
-Schur decomposition of the same matrix: the start fiber, whose
-eigenvalue order fixes the sheet labels, and every fiber with two
-eigenvalues closer than EIG_GAP_TOL, where eigenvectors from the batched
-solve lose accuracy or orthogonality.
+The symbol grid is solved by one batched eigh of the Cayley transform of
+U_hat(k), which gives orthonormal frames, degenerate clusters included.
+Sheet labels follow the solver's column order, so each cycle starts at a
+canonical sheet: least argument in [0, 2pi) at k = 0, ties within
+MERGE_TOL ordered where the sheets separate.  Band samples, order and
+values at k = 0 then depend on the walk alone.
 
 Tracking starts at the grid point with the best-separated spectrum and
 sweeps both ways, predicting each sheet by linear extrapolation (zeroth
@@ -45,11 +45,11 @@ on every call.
 
 from __future__ import annotations
 
+import functools
 import traceback
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 from scipy.optimize import linear_sum_assignment
 
 from .walkspec import WalkSpec, symbol_on_grid
@@ -75,12 +75,6 @@ OVERLAP_WEIGHT = 1e-6  # weight of eigenvector overlap in the assignment cost
 TRACK_BLOCK = 512      # fibers matched per batch; bounds the (B, n, n) temporaries
 MATCH_PASSES = 3       # extrapolation passes per batch before unsettled fibers are flagged
 MAX_HALVINGS = 4
-# smallest eigenvalue gap at which the batched eigensolve's vectors are
-# kept.  A backward-stable eigenvector of a unitary matrix is off by about
-# n * eps / gap (Davis-Kahan), below 2e-10 at this gap for n <= 8; fibers
-# with a closer pair, degenerate clusters included, get an orthonormal
-# Schur frame instead
-EIG_GAP_TOL = 1e-5
 
 
 class UnresolvedCrossing(RuntimeError):
@@ -204,39 +198,34 @@ def _validate_grid(grid_size: int) -> None:
 
 
 def _eig_grid(spec: WalkSpec, ks: np.ndarray):
-    """Eigenvalues (G, n) and eigenvector columns (G, n, n) on the grid.
+    """Eigenvalues (G, n) and orthonormal eigenvector columns (G, n, n) of U_hat(k).
 
-    One batched eig solves every fiber.  Schur of a normal matrix gives
-    eigenvalues plus an orthonormal frame, which plain eig does not
-    guarantee inside degenerate clusters, so fibers with a pair closer
-    than EIG_GAP_TOL are solved again by schur, and so is the start fiber
-    _best_start will pick, whose column order becomes the sheet labels.
-    A lone fiber (a refinement point) is its own start fiber and goes to
-    schur alone: an eig call per point would be discarded, and on walks
-    that refine often those calls raised peak RSS by about 5 MB through
-    heap fragmentation.
+    With z = e^{-i phi}, H = i (I + z U)(I - z U)^{-1} is Hermitian with
+    U's eigenvectors and eigenvalues mu = -cot((theta - phi) / 2), so
+    lambda = e^{i phi} (mu - i) / (mu + i).  A fiber keeps the first of
+    n + 1 equally spaced phases with max|mu| <= cot(pi / (4 (n + 1))): the
+    empty one of the n + 1 arcs around them is pi / (n + 1) from every
+    eigenvalue, twice what the bound asks.  A phase where I - z U is exactly
+    singular is skipped for that fiber.  H is not symmetrized: near a pole
+    its large non-Hermitian rounding must reach the bound.
     """
     mats = symbol_on_grid(spec, ks)
-    if ks.size == 1:
-        t, z = schur(mats[0], output="complex")
-        return np.diagonal(t)[None].copy(), z[None]
-    vals, vecs = np.linalg.eig(mats)
-    done = set()
-
-    def resolve(g):
-        t, z = schur(mats[g], output="complex")
-        vals[g] = np.diagonal(t)
-        vecs[g] = z
-        done.add(g)
-
-    for g in np.flatnonzero((_pair_gaps(vals) < EIG_GAP_TOL).any(axis=1)):
-        resolve(int(g))
-    # new start values can move the start itself (ties up to rounding), so
-    # repeat until the start fiber is a schur fiber; the set only grows
-    g0 = _best_start(vals)
-    while g0 not in done:
-        resolve(g0)
-        g0 = _best_start(vals)
+    n = spec.n
+    eye = np.eye(n)
+    vals = np.empty(mats.shape[:2], dtype=complex)
+    vecs = np.empty_like(mats)
+    todo = np.arange(ks.size)
+    for r in range(n + 1):
+        phi = 2.0 * np.pi * r / (n + 1)
+        zu = np.exp(-1j * phi) * mats[todo]
+        a = eye - zu
+        singular = np.linalg.det(a) == 0
+        a[singular] = eye
+        mu, v = np.linalg.eigh(1j * np.linalg.solve(a, eye + zu))
+        ok = ~singular & (np.abs(mu).max(axis=1) <= 1.0 / np.tan(np.pi / (4 * n + 4)))
+        vals[todo[ok]] = np.exp(1j * phi) * (mu[ok] - 1j) / (mu[ok] + 1j)
+        vecs[todo[ok]] = v[ok]
+        todo = todo[~ok]
     return vals, vecs
 
 
@@ -312,6 +301,7 @@ def _chain_match(spec, k_start, k_end, start_vals, start_frame, end_vals,
     for level in range(1, MAX_HALVINGS + 1):
         steps = 2 ** (level + 1)
         sub = np.linspace(k_start, k_end, steps + 1)
+        vals, vecs = _eig_grid(spec, sub[1:-1] % (2.0 * np.pi))
         cur_vals, cur_frame = start_vals, start_frame
         hist = [cur_vals]
         if slope is not None:
@@ -319,11 +309,7 @@ def _chain_match(spec, k_start, k_end, start_vals, start_frame, end_vals,
         perm = None
         ok = True
         for t in range(1, steps + 1):
-            if t == steps:
-                w, frame = end_vals, end_frame
-            else:
-                vals, vecs = _eig_grid(spec, np.array([sub[t] % (2.0 * np.pi)]))
-                w, frame = vals[0], vecs[0]
+            w, frame = (vals[t - 1], vecs[t - 1]) if t < steps else (end_vals, end_frame)
             if len(hist) >= 3:
                 pred = 3 * hist[-1] - 3 * hist[-2] + hist[-3]
             elif len(hist) == 2:
@@ -615,10 +601,10 @@ def _finalize_band(samples, sections, degree, grid_size) -> Band:
         if min_period is None:
             min_period = 1
     secs = np.array(sections)
-    # gauge: largest component of each section real positive at ktilde = 0
+    # gauge: at ktilde = 0, the largest component (first of ties) real positive
     for c in range(secs.shape[0]):
         v0 = secs[c, 0]
-        comp = int(np.argmax(np.abs(v0)))
+        comp = int(np.argmax(np.abs(v0) >= np.abs(v0).max() - 1e-12))
         ph = v0[comp]
         if abs(ph) > 1e-12:
             secs[c] *= np.conj(ph) / abs(ph)
@@ -637,9 +623,18 @@ def _finalize_band(samples, sections, degree, grid_size) -> Band:
 
 def _assemble_bands(tv, tw, sigma, grid_size):
     G, n = tv.shape
+    # canonical order: argument at k = 0, or at the first fiber where two
+    # sheets tied there separate; arguments run from MERGE_TOL below 1, so
+    # that rounding cannot put a value at 1 last
+    args = (np.angle(tv) + MERGE_TOL) % (2.0 * np.pi)
+
+    def compare(s, t):
+        g = np.argmax(np.abs(tv[:, s] - tv[:, t]) >= MERGE_TOL)
+        return np.sign(args[g, s] - args[g, t])
+
     seen = set()
     raw = []  # (degree, samples, [section copies])
-    for s0 in range(n):
+    for s0 in sorted(range(n), key=functools.cmp_to_key(compare)):
         if s0 in seen:
             continue
         cycle = [s0]

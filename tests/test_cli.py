@@ -1,9 +1,12 @@
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import qwalk
 from qwalk.cli import main
 from qwalk.fixtures import coined
 from qwalk.walkspec import serialize_walk_spec
@@ -201,6 +204,30 @@ def test_simulate_rejects_non_positive_steps(capsys, steps):
     assert "--steps" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "free", "--steps", "4", "--grid", "100", "--format", "csv"],
+        ["analyze", "grover3", "--grid", "32"],
+    ],
+)
+def test_grid_is_checked_before_any_work(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid" in captured.err
+
+
+@pytest.mark.parametrize("window", ["-3", "0"])
+def test_intertwine_rejects_non_positive_window(capsys, window):
+    argv = ["intertwine", "grover4", "grover4_subwalk", "--grid", "256",
+            "--window", window, "--format", "csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--window" in captured.err
+
+
 def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "free", "--seed", "1"])
@@ -223,3 +250,18 @@ def test_import_leaves_scipy_signal_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_no_module_imports_scipy_linalg():
+    # one eigensolver: nothing under qwalk asks for scipy.linalg.  A
+    # sys.modules check cannot tell, since scipy.optimize loads it anyway
+    imported = []
+    for path in sorted(pathlib.Path(qwalk.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported += [(path.name, node.module)]
+                imported += [(path.name, node.module + "." + a.name) for a in node.names]
+    assert imported
+    assert [i for i in imported if i[1].startswith("scipy.linalg")] == []

@@ -25,9 +25,11 @@ from qwalk import (
     symbol_on_grid,
     write_band_csv,
 )
+from qwalk.cli import main
 from qwalk.fixtures import (
     FIXTURES,
     coined,
+    constant,
     cube_root,
     fixture_names,
     free,
@@ -35,7 +37,6 @@ from qwalk.fixtures import (
     grover4,
 )
 from qwalk.spectral import (
-    EIG_GAP_TOL,
     MERGE_TOL,
     _align_frame,
     _best_start,
@@ -158,6 +159,23 @@ def test_sections_orthonormal_across_copies():
         gram = np.einsum("agi,bgi->gab", stack.conj(), stack)
         eye = np.eye(band.multiplicity)
         assert np.max(np.abs(gram - eye)) < 1e-8
+
+
+def test_section_gauge_ignores_rounding_in_tied_components():
+    # coined at k = 0 has both components of modulus 1/sqrt(2); two
+    # sections equal up to a constant phase, in which rounding made a
+    # different component the larger, must get one gauge
+    G = 64
+    samples = np.exp(2j * np.pi * np.arange(G) / G)
+    base = np.exp(2j * np.pi * np.random.default_rng(2).random((G, 2))) / np.sqrt(2)
+    section, turned = base.copy(), base * np.exp(0.7j)
+    section[:, 0] *= 1 + 4 * np.finfo(float).eps
+    turned[:, 1] *= 1 + 4 * np.finfo(float).eps
+    a, b = (
+        qwalk.spectral._finalize_band(samples, [s], 1, G).eigvec_samples
+        for s in (section, turned)
+    )
+    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_value_and_derivative_interpolation():
@@ -339,15 +357,73 @@ def test_unresolved_crossing_is_not_memoized(tracks):
         assert len(tracks) == attempt
 
 
-def test_start_and_near_degenerate_fibers_come_from_schur():
-    ks = 2.0 * np.pi * np.arange(256) / 256
-    for spec in (grover4(), amplify(grover3(), 2), walk_power(random_walk(5), 2)):
-        vals, vecs = qwalk.spectral._eig_grid(spec, ks)
-        ref_vals, ref_vecs = schur_grid(spec, ks)
-        close = (_pair_gaps(ref_vals) < EIG_GAP_TOL).any(axis=1)
-        for g in {_best_start(vals), *np.flatnonzero(close)}:
-            assert np.array_equal(vals[g], ref_vals[g])
-            assert np.array_equal(vecs[g], ref_vecs[g])
+def assert_orthonormal_eigenbasis(spec, ks):
+    vals, vecs = qwalk.spectral._eig_grid(spec, ks)
+    mats = symbol_on_grid(spec, ks)
+    assert np.max(np.abs(mats @ vecs - vecs * vals[:, None, :])) <= 1e-13
+    gram = np.conj(np.swapaxes(vecs, 1, 2)) @ vecs
+    assert np.max(np.abs(gram - np.eye(spec.n))) <= 1e-13
+
+
+FRAME_WALKS = EIG_ORACLE_WALKS + [
+    ("amplify(grover4,2)", lambda: amplify(grover4(), 2)),
+    ("constant(3)", lambda: constant(3)),
+]
+
+
+@pytest.mark.parametrize("name,make_spec", FRAME_WALKS, ids=[w[0] for w in FRAME_WALKS])
+def test_fiber_frames_are_orthonormal_eigenbases(name, make_spec):
+    # degenerate clusters included: amplified and constant walks have them
+    # on every fiber, and many walks touch at k = 0
+    spec = make_spec()
+    for grid in (256, 2048):
+        assert_orthonormal_eigenbasis(spec, 2.0 * np.pi * np.arange(grid) / grid)
+    for k in (0.0, np.pi / 2, np.pi, 1.0, 2.0 * np.pi - 1e-9):
+        assert_orthonormal_eigenbasis(spec, np.array([k]))
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize(
+    "name,make_spec", EIG_ORACLE_WALKS, ids=[w[0] for w in EIG_ORACLE_WALKS]
+)
+def test_bands_do_not_depend_on_solver_column_order(monkeypatch, name, make_spec, grid):
+    # grover3_subwalk has two sheets at -1 at k = 0, ordered where they part
+    want = extract_or_refusal(make_spec(), grid)
+    solve = qwalk.spectral._eig_grid
+
+    def reversed_columns(spec, ks):
+        vals, vecs = solve(spec, ks)
+        return vals[:, ::-1], vecs[:, :, ::-1]
+
+    monkeypatch.setattr(qwalk.spectral, "_eig_grid", reversed_columns)
+    got = extract_or_refusal(make_spec(), grid)
+    if isinstance(want, UnresolvedCrossing):
+        assert isinstance(got, UnresolvedCrossing)
+        return
+    assert len(got.bands) == len(want.bands)
+    for bg, bw in zip(got.bands, want.bands):
+        assert (bg.degree, bg.multiplicity) == (bw.degree, bw.multiplicity)
+        assert np.array_equal(bg.samples, bw.samples)
+        assert np.max(np.abs(band_projectors(bg) - band_projectors(bw))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_exact_poles_of_the_cayley_transform_are_skipped(n):
+    # constant(n, 0) makes I - U exactly singular at the first trial phase
+    for r in range(n + 1):
+        phase = 2.0 * np.pi * r / (n + 1)
+        spec = constant(n, phase)
+        assert_orthonormal_eigenbasis(spec, np.zeros(1))
+        (band,) = sample_bands(spec, 64).bands
+        assert band.multiplicity == n
+        assert np.max(np.abs(band.samples - np.exp(1j * phase))) <= 1e-15
+
+
+def test_free_walk_passes_through_a_pole(capsys):
+    # e^{ik} is exactly 1 at k = 0, the pole of the first trial phase
+    assert main(["analyze", "free", "--grid", "128"]) == 0
+    assert capsys.readouterr().err == ""
+    assert_orthonormal_eigenbasis(free(), 2.0 * np.pi * np.arange(128) / 128)
 
 
 def test_commutator_norm_computed_once_per_spec(monkeypatch):
@@ -439,12 +515,8 @@ def assert_tracks_like_scalar(monkeypatch, make_spec, grid):
     assert [key(b) for b in got.bands] == [key(b) for b in want.bands]
     for bg, bw in zip(got.bands, want.bands):
         assert np.array_equal(bg.samples, bw.samples)
-        # the gauge fixes each copy's phase by its largest component at
-        # ktilde = 0, a tie that rounding breaks (coined at k = 0); compare
-        # the sections with that one constant phase taken out
         for cg, cw in zip(bg.eigvec_samples, bw.eigvec_samples):
-            z = np.vdot(cg[0], cw[0])
-            assert np.max(np.abs(cg * (z / abs(z)) - cw)) <= 1e-12
+            assert np.max(np.abs(cg - cw)) <= 1e-12
             norms = np.linalg.norm(cg, axis=1) - np.linalg.norm(cw, axis=1)
             assert np.max(np.abs(norms)) <= 8 * np.finfo(float).eps
         assert np.max(np.abs(band_projectors(bg) - band_projectors(bw))) <= 1e-10
