@@ -22,7 +22,6 @@ from .dynamics import (
     MemoryCapExceeded,
     State,
     adjoint_walk,
-    ballistic_bound_check,
     basis_state,
     empirical_moment,
     evolve,
@@ -30,8 +29,6 @@ from .dynamics import (
     limit_law,
     parse_state,
     position_distribution,
-    serialize_state,
-    to_band_coordinates,
     uniform_coin_state,
     write_distribution_csv,
 )
@@ -61,7 +58,6 @@ from .spectral import (
     NonIntegerWinding,
     UnresolvedCrossing,
     det_winding,
-    fourier_decay,
     monodromy,
     sample_bands,
     write_band_csv,

@@ -42,15 +42,12 @@ __all__ = [
     "basis_state",
     "uniform_coin_state",
     "parse_state",
-    "serialize_state",
     "adjoint_walk",
     "evolve",
     "position_distribution",
     "empirical_moment",
-    "to_band_coordinates",
     "limit_law",
     "kolmogorov_distance",
-    "ballistic_bound_check",
     "write_distribution_csv",
 ]
 
@@ -162,18 +159,6 @@ def parse_state(text: str) -> State:
     for site, row in parsed:
         amps[site - x_min] = row
     return State(x_min=x_min, amplitudes=amps)
-
-
-def serialize_state(state: State) -> str:
-    entries = []
-    for i, x in enumerate(state.sites):
-        row = state.amplitudes[i]
-        if np.all(row == 0):
-            continue
-        entries.append(
-            {"site": int(x), "vector": [[z.real, z.imag] for z in row]}
-        )
-    return json.dumps({"entries": entries}, indent=2)
 
 
 def adjoint_walk(spec: WalkSpec) -> WalkSpec:
@@ -419,7 +404,7 @@ def _state_fourier(state: State, ks: np.ndarray) -> np.ndarray:
     return phases @ state.amplitudes
 
 
-def to_band_coordinates(band_set: BandSet, state: State) -> list:
+def _to_band_coordinates(band_set: BandSet, state: State) -> list:
     """Overlaps of the state with every band section on the cover grid.
 
     Returns one (multiplicity, degree * G) array per band; entry
@@ -480,7 +465,7 @@ def limit_law(dec: Decomposition, state: State) -> LimitLaw:
             "the grid Fourier transform would alias" % (state.amplitudes.shape[0], G)
         )
     norm2 = state.norm() ** 2
-    coords = to_band_coordinates(band_set, state)
+    coords = _to_band_coordinates(band_set, state)
     atoms = []
     vel_parts = []
     w_parts = []
@@ -571,56 +556,6 @@ def kolmogorov_distance(
     f1 = np.where(idx1 > 0, cum1[np.maximum(idx1 - 1, 0)], 0.0)
     f2 = np.where(idx2 > 0, cum2[np.maximum(idx2 - 1, 0)], 0.0)
     return float(np.max(np.abs(f1 - f2)))
-
-
-@dataclass(frozen=True)
-class BallisticReport:
-    """Mass leaking outside the cone |x - x0| <= speed * t + width0."""
-
-    valid: bool
-    speed: float
-    checkpoints: tuple
-    outside_mass: tuple
-    passed: bool
-
-
-def ballistic_bound_check(
-    spec: WalkSpec,
-    state: State,
-    speed: float,
-    t_max: int,
-    mem_cap_mb=None,
-) -> BallisticReport:
-    """Evolve and measure the mass escaping the ballistic cone.
-
-    valid is False when the requested cone is slower than the commutator
-    norm bound, in which case escape is not forbidden and the check
-    carries no weight.  passed requires the final outside mass < 1e-3.
-    """
-    from .walkspec import commutator_norm
-
-    bound = commutator_norm(spec)
-    valid = speed > bound
-    width0 = 0.5 * (state.amplitudes.shape[0] - 1) + 1.0
-    center = state.x_min + 0.5 * (state.amplitudes.shape[0] - 1)
-    checkpoints = sorted({max(t_max // 4, 1), max(t_max // 2, 1), t_max})
-    cur = state
-    cur_t = 0
-    outside = []
-    for t in checkpoints:
-        cur = evolve(spec, cur, t - cur_t, mem_cap_mb)
-        cur_t = t
-        snap = position_distribution(cur, t)
-        radius = speed * t + width0
-        mask = np.abs(snap.sites - center) > radius
-        outside.append(float(snap.masses[mask].sum()))
-    return BallisticReport(
-        valid=valid,
-        speed=float(speed),
-        checkpoints=tuple(checkpoints),
-        outside_mass=tuple(outside),
-        passed=bool(valid and outside[-1] < 1e-3),
-    )
 
 
 def write_distribution_csv(snapshot: DistributionSnapshot, fileobj) -> None:

@@ -46,11 +46,11 @@ on every call.
 from __future__ import annotations
 
 import functools
+import math
 import traceback
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .walkspec import WalkSpec, symbol_on_grid
 
@@ -62,7 +62,6 @@ __all__ = [
     "sample_bands",
     "monodromy",
     "det_winding",
-    "fourier_decay",
     "write_band_csv",
 ]
 
@@ -258,11 +257,60 @@ def _pair_check(resid, vals):
     return ((gap > MERGE_TOL) & (resid > AMBIG_FACTOR * gap)).any(axis=-1)
 
 
+def _assign(cost):
+    """Column of each row in a least-cost assignment on a square cost matrix.
+
+    Kuhn-Munkres with potentials, O(n^3): each row in turn grows a
+    shortest-path tree over reduced costs until it reaches a free column,
+    then the potentials move and the path is flipped.  Ties follow
+    Crouse's implementation (IEEE Trans. AES 52, 2016), which the tests
+    use as the reference: columns are scanned from the last, each pick is
+    swapped out of the scan list, and among columns at the least distance
+    the last free one wins, else the first.
+    """
+    c = cost.tolist()
+    n = len(c)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col = [-1] * n, [-1] * n
+    for row in range(n):
+        dist, path = [math.inf] * n, [-1] * n
+        todo, rows, cols = list(range(n - 1, -1, -1)), [], []
+        i, low = row, 0.0
+        while True:
+            rows.append(i)
+            best, at = math.inf, -1
+            for it, j in enumerate(todo):
+                r = low + c[i][j] - u[i] - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                if dist[j] < best or (dist[j] == best and row4col[j] == -1):
+                    best, at = dist[j], it
+            low, j = best, todo[at]
+            cols.append(j)
+            todo[at] = todo[-1]
+            todo.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        u[row] += low
+        for i in rows[1:]:
+            u[i] += low - dist[col4row[i]]
+        for col in cols:
+            v[col] -= low - dist[col]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    return np.array(col4row)
+
+
 def _match_step(pred, prev_frame, w, frame):
     """Assign candidate eigenvalues w to sheets; None when untrustworthy."""
     dist = np.abs(pred[:, None] - w[None, :])
     overlap = np.abs(prev_frame.conj().T @ frame)
-    perm = linear_sum_assignment(dist + OVERLAP_WEIGHT * (1.0 - overlap))[1]
+    perm = _assign(dist + OVERLAP_WEIGHT * (1.0 - overlap))
     if _pair_check(dist[np.arange(len(w)), perm], w[perm]):
         return None
     return perm
@@ -518,7 +566,7 @@ def _seam_permutation(spec, ks, tv, tw):
         + np.abs(p1[:, None] - tv[1][None, :])
         + OVERLAP_WEIGHT * (1.0 - np.abs(tw[G - 1].conj().T @ tw[0]))
     )
-    sigma = linear_sum_assignment(cost)[1]
+    sigma = _assign(cost)
     w = tv[1][sigma]
     if not _pair_check(np.abs(p1 - w), w):
         return sigma
@@ -784,24 +832,6 @@ def det_winding(spec: WalkSpec, grid_size: int = 2048) -> int:
             % (w, sheet_sum)
         )
     return w
-
-
-def fourier_decay(band: Band):
-    """Fit |c_ell| <= C rho^|ell| witnessing analyticity; returns (C, rho).
-
-    The fit is a least-squares line through log|c_ell| over the supported
-    frequencies, with C inflated so the bound holds at every coefficient.
-    """
-    coefs = np.abs(band.fourier)
-    ells = np.abs(band.fourier_freqs)
-    mask = coefs > 1e-13
-    if mask.sum() <= 2:
-        rho = 0.5
-    else:
-        slope, _ = np.polyfit(ells[mask], np.log(coefs[mask]), 1)
-        rho = float(np.exp(min(slope, -1e-12)))
-    c = float(np.max(coefs / np.maximum(rho ** ells.astype(float), 1e-300)))
-    return c, rho
 
 
 def write_band_csv(band_set: BandSet, fileobj) -> None:

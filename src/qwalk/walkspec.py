@@ -24,7 +24,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "WalkSpec",
@@ -262,11 +261,7 @@ def symbol_at(spec: WalkSpec, k: float) -> np.ndarray:
 
 def symbol_on_grid(spec: WalkSpec, ks: np.ndarray) -> np.ndarray:
     """Symbol values on a grid of momenta, shape (len(ks), n, n)."""
-    ks = np.asarray(ks, dtype=float)
-    out = np.zeros((ks.size, spec.n, spec.n), dtype=np.complex128)
-    for j, aj in spec.terms.items():
-        out += np.exp(1j * j * ks)[:, None, None] * aj
-    return out
+    return _weighted_symbol(spec, ks, 0)
 
 
 def derivative_symbol_on_grid(spec: WalkSpec, ks: np.ndarray) -> np.ndarray:
@@ -275,11 +270,20 @@ def derivative_symbol_on_grid(spec: WalkSpec, ks: np.ndarray) -> np.ndarray:
     Equals -i d/dk U_hat(k); its largest singular value over the torus
     bounds every group velocity.
     """
+    return _weighted_symbol(spec, ks, 1)
+
+
+def _weighted_symbol(spec: WalkSpec, ks: np.ndarray, p: int) -> np.ndarray:
+    """Values of sum_j j^p e^{ijk} A_j on a grid of momenta, shape (len(ks), n, n).
+
+    p = 0 is the symbol itself and p = 1 the symbol of [D, U]; each further
+    power of j is one more factor -i d/dk.
+    """
     ks = np.asarray(ks, dtype=float)
     out = np.zeros((ks.size, spec.n, spec.n), dtype=np.complex128)
     for j, aj in spec.terms.items():
-        if j != 0:
-            out += (j * np.exp(1j * j * ks))[:, None, None] * aj
+        if j or not p:
+            out += (j**p * np.exp(1j * j * ks))[:, None, None] * aj
     return out
 
 
@@ -287,11 +291,16 @@ def commutator_norm(spec: WalkSpec) -> float:
     """Operator norm of [D (x) id, U].
 
     [D, S^j] = j S^j, so the commutator is the banded operator with symbol
-    sum_j j e^{ijk} A_j and its norm is the maximum largest singular value
-    of that matrix over the torus.  A coarse grid locates the global
-    maximum; a bounded local search polishes it; the result is accepted
-    once doubling the grid moves it by less than 1e-8.  It is computed
-    once per spec object and memoized on it.
+    W(k) = sum_j j e^{ijk} A_j and its norm is the maximum largest singular
+    value sigma(k) of W over the torus.  The maximum is sought on grids of
+    2048, 4096, ... points; each level solves only the midpoints of the
+    previous one.  On each level the grid argmax is polished by bisection
+    on the sign of the slope d sigma/dk = -Im(u^* W_2 v), where u, v are the
+    top singular vectors and W_2 = sum_j j^2 e^{ijk} A_j, inside one grid
+    step either side, down to a width of 1e-12; a kink of sigma stops it
+    where the slope changes sign.  The result is accepted once doubling
+    the grid moves it by less than 1e-8.  It is computed once per spec
+    object and memoized on it.
     """
     if spec._commutator_norm is None:
         object.__setattr__(spec, "_commutator_norm", _max_derivative_sigma(spec))
@@ -302,34 +311,37 @@ def _max_derivative_sigma(spec: WalkSpec) -> float:
     if all(j == 0 for j in spec.terms):
         return 0.0
 
-    def sigma_max(k: float) -> float:
-        mat = np.zeros((spec.n, spec.n), dtype=np.complex128)
-        for j, aj in spec.terms.items():
-            if j != 0:
-                mat += j * np.exp(1j * j * k) * aj
-        return float(np.linalg.norm(mat, 2))
+    def top_sigma(ks):
+        return np.linalg.svd(derivative_symbol_on_grid(spec, ks), compute_uv=False)[:, 0]
 
     prev = None
     g = 2048
-    while g <= 2**15:
-        ks = 2 * np.pi * np.arange(g) / g
-        sig = np.linalg.svd(derivative_symbol_on_grid(spec, ks), compute_uv=False)
-        best = int(np.argmax(sig[:, 0]))
-        h = 2 * np.pi / g
-        # polish inside the bracketing interval, robust at kinks of the
-        # singular value maximum
-        res = minimize_scalar(
-            lambda k: -sigma_max(k),
-            bounds=(ks[best] - h, ks[best] + h),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        cur = max(float(sig[:, 0].max()), -float(res.fun))
+    sig = top_sigma(2 * np.pi * np.arange(g) / g)
+    while True:
+        best = int(np.argmax(sig))
+        k, h = 2 * np.pi * best / g, 2 * np.pi / g
+        # bisect [k - h, k + h] on the sign of d sigma/dk = -Im(u^* W_2 v)
+        a, b = k - h, k + h
+        while b - a > 1e-12:
+            m = 0.5 * (a + b)
+            u, _, vh = np.linalg.svd(_weighted_symbol(spec, [m], 1)[0])
+            w2 = _weighted_symbol(spec, [m], 2)[0]
+            if np.vdot(u[:, 0], w2 @ vh[0].conj()).imag < 0:
+                a = m
+            else:
+                b = m
+        cur = max(float(sig[best]), float(top_sigma([a, b]).max()))
         if prev is not None and abs(cur - prev) <= 1e-8:
             return max(cur, prev)
         prev = cur
         g *= 2
-    return prev
+        if g > 2**15:
+            return prev
+        # the finer grid is the coarser one interleaved with its midpoints
+        finer = np.empty(g)
+        finer[0::2] = sig
+        finer[1::2] = top_sigma(2 * np.pi * (2 * np.arange(g // 2) + 1) / g)
+        sig = finer
 
 
 def direct_sum(a: WalkSpec, b: WalkSpec) -> WalkSpec:

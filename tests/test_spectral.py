@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy.linalg import schur
+from scipy.optimize import linear_sum_assignment
 
 import qwalk.spectral
 import qwalk.walkspec
@@ -17,7 +18,6 @@ from qwalk import (
     decompose,
     det_winding,
     direct_sum,
-    fourier_decay,
     is_ct_realizable,
     monodromy,
     sample_bands,
@@ -39,6 +39,7 @@ from qwalk.fixtures import (
 from qwalk.spectral import (
     MERGE_TOL,
     _align_frame,
+    _assign,
     _best_start,
     _chain_match,
     _clusters,
@@ -196,6 +197,24 @@ def test_upsample_matches_band_fourier_series():
             kg = band.kgrid
             mid = kg + 0.5 * (kg[1] - kg[0])
             np.testing.assert_allclose(up[1::2], band.value_at(mid), rtol=0, atol=1e-12)
+
+
+def fourier_decay(band):
+    """Fit |c_ell| <= C rho^|ell| witnessing analyticity; returns (C, rho).
+
+    The fit is a least-squares line through log|c_ell| over the supported
+    frequencies, with C inflated so the bound holds at every coefficient.
+    """
+    coefs = np.abs(band.fourier)
+    ells = np.abs(band.fourier_freqs)
+    mask = coefs > 1e-13
+    if mask.sum() <= 2:
+        rho = 0.5
+    else:
+        slope, _ = np.polyfit(ells[mask], np.log(coefs[mask]), 1)
+        rho = float(np.exp(min(slope, -1e-12)))
+    c = float(np.max(coefs / np.maximum(rho ** ells.astype(float), 1e-300)))
+    return c, rho
 
 
 def test_fourier_decay_bound_holds():
@@ -639,3 +658,49 @@ def test_seam_refusal_reports_gap_and_next_grid(monkeypatch):
     assert info.value.k_hi == 2 * np.pi
     assert info.value.k_lo == 2 * np.pi * 255 / 256
     assert_refusal_advice(info.value, spec)
+
+
+def assert_assigns_like_scipy(cost):
+    got = _assign(cost)
+    want = linear_sum_assignment(cost)[1]
+    assert np.array_equal(got, want), cost
+
+
+def test_assignment_matches_scipy_on_random_costs():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 13):
+        for _ in range(50):
+            assert_assigns_like_scipy(rng.random((n, n)))
+        # small integers put many ties into the reduced costs
+        for _ in range(50):
+            assert_assigns_like_scipy(rng.integers(0, 3, (n, n)).astype(float))
+
+
+def test_assignment_matches_scipy_on_tracking_costs(monkeypatch):
+    recorded = []
+
+    def recording(cost):
+        recorded.append(cost.copy())
+        return _assign(cost)
+
+    monkeypatch.setattr(qwalk.spectral, "_assign", recording)
+    for _, make_spec in TRACK_ORACLE_WALKS:
+        for grid in (256, 2048):
+            extract_or_refusal(make_spec(), grid)
+    assert len(recorded) > 100
+    assert {len(c) for c in recorded} >= {1, 2, 3, 4, 8}
+    for cost in recorded:
+        assert_assigns_like_scipy(cost)
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [np.full((5, 5), 0.25), np.tile([3.0, 1.0, 2.0, 1.0], (4, 1))],
+    ids=["all_equal", "repeated_rows"],
+)
+def test_assignment_is_optimal_when_ties_allow_many(cost):
+    perm = _assign(cost)
+    n = len(cost)
+    assert sorted(perm) == list(range(n))
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[np.arange(n), perm].sum() == cost[rows, cols].sum()

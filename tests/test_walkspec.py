@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from qwalk import (
     UnitarityError,
@@ -10,6 +11,7 @@ from qwalk import (
     WalkSpecError,
     amplify,
     commutator_norm,
+    derivative_symbol_on_grid,
     direct_sum,
     parse_walk_spec,
     serialize_walk_spec,
@@ -17,9 +19,9 @@ from qwalk import (
     symbol_at,
     symbol_on_grid,
 )
-from qwalk.fixtures import FIXTURES, coined, free, grover4, shift_coin_walk
+from qwalk.fixtures import FIXTURES, build_fixture, coined, free, grover4, shift_coin_walk
 
-from conftest import BAD_WALK_DOCUMENTS
+from conftest import BAD_WALK_DOCUMENTS, random_walk
 
 
 def test_parse_serialize_round_trip():
@@ -82,6 +84,56 @@ def test_commutator_norm_known_values():
     # free walk: d/dk e^{ik} has modulus one everywhere
     assert commutator_norm(free()) == pytest.approx(1.0, abs=1e-9)
     assert commutator_norm(FIXTURES["constant"](2)) == pytest.approx(0.0, abs=1e-12)
+
+
+def reference_commutator_norm(spec):
+    """Grid argmax on 2048, 4096, ... points polished by bounded Brent
+    search, accepted once doubling the grid moves it by at most 1e-8."""
+    if all(j == 0 for j in spec.terms):
+        return 0.0
+
+    def sigma_max(k):
+        mat = np.zeros((spec.n, spec.n), dtype=np.complex128)
+        for j, aj in spec.terms.items():
+            if j != 0:
+                mat += j * np.exp(1j * j * k) * aj
+        return float(np.linalg.norm(mat, 2))
+
+    prev = None
+    g = 2048
+    while g <= 2**15:
+        ks = 2 * np.pi * np.arange(g) / g
+        sig = np.linalg.svd(derivative_symbol_on_grid(spec, ks), compute_uv=False)
+        best = int(np.argmax(sig[:, 0]))
+        h = 2 * np.pi / g
+        res = minimize_scalar(
+            lambda k: -sigma_max(k),
+            bounds=(ks[best] - h, ks[best] + h),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        cur = max(float(sig[:, 0].max()), -float(res.fun))
+        if prev is not None and abs(cur - prev) <= 1e-8:
+            return max(cur, prev)
+        prev = cur
+        g *= 2
+    return prev
+
+
+NORM_ORACLE_WALKS = (
+    [(name, lambda name=name: build_fixture(name)) for name in sorted(FIXTURES)]
+    + [("coined(0.3)", lambda: coined(0.3)), ("grover4 x I2", lambda: amplify(grover4(), 2))]
+    + [
+        ("walk(%d, %d)" % (seed, m), lambda seed=seed, m=m: random_walk(seed, shift_max=m))
+        for m in (1, 2, 3)
+        for seed in range(40)
+    ]
+)
+
+
+@pytest.mark.parametrize("name,make_spec", NORM_ORACLE_WALKS, ids=[w[0] for w in NORM_ORACLE_WALKS])
+def test_commutator_norm_matches_brent_polish(name, make_spec):
+    assert abs(commutator_norm(make_spec()) - reference_commutator_norm(make_spec())) <= 1e-15
 
 
 def test_direct_sum_and_amplify_block_structure():
