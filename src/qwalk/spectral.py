@@ -16,24 +16,26 @@ MERGE_TOL ordered where the sheets separate.  Band samples, order and
 values at k = 0 then depend on the walk alone.
 
 Tracking starts at the grid point with the best-separated spectrum and
-sweeps both ways, predicting each sheet by linear extrapolation (zeroth
-order on a sweep's first step).  The sweep runs in blocks of fibers.  A
-batched pass gives each prediction its nearest eigenvalue, composes the
-relative permutations of consecutive fibers by a prefix scan, and aligns
-the section phases by one batched vdot and a cumulative product.  A fiber
-is flagged when that nearest choice is not a permutation, when a pair of
-its values is closer than MERGE_TOL or fails the AMBIG_FACTOR rule, when
-a row margin is too thin to rule out the eigenvector overlap term, when a
-section's overlap with its predecessor vanishes, or when its prediction
-was built from a permutation that the scalar step changed.  Flagged
-fibers take the scalar step in order: an optimal assignment on values and
-overlaps, with the real tracked history.  On every other fiber the nearest
-choice is that assignment, so the bands are those of the scalar step
-everywhere.  Near-degeneracies where the prediction residual is comparable
-to the local gap trigger local grid refinement (up to 4 halvings,
-quadratic extrapolation); if the assignment still cannot be trusted an
+sweeps both ways.  Each branch moves at most hL over a grid step h, where
+L, the speed bound, is commutator_norm plus its sampling error: by
+Hellmann-Feynman |dlambda/dk| = |<v, dU_hat/dk v>| <= ||dU_hat/dk||.  So
+when the smallest pairwise distance on one end fiber of a step exceeds
+2hL, the hL-discs around its values are disjoint, and the nearest value
+across the step is the branch's continuation: the step is proven.  Proven
+steps between fibers without a pair within MERGE_TOL are matched by that
+history-free nearest choice, composed by a prefix scan and phase-aligned
+in one batch.  Every other step, and a proven one where a section's
+overlap with its predecessor vanishes, takes the scalar step: an optimal
+assignment on linearly extrapolated values and eigenvector overlaps, then
+the AMBIG_FACTOR rule on the residual of each pair against its gap; an
+ambiguous step is re-tracked on a locally refined grid (up to MAX_HALVINGS
+halvings, quadratic extrapolation), and if every level stays ambiguous an
 UnresolvedCrossing is raised with the offending k-interval, the smallest
-gap on its end fibers and the first grid size whose spacing is below it.
+gap on its end fibers, the speed bound, and the first grid size whose step
+that gap proves.  The seam is one more forward step, onto fiber 0 again at
+k = 2pi; the permutation of the sheets there is read off the two sweeps'
+labels of fiber 0.  Scalar steps are not proven, so a walk whose avoided
+crossing is narrower than the grid can still be answered wrongly there.
 
 sample_bands memoizes its result on the spec object, per grid size, for
 as long as some caller holds the BandSet: decompose and is_ct_realizable
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walkspec import WalkSpec, symbol_on_grid
+from .walkspec import WalkSpec, commutator_norm, symbol_on_grid
 
 __all__ = [
     "Band",
@@ -71,8 +73,6 @@ COEF_TOL = 1e-9        # Fourier support floor for period detection
 WINDING_TOL = 1e-6     # |raw winding - integer| must stay below this
 AMBIG_FACTOR = 0.2     # prediction residual vs gap ratio that triggers refinement
 OVERLAP_WEIGHT = 1e-6  # weight of eigenvector overlap in the assignment cost
-TRACK_BLOCK = 512      # fibers matched per batch; bounds the (B, n, n) temporaries
-MATCH_PASSES = 3       # extrapolation passes per batch before unsettled fibers are flagged
 MAX_HALVINGS = 4
 
 
@@ -80,30 +80,36 @@ class UnresolvedCrossing(RuntimeError):
     """Two bands could not be disambiguated at a near-degeneracy.
 
     min_gap is the smallest distance above MERGE_TOL between two
-    eigenvalues on the fibers at k_lo and k_hi, and next_grid the smallest
-    valid grid size (a power of two, at least 64) whose spacing 2pi/G lies
-    below it.  next_grid is None when no positive gap is given.
+    eigenvalues on the fibers at k_lo and k_hi, and bound the speed bound L
+    the step was held to.  next_grid is the smallest valid grid size (a
+    power of two, at least 64) whose step 2pi/G is proven at that gap,
+    4 pi L / G < min_gap; it is None unless a positive gap and a bound are
+    given.
     """
 
-    def __init__(self, k_lo: float, k_hi: float, min_gap: float | None = None):
+    def __init__(self, k_lo: float, k_hi: float, min_gap: float | None = None,
+                 bound: float | None = None):
         self.k_lo = float(k_lo)
         self.k_hi = float(k_hi)
         self.min_gap = None if min_gap is None else float(min_gap)
+        self.bound = None if bound is None else float(bound)
         self.next_grid = None
         message = "band assignment ambiguous on k in [%.9f, %.9f] after %d refinements" % (
             k_lo, k_hi, MAX_HALVINGS
         )
-        if self.min_gap is not None and self.min_gap > 0:
+        if self.min_gap is not None and self.min_gap > 0 and self.bound is not None:
             self.next_grid = 64
-            while 2.0 * np.pi / self.next_grid >= self.min_gap:
+            while 4.0 * np.pi * self.bound / self.next_grid >= self.min_gap:
                 self.next_grid *= 2
-            message += "; smallest gap on its end fibers %.3e, first grid with a finer spacing %d" % (
-                self.min_gap, self.next_grid
+            message += (
+                "; smallest gap on its end fibers %.3e, speed bound %.3e,"
+                " first grid that proves such a step %d"
+                % (self.min_gap, self.bound, self.next_grid)
             )
         super().__init__(message)
 
     def __reduce__(self):
-        return (UnresolvedCrossing, (self.k_lo, self.k_hi, self.min_gap))
+        return (UnresolvedCrossing, (self.k_lo, self.k_hi, self.min_gap, self.bound))
 
 
 class NonIntegerWinding(RuntimeError):
@@ -251,9 +257,9 @@ def _pair_check(resid, vals):
     any assignment of it works; any other pair is ambiguous when either
     residual exceeds AMBIG_FACTOR times the pair's gap.
     """
-    iu = np.triu_indices(vals.shape[-1], k=1)
+    i, j = _pairs(vals.shape[-1])
     gap = _pair_gaps(vals)
-    resid = np.maximum(resid[..., iu[0]], resid[..., iu[1]])
+    resid = np.maximum(resid[..., i], resid[..., j])
     return ((gap > MERGE_TOL) & (resid > AMBIG_FACTOR * gap)).any(axis=-1)
 
 
@@ -318,15 +324,15 @@ def _match_step(pred, prev_frame, w, frame):
 
 def _align_frame(prev, cur, vals):
     """Phase-fix sections, rotating degenerate clusters as a block."""
-    cur = cur.copy()
-    for idx in _clusters(vals, MERGE_TOL):
-        if len(idx) == 1:
-            s = idx[0]
-            z = np.vdot(prev[:, s], cur[:, s])
-            if abs(z) > 1e-12:
-                cur[:, s] *= np.conj(z) / abs(z)
-        else:
-            cur[:, idx] = _rotate_onto(cur[:, idx], prev[:, idx])
+    z = np.einsum("is,is->s", prev.conj(), cur)
+    mag = np.abs(z)
+    # a section with |vdot| <= 1e-12 keeps its phase
+    keep = mag <= 1e-12
+    cur = cur * np.where(keep, 1.0, z.conj() / np.where(keep, 1.0, mag))
+    if (_pair_gaps(vals) < MERGE_TOL).any():
+        for idx in _clusters(vals, MERGE_TOL):
+            if len(idx) > 1:
+                cur[:, idx] = _rotate_onto(cur[:, idx], prev[:, idx])
     return cur
 
 
@@ -382,8 +388,17 @@ def _neighborhood_min(score: np.ndarray) -> np.ndarray:
 
 def _pair_gaps(vals: np.ndarray) -> np.ndarray:
     """|vals[..., i] - vals[..., j]| for every pair i < j, over any leading axes."""
-    iu = np.triu_indices(vals.shape[-1], k=1)
-    return np.abs(vals[..., iu[0]] - vals[..., iu[1]])
+    i, j = _pairs(vals.shape[-1])
+    return np.abs(vals[..., i] - vals[..., j])
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int):
+    """Indices (i, j) of every pair i < j of n values; shared, so read-only."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def _best_start(vals: np.ndarray) -> int:
@@ -430,51 +445,7 @@ def _compose_prefix(q):
     return out
 
 
-def _match_block(vals, tv, perm, a, b):
-    """Batched matching of positions [a, b) of one sweep.
-
-    Works in raw column labels: q[i] maps column c of fiber a+i-1 to the
-    column of fiber a+i that the tracked sheet through c continues into.
-    The prediction of position a comes from the tracked values (perm maps
-    sheets to columns of fiber a-1); later positions extrapolate through
-    the batch's own q, which starts from zeroth order and is recomputed
-    for up to MATCH_PASSES passes until it stops changing.  The row-wise
-    argmin is _match_step's optimal assignment wherever it is a
-    permutation, passes _pair_check, and beats every other candidate of
-    its row by more than the overlap term can add.  That margin also fails
-    wherever two values are closer than MERGE_TOL, which _align_frame
-    must rotate as a block.  Every other position is flagged, and so is
-    one whose prediction used a relation the last pass changed.
-    Returns (q, flagged).
-    """
-    m, n = b - a, vals.shape[1]
-    cur, prev = vals[a:b], vals[a - 1 : b - 1]
-    pred = np.empty((m, n), dtype=vals.dtype)
-    pred[0, perm] = tv[0] if a == 1 else 2 * tv[a - 1] - tv[a - 2]
-    q = None
-    for _ in range(MATCH_PASSES):
-        used = q  # the relation this pass extrapolates through
-        if used is None:
-            pred[1:] = prev[1:]
-        else:
-            back = np.argsort(used[:-1], axis=1)  # inverse where a permutation
-            pred[1:] = 2 * prev[1:] - np.take_along_axis(vals[a - 1 : b - 2], back, axis=1)
-        dist = np.abs(pred[:, :, None] - cur[:, None, :])
-        q = dist.argmin(axis=2)
-        if used is not None and np.array_equal(q[:-1], used[:-1]):
-            break
-    flagged = np.zeros(m, dtype=bool)
-    flagged[1:] = True if used is None else (q[:-1] != used[:-1]).any(axis=1)
-    flagged |= (np.sort(q, axis=1) != np.arange(n)).any(axis=1)
-    resid = np.take_along_axis(dist, q[:, :, None], axis=2)[:, :, 0]
-    flagged |= _pair_check(resid, np.take_along_axis(cur, q, axis=1))
-    if n > 1:
-        low = np.partition(dist, 1, axis=2)
-        flagged |= (low[:, :, 1] - low[:, :, 0] <= 2 * OVERLAP_WEIGHT).any(axis=1)
-    return q, flagged
-
-
-def _scalar_step(spec, ks, vals, vecs, tv, tw, t):
+def _scalar_step(spec, ks, vals, vecs, tv, tw, t, bound):
     """Track position t of a sweep alone; returns its sheet -> column map."""
     last, last2 = t - 1, (t - 2 if t >= 2 else None)
     pred = tv[last] if last2 is None else 2 * tv[last] - tv[last2]
@@ -490,97 +461,105 @@ def _scalar_step(spec, ks, vals, vecs, tv, tw, t):
         )
         if perm is None:
             lo, hi = sorted((ks[last], ks[t]))
-            raise UnresolvedCrossing(lo, hi, _min_gap(vals[last], vals[t]))
+            raise UnresolvedCrossing(lo, hi, _min_gap(vals[last], vals[t]), bound)
     tv[t] = vals[t][perm]
     tw[t] = _align_frame(tw[last], vecs[t][:, perm], tv[t])
     return perm
 
 
-def _sweep(spec, ks, vals, vecs, tv, tw):
+def _sweep(spec, ks, vals, vecs, tv, tw, gap, bound):
     """Track positions 1.. of one sweep; position 0 is the start fiber.
 
-    Every argument is a view in sweep order, tv[0] and tw[0] already set.
-    Unflagged runs are composed by _compose_prefix and phase-aligned by
-    one batched vdot and a cumulative product; flagged fibers take the
-    scalar step with the real tracked history, in order.
+    Every argument is a view in sweep order, tv[0] and tw[0] already set,
+    and gap[t] is the smallest distance between two values of fiber t.  A
+    step is proven when either end's gap exceeds 2 h bound and neither end
+    holds a pair within MERGE_TOL (module docstring); runs of proven steps
+    are matched by nearest value, composed by _compose_prefix and
+    phase-aligned by one batched vdot and a cumulative product.  Every
+    other step takes the scalar step with the real tracked history, in
+    order.  Returns the sheet -> column map of the last fiber.
     """
     L, n = vals.shape
+    if L < 2:
+        return np.arange(n)
+    reach = 2.0 * abs(ks[1] - ks[0]) * bound
+    proven = np.zeros(L, dtype=bool)
+    proven[1:] = (np.maximum(gap[:-1], gap[1:]) > reach) & (
+        np.minimum(gap[:-1], gap[1:]) >= MERGE_TOL
+    )
+    # q[t - 1] maps each column of fiber t - 1 to its nearest value on fiber t
+    q = np.abs(vals[:-1, :, None] - vals[1:, None, :]).argmin(axis=2)
     perm = np.arange(n)  # sheet -> column of the last tracked fiber
-    for a in range(1, L, TRACK_BLOCK):
-        b = min(a + TRACK_BLOCK, L)
-        q, flagged = _match_block(vals, tv, perm, a, b)
-        t = a
-        while t < b:
-            f = t + int(np.argmax(np.append(flagged[t - a :], True)))
+    t = 1
+    while t < L:
+        f = t + int(np.argmax(np.append(~proven[t:], True)))
+        if f > t:
+            perms = _compose_prefix(q[t - 1 : f - 1])[:, perm]
+            tv[t:f] = np.take_along_axis(vals[t:f], perms, axis=1)
+            tw[t:f] = np.take_along_axis(vecs[t:f], perms[:, None, :], axis=2)
+            z = np.einsum("tis,tis->ts", tw[t - 1 : f - 1].conj(), tw[t:f])
+            mag = np.abs(z)
+            # _align_frame leaves a section with |vdot| <= 1e-12 as it is;
+            # the margin keeps rounding from deciding that, and the scalar
+            # step takes that fiber
+            weak = np.flatnonzero((mag <= 2e-12).any(axis=1))
+            if weak.size:
+                f = t + int(weak[0])
+            phase = np.cumprod(z[: f - t].conj() / mag[: f - t], axis=0)
+            # rounding drifts the product's modulus, and the section
+            # norms would drift with it
+            tw[t:f] *= (phase / np.abs(phase))[:, None, :]
             if f > t:
-                perms = _compose_prefix(q[t - a : f - a])[:, perm]
-                tv[t:f] = np.take_along_axis(vals[t:f], perms, axis=1)
-                tw[t:f] = np.take_along_axis(vecs[t:f], perms[:, None, :], axis=2)
-                z = np.einsum("tis,tis->ts", tw[t - 1 : f - 1].conj(), tw[t:f])
-                mag = np.abs(z)
-                # _align_frame leaves a section with |vdot| <= 1e-12 as it
-                # is; the margin keeps rounding from deciding that
-                weak = np.flatnonzero((mag <= 2e-12).any(axis=1))
-                if weak.size:
-                    f = t + int(weak[0])
-                    flagged[f - a] = True
-                phase = np.cumprod(z[: f - t].conj() / mag[: f - t], axis=0)
-                # rounding drifts the product's modulus, and the section
-                # norms would drift with it
-                tw[t:f] *= (phase / np.abs(phase))[:, None, :]
-                if f > t:
-                    perm = perms[f - t - 1]
-                t = f
-            if t < b:
-                new = _scalar_step(spec, ks, vals, vecs, tv, tw, t)
-                if t + 1 < b and not np.array_equal(q[t - a][perm], new):
-                    flagged[t + 1 - a] = True
-                perm = new
-                t += 1
+                perm = perms[f - t - 1]
+            t = f
+        if t < L:
+            perm = _scalar_step(spec, ks, vals, vecs, tv, tw, t, bound)
+            t += 1
+    return perm
 
 
-def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+           bound: float):
+    """Tracked values (G, n), sections (G, n, n) and the seam permutation.
+
+    The forward sweep runs one step past the last fiber, onto fiber 0 again
+    at k = 2pi; sigma[s] is the sheet of the backward sweep that holds, at
+    k = 0, the column the forward sheet s reaches there.
+    """
     G, n = vals.shape
+    gap = _pair_gaps(vals).min(axis=1, initial=np.inf)
+    ks, vals, vecs, gap = (
+        np.concatenate([a, a[:1]]) for a in (ks, vals, vecs, gap)
+    )
+    ks[G] = 2.0 * np.pi
     tv = np.empty_like(vals)
     tw = np.empty_like(vecs)
-    g0 = _best_start(vals)
+    g0 = _best_start(vals[:G])
     tv[g0] = vals[g0]
     tw[g0] = vecs[g0]
-    _sweep(spec, ks[g0:], vals[g0:], vecs[g0:], tv[g0:], tw[g0:])
-    _sweep(spec, ks[g0::-1], vals[g0::-1], vecs[g0::-1], tv[g0::-1], tw[g0::-1])
+    ahead = _sweep(spec, ks[g0:], vals[g0:], vecs[g0:], tv[g0:], tw[g0:], gap[g0:], bound)
+    back = _sweep(
+        spec, ks[g0::-1], vals[g0::-1], vecs[g0::-1], tv[g0::-1], tw[g0::-1],
+        gap[g0::-1], bound,
+    )
     # the start frame of a degenerate cluster is an arbitrary basis; rotate
     # it toward its neighbour so the section is continuous there too
     for idx in _clusters(tv[g0], MERGE_TOL):
         if len(idx) > 1 and G > 1:
             nb = g0 + 1 if g0 + 1 < G else g0 - 1
             tw[g0][:, idx] = _rotate_onto(tw[g0][:, idx], tw[nb][:, idx])
-    return tv, tw
+    return tv[:G], tw[:G], np.argsort(back)[ahead]
 
 
-def _seam_permutation(spec, ks, tv, tw):
-    G = tv.shape[0]
-    p0 = 3 * tv[G - 1] - 3 * tv[G - 2] + tv[G - 3]
-    p1 = 6 * tv[G - 1] - 8 * tv[G - 2] + 3 * tv[G - 3]
-    cost = (
-        np.abs(p0[:, None] - tv[0][None, :])
-        + np.abs(p1[:, None] - tv[1][None, :])
-        + OVERLAP_WEIGHT * (1.0 - np.abs(tw[G - 1].conj().T @ tw[0]))
-    )
-    sigma = _assign(cost)
-    w = tv[1][sigma]
-    if not _pair_check(np.abs(p1 - w), w):
-        return sigma
-    # carry the sheets across the seam on a refined chain ending at k = h,
-    # then identify them with the tracked sheets there
-    h = 2.0 * np.pi / G
-    slope = (tv[G - 3] - tv[G - 4]) / h
-    perm = _chain_match(
-        spec, ks[G - 3], 2.0 * np.pi + h, tv[G - 3], tw[G - 3], tv[1], tw[1],
-        slope=slope,
-    )
-    if perm is None:
-        raise UnresolvedCrossing(ks[G - 1], 2.0 * np.pi, _min_gap(tv[G - 1], tv[0]))
-    return perm
+def _speed_bound(spec: WalkSpec) -> float:
+    """Upper bound on |dlambda/dk| for every band: sup_k ||d/dk U_hat(k)||.
+
+    commutator_norm is a maximum over grids of at least 2048 points, so
+    the supremum exceeds it by at most pi/2048 times the Lipschitz constant
+    of the top singular value, which is at most sum_j j^2 ||A_j||.
+    """
+    slack = sum(j * j * np.linalg.norm(a, 2) for j, a in spec.terms.items())
+    return commutator_norm(spec) + np.pi / 2048 * slack
 
 
 def _divisors(d: int):
@@ -752,8 +731,7 @@ def _band_sort_key(band: Band):
 def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
     ks = 2.0 * np.pi * np.arange(grid_size) / grid_size
     vals, vecs = _eig_grid(spec, ks)
-    tv, tw = _track(spec, ks, vals, vecs)
-    sigma = _seam_permutation(spec, ks, tv, tw)
+    tv, tw, sigma = _track(spec, ks, vals, vecs, _speed_bound(spec))
     return _assemble_bands(tv, tw, sigma, grid_size)
 
 

@@ -464,17 +464,26 @@ def test_commutator_norm_computed_once_per_spec(monkeypatch):
     assert len(calls) == 2 * count
 
 
-def scalar_track(spec, ks, vals, vecs):
-    """Reference tracker: one _match_step per fiber, swept both ways from the start."""
+def scalar_track(spec, ks, vals, vecs, bound):
+    """Reference tracker: one _match_step per fiber, swept both ways from the start.
+
+    The forward sweep runs on through fiber 0 again at k = 2pi, and the
+    seam permutation maps each forward sheet to the backward sheet holding
+    the same column of fiber 0 there.
+    """
     G, n = vals.shape
+    ks = np.append(ks, 2 * np.pi)
+    vals = np.concatenate([vals, vals[:1]])
+    vecs = np.concatenate([vecs, vecs[:1]])
     tv = np.empty_like(vals)
     tw = np.empty_like(vecs)
-    g0 = _best_start(vals)
+    g0 = _best_start(vals[:G])
     tv[g0] = vals[g0]
     tw[g0] = vecs[g0]
 
     def sweep(seq):
         last2, last = None, g0
+        perm = np.arange(n)
         for g in seq:
             pred = tv[last] if last2 is None else 2 * tv[last] - tv[last2]
             perm = qwalk.spectral._match_step(pred, tw[last], vals[g], vecs[g])
@@ -493,16 +502,17 @@ def scalar_track(spec, ks, vals, vecs):
             tv[g] = vals[g][perm]
             tw[g] = _align_frame(tw[last], vecs[g][:, perm], tv[g])
             last2, last = last, g
+        return perm
 
-    sweep(range(g0 + 1, G))
-    sweep(range(g0 - 1, -1, -1))
+    ahead = sweep(range(g0 + 1, G + 1))
+    back = sweep(range(g0 - 1, -1, -1))
     for idx in _clusters(tv[g0], MERGE_TOL):
         if len(idx) > 1 and G > 1:
             nb = g0 + 1 if g0 + 1 < G else g0 - 1
             b, a = tw[g0][:, idx], tw[nb][:, idx]
             u, _, vh = np.linalg.svd(b.conj().T @ a)
             tw[g0][:, idx] = b @ (u @ vh)
-    return tv, tw
+    return tv[:G], tw[:G], np.argsort(back)[ahead]
 
 
 TRACK_ORACLE_WALKS = EIG_ORACLE_WALKS + [
@@ -549,30 +559,23 @@ def test_batched_tracking_matches_scalar_tracker(monkeypatch, name, make_spec, g
     assert_tracks_like_scalar(monkeypatch, make_spec, grid)
 
 
-@pytest.mark.parametrize("passes", [1, 2])
-def test_unsettled_predictions_take_the_scalar_step(monkeypatch, passes):
-    # with fewer passes, the batch's own relations have not settled on
-    # walk(5)^2, and fibers predicted through a changed one are flagged
-    monkeypatch.setattr(qwalk.spectral, "MATCH_PASSES", passes)
-    for grid in (256, 2048):
-        assert_tracks_like_scalar(monkeypatch, lambda: walk_power(random_walk(5), 2), grid)
-
-
 def test_vanishing_overlap_takes_the_scalar_step():
     # synthetic fibers with fixed, separated values; the columns swap their
     # vectors on fibers 20 to 23, so consecutive sections there are
     # orthogonal and _align_frame leaves them unphased.  Nothing refines,
-    # so no walk is needed
+    # so no walk is needed, and the speed bound is passed in
     rng = np.random.default_rng(1)
     G = 64
     ks = 2.0 * np.pi * np.arange(G) / G
     vals = np.tile(np.exp(2j * np.pi * np.arange(3) / 3), (G, 1))
     vecs = np.eye(3) * np.exp(2j * np.pi * rng.random((G, 1, 3)))
     vecs[20:24] = vecs[20:24][:, :, [1, 2, 0]]
-    got = qwalk.spectral._track(None, ks, vals, vecs)
-    want = scalar_track(None, ks, vals, vecs)
+    # bound 0 proves every other step
+    got = qwalk.spectral._track(None, ks, vals, vecs, 0.0)
+    want = scalar_track(None, ks, vals, vecs, 0.0)
     assert np.array_equal(got[0], want[0])
     assert np.max(np.abs(got[1] - want[1])) <= 1e-12
+    assert np.array_equal(got[2], want[2])
 
 
 def test_separated_fibers_skip_the_scalar_matcher(monkeypatch):
@@ -599,16 +602,19 @@ def fiber_min_gap(spec, *ks):
 def assert_refusal_advice(exc, spec):
     want = fiber_min_gap(spec, exc.k_lo, exc.k_hi)
     assert exc.min_gap == pytest.approx(want, rel=1e-6)
+    # the speed bound covers every group velocity
+    assert exc.bound >= commutator_norm(spec)
+    # next_grid is the first grid whose step 4 pi L / G the gap proves
     g = exc.next_grid
     assert g >= 64 and g & (g - 1) == 0
-    assert 2 * np.pi / g < exc.min_gap
-    assert g == 64 or 2 * np.pi / (g // 2) >= exc.min_gap
+    assert 4 * np.pi * exc.bound / g < exc.min_gap
+    assert g == 64 or 4 * np.pi * exc.bound / (g // 2) >= exc.min_gap
     text = str(exc)
     assert text.startswith("band assignment ambiguous on k in [")
-    assert "%.3e" % exc.min_gap in text and str(g) in text
+    assert "%.3e" % exc.min_gap in text and "%.3e" % exc.bound in text and str(g) in text
     clone = pickle.loads(pickle.dumps(exc))
-    assert (clone.k_lo, clone.k_hi, clone.min_gap, clone.next_grid) == (
-        exc.k_lo, exc.k_hi, exc.min_gap, exc.next_grid,
+    assert (clone.k_lo, clone.k_hi, clone.min_gap, clone.bound, clone.next_grid) == (
+        exc.k_lo, exc.k_hi, exc.min_gap, exc.bound, exc.next_grid,
     )
     assert str(clone) == text
 
@@ -621,7 +627,9 @@ def test_unresolved_crossing_reports_gap_and_next_grid():
     assert_refusal_advice(info.value, spec)
     # the two-argument form still works and still pickles
     bare = pickle.loads(pickle.dumps(UnresolvedCrossing(0.1, 0.2)))
-    assert (bare.k_lo, bare.k_hi, bare.min_gap, bare.next_grid) == (0.1, 0.2, None, None)
+    assert (bare.k_lo, bare.k_hi, bare.min_gap, bare.bound, bare.next_grid) == (
+        0.1, 0.2, None, None, None,
+    )
 
 
 def test_kept_refusal_holds_no_tracking_arrays():
@@ -642,17 +650,19 @@ def test_kept_refusal_holds_no_tracking_arrays():
 
 
 def test_seam_refusal_reports_gap_and_next_grid(monkeypatch):
-    # coined(0.9999) at 256 is the one walk found whose seam needs the
-    # refined chain; make that chain fail to reach the seam's raise
+    # the seam is the forward sweep's last step, onto fiber 0 at k = 2pi.
+    # coined(1 - 1e-6) at 256 is the one walk found whose seam step is
+    # unproven and fails the scalar match, so it reaches the refined chain;
+    # make that chain fail to reach the refusal
     real = qwalk.spectral._chain_match
 
     def seam_fails(spec, k_start, k_end, *args, **kwargs):
-        if k_end > 2 * np.pi:
+        if k_end == 2 * np.pi:
             return None
         return real(spec, k_start, k_end, *args, **kwargs)
 
     monkeypatch.setattr(qwalk.spectral, "_chain_match", seam_fails)
-    spec = coined(0.9999)
+    spec = coined(1 - 1e-6)
     with pytest.raises(UnresolvedCrossing) as info:
         sample_bands(spec, 256)
     assert info.value.k_hi == 2 * np.pi
@@ -688,7 +698,8 @@ def test_assignment_matches_scipy_on_tracking_costs(monkeypatch):
         for grid in (256, 2048):
             extract_or_refusal(make_spec(), grid)
     assert len(recorded) > 100
-    assert {len(c) for c in recorded} >= {1, 2, 3, 4, 8}
+    # an n = 1 step is always proven, so it never reaches _assign
+    assert {len(c) for c in recorded} >= {2, 3, 4, 8}
     for cost in recorded:
         assert_assigns_like_scipy(cost)
 
@@ -704,3 +715,58 @@ def test_assignment_is_optimal_when_ties_allow_many(cost):
     assert sorted(perm) == list(range(n))
     rows, cols = linear_sum_assignment(cost)
     assert cost[np.arange(n), perm].sum() == cost[rows, cols].sum()
+
+
+UNCERTIFIED = (
+    "uncertified step at the avoided crossing takes the heuristic; "
+    "needs certified subdivision"
+)
+COINED_SWEEP_M = [4 + 0.25 * i for i in range(17)]
+# the gap 2 sqrt(1 - r^2) at k = 0 and pi is too small for a refined step
+# to prove, and too small for the scalar step to separate
+COINED_SWEEP_REFUSED = {(m, 256) for m in COINED_SWEEP_M if m >= 6.25} | {(8.0, 2048)}
+COINED_SWEEP_WRONG = {(5.75, 256), (6.0, 256), (7.75, 2048)}
+
+
+def coined_sweep_case(m, grid):
+    marks = ()
+    if (m, grid) in COINED_SWEEP_WRONG:
+        marks = pytest.mark.xfail(strict=True, reason=UNCERTIFIED)
+    return pytest.param(m, grid, marks=marks, id="m=%g-%d" % (m, grid))
+
+
+@pytest.mark.parametrize(
+    "m,grid", [coined_sweep_case(m, g) for m in COINED_SWEEP_M for g in (256, 2048)]
+)
+def test_coined_sweep_gives_closed_form_or_refuses(m, grid):
+    r = 1 - 10.0**-m
+    got = extract_or_refusal(coined(r), grid)
+    if (m, grid) in COINED_SWEEP_REFUSED:
+        assert isinstance(got, UnresolvedCrossing)
+        return
+    assert isinstance(got, qwalk.spectral.BandSet)
+    # two gapped degree-1 bands of winding 0: r cos k +- i sqrt(1 - r^2 cos^2 k)
+    assert [(b.degree, b.winding, b.multiplicity) for b in got.bands] == [(1, 0, 1)] * 2
+    ks = 2 * np.pi * np.arange(grid) / grid
+    c = r * np.cos(ks)
+    root = 1j * np.sqrt(1 - c * c)
+    for band in got.bands:
+        assert min(np.max(np.abs(band.samples - (c + s * root))) for s in (1, -1)) < 1e-10
+
+
+GRID_DEPENDENT_WALKS = [
+    ("walk(2054020785)", lambda: random_walk(2054020785)),
+    ("walk(1514645085)", lambda: random_walk(1514645085)),
+    ("walk(959707297, shift<=2)^2", lambda: walk_power(random_walk(959707297, shift_max=2), 2)),
+]
+
+
+@pytest.mark.xfail(strict=True, reason=UNCERTIFIED)
+@pytest.mark.parametrize(
+    "name,make_spec", GRID_DEPENDENT_WALKS, ids=[w[0] for w in GRID_DEPENDENT_WALKS]
+)
+def test_invariants_agree_at_256_and_2048(name, make_spec):
+    spec = make_spec()
+    key = lambda b: (b.degree, b.winding, b.min_period, b.multiplicity)
+    coarse, fine = (sorted(map(key, sample_bands(spec, g).bands)) for g in (256, 2048))
+    assert coarse == fine
