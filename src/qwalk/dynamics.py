@@ -170,9 +170,19 @@ def adjoint_walk(spec: WalkSpec) -> WalkSpec:
 
 
 def _mem_cap_bytes(mem_cap_mb) -> int:
-    if mem_cap_mb is None:
-        mem_cap_mb = int(os.environ.get(MEM_CAP_ENV, DEFAULT_MEM_CAP_MB))
-    return int(mem_cap_mb) * 1024 * 1024
+    """The cap in bytes: mem_cap_mb, else QWALK_MEM_CAP_MB, else the default.
+
+    The cap must be a positive whole number of MB; anything else raises a
+    ValueError naming QWALK_MEM_CAP_MB and the bad value.
+    """
+    raw = os.environ.get(MEM_CAP_ENV, DEFAULT_MEM_CAP_MB) if mem_cap_mb is None else mem_cap_mb
+    try:
+        cap = int(raw) if isinstance(raw, str) else operator.index(raw)
+    except (TypeError, ValueError):
+        cap = 0
+    if isinstance(raw, bool) or cap < 1:
+        raise ValueError("%s must be a positive integer number of MB, got %r" % (MEM_CAP_ENV, raw))
+    return cap * 1024 * 1024
 
 
 def evolve(spec: WalkSpec, state: State, steps: int, mem_cap_mb=None) -> State:

@@ -80,16 +80,11 @@ def _normalized_coefficients(band: Band) -> dict[int, complex]:
     lambda as a function on T_2pi with coprime support.
     """
     p = band.min_period
-    out: dict[int, complex] = {}
-    for ell, c in zip(band.fourier_freqs, band.fourier):
-        if abs(c) <= 1e-13:
-            continue
-        if ell % p:
-            # leakage from tracking noise; a real coefficient here would
-            # contradict the stored minimal period
-            continue
-        out[int(ell) // p] = complex(c)
-    return out
+    freqs, coefs = band.fourier_freqs, band.fourier
+    # off-multiple frequencies are leakage from tracking noise; a real
+    # coefficient there would contradict the stored minimal period
+    keep = (np.abs(coefs) > 1e-13) & (freqs % p == 0)
+    return dict(zip((freqs[keep] // p).tolist(), coefs[keep].tolist()))
 
 
 def find_translation(band1: Band, band2: Band) -> TranslationMatch | None:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walkspec import WalkSpec, commutator_norm, symbol_on_grid
+from .walkspec import WalkSpec, _speed_bound, symbol_on_grid
 
 __all__ = [
     "Band",
@@ -549,17 +549,6 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
             nb = g0 + 1 if g0 + 1 < G else g0 - 1
             tw[g0][:, idx] = _rotate_onto(tw[g0][:, idx], tw[nb][:, idx])
     return tv[:G], tw[:G], np.argsort(back)[ahead]
-
-
-def _speed_bound(spec: WalkSpec) -> float:
-    """Upper bound on |dlambda/dk| for every band: sup_k ||d/dk U_hat(k)||.
-
-    commutator_norm is a maximum over grids of at least 2048 points, so
-    the supremum exceeds it by at most pi/2048 times the Lipschitz constant
-    of the top singular value, which is at most sum_j j^2 ||A_j||.
-    """
-    slack = sum(j * j * np.linalg.norm(a, 2) for j, a in spec.terms.items())
-    return commutator_norm(spec) + np.pi / 2048 * slack
 
 
 def _divisors(d: int):

@@ -42,6 +42,8 @@ __all__ = [
 
 # entrywise tolerance for the coefficient unitarity identities
 UNITARITY_TOL = 1e-12
+# grid points on which commutator_norm samples the top singular value
+NORM_GRID = 2048
 
 
 class WalkSpecError(ValueError):
@@ -292,15 +294,15 @@ def commutator_norm(spec: WalkSpec) -> float:
 
     [D, S^j] = j S^j, so the commutator is the banded operator with symbol
     W(k) = sum_j j e^{ijk} A_j and its norm is the maximum largest singular
-    value sigma(k) of W over the torus.  The maximum is sought on grids of
-    2048, 4096, ... points; each level solves only the midpoints of the
-    previous one.  On each level the grid argmax is polished by bisection
-    on the sign of the slope d sigma/dk = -Im(u^* W_2 v), where u, v are the
+    value sigma(k) of W over the torus.  sigma is evaluated once on a
+    NORM_GRID-point grid, and the grid argmax is polished by bisection on
+    the sign of the slope d sigma/dk = -Im(u^* W_2 v), where u, v are the
     top singular vectors and W_2 = sum_j j^2 e^{ijk} A_j, inside one grid
     step either side, down to a width of 1e-12; a kink of sigma stops it
-    where the slope changes sign.  The result is accepted once doubling
-    the grid moves it by less than 1e-8.  It is computed once per spec
-    object and memoized on it.
+    where the slope changes sign.  The result is the larger of the grid
+    maximum and sigma at the polished bracket's ends; _speed_bound covers
+    what the grid can still miss.  It is computed once per spec object and
+    memoized on it.
     """
     if spec._commutator_norm is None:
         object.__setattr__(spec, "_commutator_norm", _max_derivative_sigma(spec))
@@ -314,34 +316,32 @@ def _max_derivative_sigma(spec: WalkSpec) -> float:
     def top_sigma(ks):
         return np.linalg.svd(derivative_symbol_on_grid(spec, ks), compute_uv=False)[:, 0]
 
-    prev = None
-    g = 2048
-    sig = top_sigma(2 * np.pi * np.arange(g) / g)
-    while True:
-        best = int(np.argmax(sig))
-        k, h = 2 * np.pi * best / g, 2 * np.pi / g
-        # bisect [k - h, k + h] on the sign of d sigma/dk = -Im(u^* W_2 v)
-        a, b = k - h, k + h
-        while b - a > 1e-12:
-            m = 0.5 * (a + b)
-            u, _, vh = np.linalg.svd(_weighted_symbol(spec, [m], 1)[0])
-            w2 = _weighted_symbol(spec, [m], 2)[0]
-            if np.vdot(u[:, 0], w2 @ vh[0].conj()).imag < 0:
-                a = m
-            else:
-                b = m
-        cur = max(float(sig[best]), float(top_sigma([a, b]).max()))
-        if prev is not None and abs(cur - prev) <= 1e-8:
-            return max(cur, prev)
-        prev = cur
-        g *= 2
-        if g > 2**15:
-            return prev
-        # the finer grid is the coarser one interleaved with its midpoints
-        finer = np.empty(g)
-        finer[0::2] = sig
-        finer[1::2] = top_sigma(2 * np.pi * (2 * np.arange(g // 2) + 1) / g)
-        sig = finer
+    sig = top_sigma(2 * np.pi * np.arange(NORM_GRID) / NORM_GRID)
+    best = int(np.argmax(sig))
+    k, h = 2 * np.pi * best / NORM_GRID, 2 * np.pi / NORM_GRID
+    # bisect [k - h, k + h] on the sign of d sigma/dk = -Im(u^* W_2 v)
+    a, b = k - h, k + h
+    while b - a > 1e-12:
+        m = 0.5 * (a + b)
+        u, _, vh = np.linalg.svd(_weighted_symbol(spec, [m], 1)[0])
+        w2 = _weighted_symbol(spec, [m], 2)[0]
+        if np.vdot(u[:, 0], w2 @ vh[0].conj()).imag < 0:
+            a = m
+        else:
+            b = m
+    return max(float(sig[best]), float(top_sigma([a, b]).max()))
+
+
+def _speed_bound(spec: WalkSpec) -> float:
+    """Upper bound on |dlambda/dk| for every band: sup_k ||d/dk U_hat(k)||.
+
+    commutator_norm is at least the maximum over the NORM_GRID-point grid,
+    so the supremum exceeds it by at most pi / NORM_GRID times the
+    Lipschitz constant of the top singular value, which is at most
+    sum_j j^2 ||A_j||.
+    """
+    slack = sum(j * j * np.linalg.norm(a, 2) for j, a in spec.terms.items())
+    return commutator_norm(spec) + np.pi / NORM_GRID * slack
 
 
 def direct_sum(a: WalkSpec, b: WalkSpec) -> WalkSpec:

@@ -228,6 +228,14 @@ def test_intertwine_rejects_non_positive_window(capsys, window):
     assert "--window" in captured.err
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_memory_cap_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("QWALK_MEM_CAP_MB", value)
+    assert main(["simulate", "free", "--steps", "10", "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert "QWALK_MEM_CAP_MB" in err and repr(value) in err
+
+
 def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "free", "--seed", "1"])

@@ -186,6 +186,21 @@ def test_memory_cap_param_and_env(monkeypatch):
     evolve(grover4(), st, 3)
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5", ""])
+def test_memory_cap_env_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv(MEM_CAP_ENV, value)
+    with pytest.raises(ValueError, match="QWALK_MEM_CAP_MB") as info:
+        evolve(grover4(), basis_state(4, 0), 3)
+    assert repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize("value", [0, -5, 1.5, "abc", True])
+def test_memory_cap_param_must_be_a_positive_integer(value):
+    with pytest.raises(ValueError, match="QWALK_MEM_CAP_MB") as info:
+        evolve(grover4(), basis_state(4, 0), 3, mem_cap_mb=value)
+    assert repr(value) in str(info.value)
+
+
 def test_memory_cap_counts_propagator_grids():
     # at 20000 steps evolve takes the propagator; the stepper's two windows
     # alone need 15 MB, the propagator's padded grids and fiber stacks 33 MB

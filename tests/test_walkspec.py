@@ -19,7 +19,10 @@ from qwalk import (
     symbol_at,
     symbol_on_grid,
 )
+from qwalk import walkspec
 from qwalk.fixtures import FIXTURES, build_fixture, coined, free, grover4, shift_coin_walk
+
+from qwalk.walkspec import NORM_GRID, _speed_bound
 
 from conftest import BAD_WALK_DOCUMENTS, random_walk
 
@@ -134,6 +137,36 @@ NORM_ORACLE_WALKS = (
 @pytest.mark.parametrize("name,make_spec", NORM_ORACLE_WALKS, ids=[w[0] for w in NORM_ORACLE_WALKS])
 def test_commutator_norm_matches_brent_polish(name, make_spec):
     assert abs(commutator_norm(make_spec()) - reference_commutator_norm(make_spec())) <= 1e-15
+
+
+def test_commutator_norm_solves_one_grid(monkeypatch):
+    sizes = []
+
+    def counted(spec, ks):
+        sizes.append(np.size(ks))
+        return derivative_symbol_on_grid(spec, ks)
+
+    monkeypatch.setattr(walkspec, "derivative_symbol_on_grid", counted)
+    for spec in (grover4(), coined(0.3), random_walk(5, shift_max=3)):
+        sizes.clear()
+        commutator_norm(spec)
+        assert [s for s in sizes if s > 2] == [NORM_GRID] == [2048]
+
+
+def top_sigma(spec, g):
+    ks = 2 * np.pi * np.arange(g) / g
+    return np.linalg.svd(derivative_symbol_on_grid(spec, ks), compute_uv=False)[:, 0]
+
+
+@pytest.mark.parametrize("name,make_spec", NORM_ORACLE_WALKS, ids=[w[0] for w in NORM_ORACLE_WALKS])
+def test_grid_slack_bounds_the_supremum(name, make_spec):
+    # sigma is Lipschitz with constant sum_j j^2 ||A_j||, so the unpolished
+    # grid maximum plus half a grid step's worth of it bounds the supremum
+    spec = make_spec()
+    slack = sum(j * j * np.linalg.norm(a, 2) for j, a in spec.terms.items())
+    fine = top_sigma(spec, 16384).max()
+    assert top_sigma(spec, 2048).max() + np.pi / 2048 * slack >= fine
+    assert _speed_bound(spec) >= fine
 
 
 def test_direct_sum_and_amplify_block_structure():
