@@ -2,13 +2,15 @@
 
 Shift-coin constructions write U = diag(S^{a_i}) C, so coefficient A_j
 holds the rows of the coin whose shift exponent is j.  Expressions like
-"coined(0.5)" or "det_winding(r=0.6, b=0.8)" are parsed with literal
-arguments only.
+"coined(0.5)" or "det_winding(r=0.6, b=0.8)" are parsed with int or
+float literal arguments only, bound to the fixture's signature; a bad
+expression raises ValueError naming it.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import math
 
 import numpy as np
@@ -114,6 +116,8 @@ def free() -> WalkSpec:
 
 def constant(n: int = 1, phase: float = 0.0) -> WalkSpec:
     """e^{i phase} times the identity on n internal levels."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("constant walk needs an integer n >= 1")
     return WalkSpec(n=int(n), terms={0: np.exp(1j * phase) * np.eye(int(n))})
 
 
@@ -157,4 +161,14 @@ def build_fixture(expr: str) -> WalkSpec:
         raise ValueError(
             "unknown fixture %r; available: %s" % (name, ", ".join(fixture_names()))
         )
-    return FIXTURES[name](*args, **kwargs)
+    try:
+        bound = inspect.signature(FIXTURES[name]).bind(*args, **kwargs)
+    except TypeError as exc:
+        raise ValueError("%s in fixture expression %r" % (exc, expr)) from exc
+    for value in bound.arguments.values():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError("fixture arguments must be numbers: %r" % expr)
+    try:
+        return FIXTURES[name](*bound.args, **bound.kwargs)
+    except ValueError as exc:
+        raise ValueError("%s: %r" % (exc, expr)) from exc

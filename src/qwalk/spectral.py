@@ -25,17 +25,22 @@ across the step is the branch's continuation: the step is proven.  Proven
 steps between fibers without a pair within MERGE_TOL are matched by that
 history-free nearest choice, composed by a prefix scan and phase-aligned
 in one batch.  Every other step, and a proven one where a section's
-overlap with its predecessor vanishes, takes the scalar step: an optimal
-assignment on linearly extrapolated values and eigenvector overlaps, then
-the AMBIG_FACTOR rule on the residual of each pair against its gap; an
+overlap with its predecessor vanishes, takes the scalar step: the same
+nearest-value rule on linearly extrapolated values, sheets nearest a
+MERGE_TOL cluster taking its columns in index order, then the
+AMBIG_FACTOR rule on the residual of each pair against its gap; an
 ambiguous step is re-tracked on a locally refined grid (up to MAX_HALVINGS
 halvings, quadratic extrapolation), and if every level stays ambiguous an
 UnresolvedCrossing is raised with the offending k-interval, the smallest
 gap on its end fibers, the speed bound, and the first grid size whose step
 that gap proves.  The seam is one more forward step, onto fiber 0 again at
-k = 2pi; the permutation of the sheets there is read off the two sweeps'
-labels of fiber 0.  Scalar steps are not proven, so a walk whose avoided
-crossing is narrower than the grid can still be answered wrongly there.
+k = 2pi; the permutation there maps each forward sheet to the backward
+sheet whose section at k = 0 overlaps its own the most.  Eigenprojections
+continue analytically through a touching point, so the sections, unlike
+the solver's basis of a degenerate cluster, carry the walk's permutation;
+a map that is not a permutation refuses the seam step.  Scalar steps are
+not proven, so a walk whose avoided crossing is narrower than the grid
+can still be answered wrongly there.
 
 sample_bands memoizes its result on the spec object, per grid size, for
 as long as some caller holds the BandSet: decompose and is_ct_realizable
@@ -48,7 +53,6 @@ on every call.
 from __future__ import annotations
 
 import functools
-import math
 import traceback
 from dataclasses import dataclass
 
@@ -72,7 +76,6 @@ CONST_TOL = 1e-9       # constant-band detection threshold
 COEF_TOL = 1e-9        # Fourier support floor for period detection
 WINDING_TOL = 1e-6     # |raw winding - integer| must stay below this
 AMBIG_FACTOR = 0.2     # prediction residual vs gap ratio that triggers refinement
-OVERLAP_WEIGHT = 1e-6  # weight of eigenvector overlap in the assignment cost
 MAX_HALVINGS = 4
 
 
@@ -263,61 +266,30 @@ def _pair_check(resid, vals):
     return ((gap > MERGE_TOL) & (resid > AMBIG_FACTOR * gap)).any(axis=-1)
 
 
-def _assign(cost):
-    """Column of each row in a least-cost assignment on a square cost matrix.
+def _match_step(pred, w):
+    """Column of w continuing each predicted sheet; None when ambiguous.
 
-    Kuhn-Munkres with potentials, O(n^3): each row in turn grows a
-    shortest-path tree over reduced costs until it reaches a free column,
-    then the potentials move and the path is flipped.  Ties follow
-    Crouse's implementation (IEEE Trans. AES 52, 2016), which the tests
-    use as the reference: columns are scanned from the last, each pick is
-    swapped out of the scan list, and among columns at the least distance
-    the last free one wins, else the first.
+    Each sheet takes the candidate nearest its prediction; sheets nearest
+    one MERGE_TOL cluster take its columns in index order (_align_frame
+    then rotates that block onto the previous frame).  The step is
+    ambiguous when the sheets do not fill each cluster exactly, or when
+    _pair_check rejects the result.  No other assignment could pass that
+    check: it holds each residual to AMBIG_FACTOR = 0.2 of every gap above
+    MERGE_TOL, so every other value is at least 0.8 of that gap away.
     """
-    c = cost.tolist()
-    n = len(c)
-    u, v = [0.0] * n, [0.0] * n
-    col4row, row4col = [-1] * n, [-1] * n
-    for row in range(n):
-        dist, path = [math.inf] * n, [-1] * n
-        todo, rows, cols = list(range(n - 1, -1, -1)), [], []
-        i, low = row, 0.0
-        while True:
-            rows.append(i)
-            best, at = math.inf, -1
-            for it, j in enumerate(todo):
-                r = low + c[i][j] - u[i] - v[j]
-                if r < dist[j]:
-                    path[j], dist[j] = i, r
-                if dist[j] < best or (dist[j] == best and row4col[j] == -1):
-                    best, at = dist[j], it
-            low, j = best, todo[at]
-            cols.append(j)
-            todo[at] = todo[-1]
-            todo.pop()
-            if row4col[j] == -1:
-                break
-            i = row4col[j]
-        u[row] += low
-        for i in rows[1:]:
-            u[i] += low - dist[col4row[i]]
-        for col in cols:
-            v[col] -= low - dist[col]
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == row:
-                break
-    return np.array(col4row)
-
-
-def _match_step(pred, prev_frame, w, frame):
-    """Assign candidate eigenvalues w to sheets; None when untrustworthy."""
-    dist = np.abs(pred[:, None] - w[None, :])
-    overlap = np.abs(prev_frame.conj().T @ frame)
-    perm = _assign(dist + OVERLAP_WEIGHT * (1.0 - overlap))
-    if _pair_check(dist[np.arange(len(w)), perm], w[perm]):
+    near = np.abs(pred[:, None] - w[None, :]).argmin(axis=1)
+    label = np.arange(len(w))
+    if (_pair_gaps(w) < MERGE_TOL).any():
+        for idx in _clusters(w, MERGE_TOL):
+            label[idx] = idx[0]
+    # sheets and columns each in cluster order, ties in index order
+    sheets = np.argsort(label[near], kind="stable")
+    cols = np.argsort(label, kind="stable")
+    if not np.array_equal(label[near[sheets]], label[cols]):
+        return None
+    perm = np.empty_like(near)
+    perm[sheets] = cols
+    if _pair_check(np.abs(pred - w[perm]), w[perm]):
         return None
     return perm
 
@@ -342,42 +314,34 @@ def _rotate_onto(b, a):
     return b @ (u @ vh)
 
 
-def _chain_match(spec, k_start, k_end, start_vals, start_frame, end_vals,
-                 end_frame, slope=None):
+def _chain_match(spec, k_start, k_end, start_vals, end_vals, slope=None):
     """Re-track [k_start, k_end] on refined subgrids.
 
     `slope` is an incoming dlambda/dk estimate per sheet; seeding the chain
     with it avoids a zeroth-order first step, which cannot separate sheets
     whose drift over one substep exceeds their gap.  Returns the
-    sheet -> column permutation of (end_vals, end_frame), or None if every
-    refinement level stays ambiguous.
+    sheet -> column permutation of end_vals, or None if every refinement
+    level stays ambiguous.
     """
     for level in range(1, MAX_HALVINGS + 1):
         steps = 2 ** (level + 1)
         sub = np.linspace(k_start, k_end, steps + 1)
-        vals, vecs = _eig_grid(spec, sub[1:-1] % (2.0 * np.pi))
-        cur_vals, cur_frame = start_vals, start_frame
-        hist = [cur_vals]
+        vals = np.append(_eig_grid(spec, sub[1:-1] % (2.0 * np.pi))[0], [end_vals], axis=0)
+        hist = [start_vals]
         if slope is not None:
             hist.insert(0, start_vals - slope * (sub[1] - sub[0]))
-        perm = None
-        ok = True
-        for t in range(1, steps + 1):
-            w, frame = (vals[t - 1], vecs[t - 1]) if t < steps else (end_vals, end_frame)
+        for w in vals:
             if len(hist) >= 3:
                 pred = 3 * hist[-1] - 3 * hist[-2] + hist[-3]
             elif len(hist) == 2:
                 pred = 2 * hist[-1] - hist[-2]
             else:
                 pred = hist[-1]
-            perm = _match_step(pred, cur_frame, w, frame)
+            perm = _match_step(pred, w)
             if perm is None:
-                ok = False
                 break
-            cur_vals = w[perm]
-            cur_frame = frame[:, perm]
-            hist.append(cur_vals)
-        if ok:
+            hist.append(w[perm])
+        else:
             return perm
     return None
 
@@ -449,16 +413,13 @@ def _scalar_step(spec, ks, vals, vecs, tv, tw, t, bound):
     """Track position t of a sweep alone; returns its sheet -> column map."""
     last, last2 = t - 1, (t - 2 if t >= 2 else None)
     pred = tv[last] if last2 is None else 2 * tv[last] - tv[last2]
-    perm = _match_step(pred, tw[last], vals[t], vecs[t])
+    perm = _match_step(pred, vals[t])
     if perm is None:
         anchor = last2 if last2 is not None else last
         slope = None
         if last2 is not None:
             slope = (tv[last] - tv[last2]) / (ks[last] - ks[last2])
-        perm = _chain_match(
-            spec, ks[anchor], ks[t], tv[anchor], tw[anchor],
-            vals[t], vecs[t], slope=slope,
-        )
+        perm = _chain_match(spec, ks[anchor], ks[t], tv[anchor], vals[t], slope=slope)
         if perm is None:
             lo, hi = sorted((ks[last], ks[t]))
             raise UnresolvedCrossing(lo, hi, _min_gap(vals[last], vals[t]), bound)
@@ -477,11 +438,11 @@ def _sweep(spec, ks, vals, vecs, tv, tw, gap, bound):
     are matched by nearest value, composed by _compose_prefix and
     phase-aligned by one batched vdot and a cumulative product.  Every
     other step takes the scalar step with the real tracked history, in
-    order.  Returns the sheet -> column map of the last fiber.
+    order.
     """
     L, n = vals.shape
     if L < 2:
-        return np.arange(n)
+        return
     reach = 2.0 * abs(ks[1] - ks[0]) * bound
     proven = np.zeros(L, dtype=bool)
     proven[1:] = (np.maximum(gap[:-1], gap[1:]) > reach) & (
@@ -515,7 +476,6 @@ def _sweep(spec, ks, vals, vecs, tv, tw, gap, bound):
         if t < L:
             perm = _scalar_step(spec, ks, vals, vecs, tv, tw, t, bound)
             t += 1
-    return perm
 
 
 def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
@@ -523,8 +483,8 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
     """Tracked values (G, n), sections (G, n, n) and the seam permutation.
 
     The forward sweep runs one step past the last fiber, onto fiber 0 again
-    at k = 2pi; sigma[s] is the sheet of the backward sweep that holds, at
-    k = 0, the column the forward sheet s reaches there.
+    at k = 2pi; sigma[s] is the backward sheet whose section at k = 0
+    overlaps forward sheet s's section there the most.
     """
     G, n = vals.shape
     gap = _pair_gaps(vals).min(axis=1, initial=np.inf)
@@ -537,8 +497,8 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
     g0 = _best_start(vals[:G])
     tv[g0] = vals[g0]
     tw[g0] = vecs[g0]
-    ahead = _sweep(spec, ks[g0:], vals[g0:], vecs[g0:], tv[g0:], tw[g0:], gap[g0:], bound)
-    back = _sweep(
+    _sweep(spec, ks[g0:], vals[g0:], vecs[g0:], tv[g0:], tw[g0:], gap[g0:], bound)
+    _sweep(
         spec, ks[g0::-1], vals[g0::-1], vecs[g0::-1], tv[g0::-1], tw[g0::-1],
         gap[g0::-1], bound,
     )
@@ -548,7 +508,10 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
         if len(idx) > 1 and G > 1:
             nb = g0 + 1 if g0 + 1 < G else g0 - 1
             tw[g0][:, idx] = _rotate_onto(tw[g0][:, idx], tw[nb][:, idx])
-    return tv[:G], tw[:G], np.argsort(back)[ahead]
+    sigma = np.abs(tw[G].conj().T @ tw[0]).argmax(axis=1)
+    if np.unique(sigma).size < n:
+        raise UnresolvedCrossing(ks[G - 1], ks[G], _min_gap(vals[G - 1], vals[G]), bound)
+    return tv[:G], tw[:G], sigma
 
 
 def _divisors(d: int):

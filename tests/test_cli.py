@@ -177,6 +177,26 @@ def test_invalid_inputs_exit_2(tmp_path):
     assert run_cli("analyze", "no_such_walk").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "coined('x')",
+        "grover4(1)",
+        "coined(0.5, 2)",
+        "coined(r=[1])",
+        "constant(n=3, phase='a')",
+        "constant(2.5)",
+        "constant(True)",
+    ],
+)
+def test_bad_fixture_arguments_exit_2(capsys, expr):
+    assert main(["decompose", expr, "--grid", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert repr(expr) in captured.err
+
+
 @pytest.mark.parametrize("name", sorted(BAD_WALK_DOCUMENTS))
 def test_rejected_walk_files_exit_2(tmp_path, capsys, name):
     path = tmp_path / "walk.json"

@@ -39,7 +39,6 @@ from qwalk.fixtures import (
 from qwalk.spectral import (
     MERGE_TOL,
     _align_frame,
-    _assign,
     _best_start,
     _chain_match,
     _clusters,
@@ -468,8 +467,8 @@ def scalar_track(spec, ks, vals, vecs, bound):
     """Reference tracker: one _match_step per fiber, swept both ways from the start.
 
     The forward sweep runs on through fiber 0 again at k = 2pi, and the
-    seam permutation maps each forward sheet to the backward sheet holding
-    the same column of fiber 0 there.
+    seam permutation maps each forward sheet to the backward sheet whose
+    section at k = 0 overlaps its own the most.
     """
     G, n = vals.shape
     ks = np.append(ks, 2 * np.pi)
@@ -483,36 +482,34 @@ def scalar_track(spec, ks, vals, vecs, bound):
 
     def sweep(seq):
         last2, last = None, g0
-        perm = np.arange(n)
         for g in seq:
             pred = tv[last] if last2 is None else 2 * tv[last] - tv[last2]
-            perm = qwalk.spectral._match_step(pred, tw[last], vals[g], vecs[g])
+            perm = qwalk.spectral._match_step(pred, vals[g])
             if perm is None:
                 anchor = last2 if last2 is not None else last
                 slope = None
                 if last2 is not None:
                     slope = (tv[last] - tv[last2]) / (ks[last] - ks[last2])
-                perm = _chain_match(
-                    spec, ks[anchor], ks[g], tv[anchor], tw[anchor],
-                    vals[g], vecs[g], slope=slope,
-                )
+                perm = _chain_match(spec, ks[anchor], ks[g], tv[anchor], vals[g], slope=slope)
                 if perm is None:
                     lo, hi = sorted((ks[last], ks[g]))
                     raise UnresolvedCrossing(lo, hi)
             tv[g] = vals[g][perm]
             tw[g] = _align_frame(tw[last], vecs[g][:, perm], tv[g])
             last2, last = last, g
-        return perm
 
-    ahead = sweep(range(g0 + 1, G + 1))
-    back = sweep(range(g0 - 1, -1, -1))
+    sweep(range(g0 + 1, G + 1))
+    sweep(range(g0 - 1, -1, -1))
     for idx in _clusters(tv[g0], MERGE_TOL):
         if len(idx) > 1 and G > 1:
             nb = g0 + 1 if g0 + 1 < G else g0 - 1
             b, a = tw[g0][:, idx], tw[nb][:, idx]
             u, _, vh = np.linalg.svd(b.conj().T @ a)
             tw[g0][:, idx] = b @ (u @ vh)
-    return tv[:G], tw[:G], np.argsort(back)[ahead]
+    sigma = np.abs(tw[G].conj().T @ tw[0]).argmax(axis=1)
+    if len(set(sigma)) < n:
+        raise UnresolvedCrossing(ks[G - 1], ks[G])
+    return tv[:G], tw[:G], sigma
 
 
 TRACK_ORACLE_WALKS = EIG_ORACLE_WALKS + [
@@ -670,51 +667,79 @@ def test_seam_refusal_reports_gap_and_next_grid(monkeypatch):
     assert_refusal_advice(info.value, spec)
 
 
-def assert_assigns_like_scipy(cost):
-    got = _assign(cost)
-    want = linear_sum_assignment(cost)[1]
-    assert np.array_equal(got, want), cost
+def test_seam_refusal_when_two_sheets_share_a_section(monkeypatch):
+    # sigma[s] is the backward sheet best overlapping forward sheet s at
+    # k = 2pi; give two forward sheets one section there, so both pick the
+    # same backward sheet and the seam step is refused
+    real = qwalk.spectral._scalar_step
+
+    def one_section(spec, ks, vals, vecs, tv, tw, t, bound):
+        perm = real(spec, ks, vals, vecs, tv, tw, t, bound)
+        if ks[t] == 2 * np.pi:
+            tw[t][:, 1] = tw[t][:, 0]
+        return perm
+
+    monkeypatch.setattr(qwalk.spectral, "_scalar_step", one_section)
+    # two sheets meet at -1 at k = 0, so the seam step is a scalar one
+    spec = FIXTURES["grover3_subwalk"]()
+    with pytest.raises(UnresolvedCrossing) as info:
+        sample_bands(spec, 256)
+    assert info.value.k_hi == 2 * np.pi
+    assert info.value.k_lo == 2 * np.pi * 255 / 256
+    assert_refusal_advice(info.value, spec)
 
 
-def test_assignment_matches_scipy_on_random_costs():
-    rng = np.random.default_rng(2024)
-    for n in range(1, 13):
-        for _ in range(50):
-            assert_assigns_like_scipy(rng.random((n, n)))
-        # small integers put many ties into the reduced costs
-        for _ in range(50):
-            assert_assigns_like_scipy(rng.integers(0, 3, (n, n)).astype(float))
-
-
-def test_assignment_matches_scipy_on_tracking_costs(monkeypatch):
+def test_match_step_is_the_checked_least_distance_assignment(monkeypatch):
+    # oracle: on a step with no candidate pair within MERGE_TOL, the nearest
+    # values are returned exactly when scipy's least-distance assignment
+    # passes the pair rule, and then they are that assignment
     recorded = []
+    real = qwalk.spectral._match_step
 
-    def recording(cost):
-        recorded.append(cost.copy())
-        return _assign(cost)
+    def recording(pred, w):
+        perm = real(pred, w)
+        recorded.append((pred.copy(), w.copy(), perm))
+        return perm
 
-    monkeypatch.setattr(qwalk.spectral, "_assign", recording)
+    monkeypatch.setattr(qwalk.spectral, "_match_step", recording)
     for _, make_spec in TRACK_ORACLE_WALKS:
         for grid in (256, 2048):
             extract_or_refusal(make_spec(), grid)
-    assert len(recorded) > 100
-    # an n = 1 step is always proven, so it never reaches _assign
-    assert {len(c) for c in recorded} >= {2, 3, 4, 8}
-    for cost in recorded:
-        assert_assigns_like_scipy(cost)
+    plain = [c for c in recorded if _pair_gaps(c[1]).min(initial=np.inf) >= MERGE_TOL]
+    assert len(plain) > 100
+    # an n = 1 step is always proven, so it never reaches _match_step
+    assert {len(w) for _, w, _ in plain} >= {2, 3, 4, 8}
+    assert any(perm is None for _, _, perm in plain)
+    for pred, w, perm in plain:
+        dist = np.abs(pred[:, None] - w[None, :])
+        want = linear_sum_assignment(dist)[1]
+        if qwalk.spectral._pair_check(dist[np.arange(len(w)), want], w[want]):
+            assert perm is None
+        else:
+            assert np.array_equal(perm, want)
 
 
-@pytest.mark.parametrize(
-    "cost",
-    [np.full((5, 5), 0.25), np.tile([3.0, 1.0, 2.0, 1.0], (4, 1))],
-    ids=["all_equal", "repeated_rows"],
-)
-def test_assignment_is_optimal_when_ties_allow_many(cost):
-    perm = _assign(cost)
-    n = len(cost)
-    assert sorted(perm) == list(range(n))
-    rows, cols = linear_sum_assignment(cost)
-    assert cost[np.arange(n), perm].sum() == cost[rows, cols].sum()
+@pytest.mark.parametrize("theta", [0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8])
+def test_seam_does_not_depend_on_the_solver_basis(monkeypatch, theta):
+    # at k = 0 every walk below has a cluster of sheets within MERGE_TOL;
+    # turning the solver's basis of it must not move the seam
+    solve = qwalk.spectral._eig_grid
+    c, s = np.cos(theta), np.sin(theta)
+
+    def rotated(spec, ks):
+        vals, vecs = solve(spec, ks)
+        for g in np.flatnonzero(ks == 0):
+            for idx in _clusters(vals[g], MERGE_TOL):
+                if len(idx) > 1:
+                    a, b = vecs[g][:, idx[0]].copy(), vecs[g][:, idx[1]].copy()
+                    vecs[g][:, idx[0]] = c * a - s * b
+                    vecs[g][:, idx[1]] = s * a + c * b
+        return vals, vecs
+
+    monkeypatch.setattr(qwalk.spectral, "_eig_grid", rotated)
+    assert monodromy(grover3(), 256) == (1, 2)
+    assert monodromy(FIXTURES["grover3_subwalk"](), 256) == (2,)
+    assert monodromy(grover4(), 256) == (1, 1, 1, 1)
 
 
 UNCERTIFIED = (
