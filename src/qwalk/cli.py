@@ -386,6 +386,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print("error: out of memory: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

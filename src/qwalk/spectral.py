@@ -10,10 +10,12 @@ band with a multiplicity.
 
 The symbol grid is solved by one batched eigh of the Cayley transform of
 U_hat(k), which gives orthonormal frames, degenerate clusters included.
-Sheet labels follow the solver's column order, so each cycle starts at a
-canonical sheet: least argument in [0, 2pi) at k = 0, ties within
-MERGE_TOL ordered where the sheets separate.  Band samples, order and
-values at k = 0 then depend on the walk alone.
+Each fiber first tries the Cayley phase farthest from the spectrum that
+one batched eigvals of every 16th fiber predicts for it, so almost every
+fiber is solved once.  Sheet labels follow the solver's column order, so
+each cycle starts at a canonical sheet: least argument in [0, 2pi) at
+k = 0, ties within MERGE_TOL ordered where the sheets separate.  Band
+samples, order and values at k = 0 then depend on the walk alone.
 
 Tracking starts at the grid point with the best-separated spectrum and
 sweeps both ways.  Each branch moves at most hL over a grid step h, where
@@ -213,25 +215,32 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
     lambda = e^{i phi} (mu - i) / (mu + i).  A fiber keeps the first of
     n + 1 equally spaced phases with max|mu| <= cot(pi / (4 (n + 1))): the
     empty one of the n + 1 arcs around them is pi / (n + 1) from every
-    eigenvalue, twice what the bound asks.  A phase where I - z U is exactly
-    singular is skipped for that fiber.  H is not symmetrized: near a pole
-    its large non-Hermitian rounding must reach the bound.
+    eigenvalue, twice what the bound asks.  The phases are tried in cyclic
+    order from a predicted one: the phase farthest from the eigenvalues of
+    the nearest of every 16th fiber, estimated by one batched eigvals, so
+    that almost every fiber is solved once.  A phase where I - z U is
+    exactly singular is skipped for that fiber.  H is not symmetrized: near
+    a pole its large non-Hermitian rounding must reach the bound.
     """
     mats = symbol_on_grid(spec, ks)
     n = spec.n
     eye = np.eye(n)
     vals = np.empty(mats.shape[:2], dtype=complex)
     vecs = np.empty_like(mats)
+    trial = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    est = np.linalg.eigvals(mats[::16])
+    far = np.abs(est[:, :, None] - trial).min(axis=1).argmax(axis=1)
+    first = far[np.minimum((np.arange(ks.size) + 8) // 16, far.size - 1)]
     todo = np.arange(ks.size)
-    for r in range(n + 1):
-        phi = 2.0 * np.pi * r / (n + 1)
-        zu = np.exp(-1j * phi) * mats[todo]
+    for t in range(n + 1):
+        phi = 2.0 * np.pi * ((first[todo] + t) % (n + 1)) / (n + 1)
+        zu = np.exp(-1j * phi)[:, None, None] * mats[todo]
         a = eye - zu
         singular = np.linalg.det(a) == 0
         a[singular] = eye
         mu, v = np.linalg.eigh(1j * np.linalg.solve(a, eye + zu))
         ok = ~singular & (np.abs(mu).max(axis=1) <= 1.0 / np.tan(np.pi / (4 * n + 4)))
-        vals[todo[ok]] = np.exp(1j * phi) * (mu[ok] - 1j) / (mu[ok] + 1j)
+        vals[todo[ok]] = np.exp(1j * phi[ok])[:, None] * (mu[ok] - 1j) / (mu[ok] + 1j)
         vecs[todo[ok]] = v[ok]
         todo = todo[~ok]
     return vals, vecs

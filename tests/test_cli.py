@@ -256,6 +256,26 @@ def test_bad_memory_cap_exits_2(monkeypatch, capsys, value):
     assert "QWALK_MEM_CAP_MB" in err and repr(value) in err
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+
+@pytest.mark.parametrize("stage", ["fixture", "eigensolve"])
+def test_out_of_memory_exits_2(monkeypatch, capsys, stage):
+    # numpy raises MemoryError for an allocation it cannot make, e.g. the
+    # identity of constant(100000); simulated here, so nothing is allocated
+    if stage == "fixture":
+        monkeypatch.setitem(
+            qwalk.fixtures.FIXTURES, "constant", lambda n=1, phase=0.0: _out_of_memory()
+        )
+    else:
+        monkeypatch.setattr(qwalk.spectral, "_eig_grid", _out_of_memory)
+    assert main(["decompose", "constant(3)", "--grid", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 74.5 GiB for an array\n"
+
+
 def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "free", "--seed", "1"])

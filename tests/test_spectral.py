@@ -444,6 +444,66 @@ def test_free_walk_passes_through_a_pole(capsys):
     assert_orthonormal_eigenbasis(free(), 2.0 * np.pi * np.arange(128) / 128)
 
 
+@pytest.fixture
+def eigh_rows(monkeypatch):
+    """Running total of the matrices passed to np.linalg.eigh."""
+    rows = [0]
+    real = np.linalg.eigh
+
+    def counting(a):
+        rows[0] += a.shape[0] if a.ndim == 3 else 1
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return rows
+
+
+SOLVED_ONCE_WALKS = [
+    ("grover4", grover4),
+    ("grover3", grover3),
+    ("constant(3)", lambda: constant(3)),
+    ("free", free),
+    ("cube_root", cube_root),
+] + [("walk(%d)" % seed, lambda seed=seed: random_walk(seed)) for seed in range(20)]
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize(
+    "name,make_spec", SOLVED_ONCE_WALKS, ids=[w[0] for w in SOLVED_ONCE_WALKS]
+)
+def test_each_fiber_is_solved_about_once(eigh_rows, name, make_spec, grid):
+    # the predicted trial phase passes on almost every fiber, including
+    # those with an eigenvalue at a fixed phase such as grover4's band at 1
+    sample_bands(make_spec(), grid)
+    assert eigh_rows[0] <= 1.1 * grid
+
+
+def forced_pole_cases():
+    for n in (1, 3):
+        for r in range(n + 1):
+            phase = 2.0 * np.pi * r / (n + 1)
+            yield "constant(%d, 2pi %d/%d)" % (n, r, n + 1), lambda n=n, p=phase: constant(n, p)
+    yield "free", free
+
+
+@pytest.mark.parametrize("name,make_spec", list(forced_pole_cases()))
+def test_a_predicted_pole_falls_back_to_the_next_phase(monkeypatch, eigh_rows, name, make_spec):
+    # the estimate only orders the trials: negated, it predicts the phase
+    # nearest the spectrum, which for these walks at k = 0 is an exact pole
+    want = sample_bands(make_spec(), 64)
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: -real(a))
+    eigh_rows[0] = 0
+    assert_orthonormal_eigenbasis(make_spec(), np.zeros(1))
+    assert eigh_rows[0] == 2
+    got = sample_bands(make_spec(), 64)
+    key = lambda b: (b.degree, b.multiplicity, b.winding, b.min_period, b.is_constant)
+    assert [key(b) for b in got.bands] == [key(b) for b in want.bands]
+    for bg, bw in zip(got.bands, want.bands):
+        assert np.max(np.abs(bg.samples - bw.samples)) <= 1e-14
+        assert np.max(np.abs(band_projectors(bg) - band_projectors(bw))) <= 1e-12
+
+
 def test_commutator_norm_computed_once_per_spec(monkeypatch):
     calls = []
     real = qwalk.walkspec.derivative_symbol_on_grid

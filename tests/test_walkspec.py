@@ -153,6 +153,34 @@ def test_commutator_norm_solves_one_grid(monkeypatch):
         assert [s for s in sizes if s > 2] == [NORM_GRID] == [2048]
 
 
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("name,make_spec", NORM_ORACLE_WALKS, ids=[w[0] for w in NORM_ORACLE_WALKS])
+def test_weighted_symbol_matches_the_per_term_sum(name, make_spec, p):
+    spec = make_spec()
+    ks = np.concatenate([2 * np.pi * np.arange(2048) / 2048, [-1.0, 0.1, 7.5]])
+    want = np.zeros((ks.size, spec.n, spec.n), dtype=complex)
+    for j, a in spec.terms.items():
+        want += (j**p * np.exp(1j * j * ks))[:, None, None] * a
+    scale = sum(np.linalg.norm(a, 2) for a in spec.terms.values())
+    assert np.max(np.abs(walkspec._weighted_symbol(spec, ks, p) - want)) <= 1e-15 * scale
+
+
+def test_commutator_norm_polish_is_batched(monkeypatch):
+    # one SVD for the grid and one per zoom level
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for _, make_spec in NORM_ORACLE_WALKS:
+        calls.clear()
+        commutator_norm(make_spec())
+        assert len(calls) <= 12
+
+
 def top_sigma(spec, g):
     ks = 2 * np.pi * np.arange(g) / g
     return np.linalg.svd(derivative_symbol_on_grid(spec, ks), compute_uv=False)[:, 0]
