@@ -19,11 +19,13 @@ samples, order and values at k = 0 then depend on the walk alone.
 
 Tracking starts at the grid point with the best-separated spectrum and
 sweeps both ways.  Each branch moves at most hL over a grid step h, where
-L, the speed bound, is commutator_norm plus its sampling error: by
-Hellmann-Feynman |dlambda/dk| = |<v, dU_hat/dk v>| <= ||dU_hat/dk||.  So
-when the smallest pairwise distance on one end fiber of a step exceeds
-2hL, the hL-discs around its values are disjoint, and the nearest value
-across the step is the branch's continuation: the step is proven.  Proven
+L, the speed bound, is commutator_norm (exact up to rounding when the
+Gram symbol of [D, U] does not depend on k, a grid maximum otherwise)
+plus the sampling slack of a NORM_GRID-point grid: by Hellmann-Feynman
+|dlambda/dk| = |<v, dU_hat/dk v>| <= ||dU_hat/dk||.  So when the
+smallest pairwise distance on one end fiber of a step exceeds 2hL, the
+hL-discs around its values are disjoint, and the nearest value across
+the step is the branch's continuation: the step is proven.  Proven
 steps between fibers without a pair within MERGE_TOL are matched by that
 history-free nearest choice, composed by a prefix scan and phase-aligned
 in one batch.  Every other step, and a proven one where a section's
@@ -219,8 +221,10 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
     order from a predicted one: the phase farthest from the eigenvalues of
     the nearest of every 16th fiber, estimated by one batched eigvals, so
     that almost every fiber is solved once.  A phase where I - z U is
-    exactly singular is skipped for that fiber.  H is not symmetrized: near
-    a pole its large non-Hermitian rounding must reach the bound.
+    exactly singular is skipped for that fiber; only a trial whose batched
+    solve fails looks for such fibers, by their determinant.  H is not
+    symmetrized: near a pole its large non-Hermitian rounding must reach
+    the bound.
     """
     mats = symbol_on_grid(spec, ks)
     n = spec.n
@@ -233,12 +237,19 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
     first = far[np.minimum((np.arange(ks.size) + 8) // 16, far.size - 1)]
     todo = np.arange(ks.size)
     for t in range(n + 1):
+        if not todo.size:
+            break
         phi = 2.0 * np.pi * ((first[todo] + t) % (n + 1)) / (n + 1)
         zu = np.exp(-1j * phi)[:, None, None] * mats[todo]
         a = eye - zu
-        singular = np.linalg.det(a) == 0
-        a[singular] = eye
-        mu, v = np.linalg.eigh(1j * np.linalg.solve(a, eye + zu))
+        singular = np.zeros(todo.size, dtype=bool)
+        try:
+            cay = np.linalg.solve(a, eye + zu)
+        except np.linalg.LinAlgError:
+            singular = np.linalg.det(a) == 0
+            a[singular] = eye
+            cay = np.linalg.solve(a, eye + zu)
+        mu, v = np.linalg.eigh(1j * cay)
         ok = ~singular & (np.abs(mu).max(axis=1) <= 1.0 / np.tan(np.pi / (4 * n + 4)))
         vals[todo[ok]] = np.exp(1j * phi[ok])[:, None] * (mu[ok] - 1j) / (mu[ok] + 1j)
         vecs[todo[ok]] = v[ok]

@@ -296,15 +296,22 @@ def commutator_norm(spec: WalkSpec) -> float:
 
     [D, S^j] = j S^j, so the commutator is the banded operator with symbol
     W(k) = sum_j j e^{ijk} A_j and its norm is the maximum largest singular
-    value sigma(k) of W over the torus.  sigma is evaluated once on a
-    NORM_GRID-point grid, and the grid argmax is polished by a zoom inside
-    one grid step either side: each level evaluates sigma at ZOOM_POINTS
-    equally spaced points of the bracket with one batched SVD and keeps the
-    two samples beside their argmax, until the bracket is narrower than
-    1e-12 (nine levels).  The result is the larger of the grid maximum and
-    sigma at the final bracket's ends; _speed_bound covers what the grid
-    can still miss.  It is computed once per spec object and memoized on
-    it.
+    value sigma(k) of W over the torus.  First the Gram symbol W(k) W(k)^* =
+    sum_m e^{imk} B_m is formed from its Fourier coefficients B_m = sum_j
+    j (j - m) A_j A_{j-m}^*.  When sum_{m != 0} ||B_m||_F is within the
+    rounding bound 4 n eps (sum_j |j| ||A_j||_F)^2 of those products, the
+    Gram symbol is constant (every shift-coin walk diag(S^{a_i}) C, whose
+    W(k) W(k)^* = diag(a_i^2)), and by Weyl's inequality sigma(k)^2 is
+    within that bound of the top eigenvalue of B_0 at every k: its square
+    root is the norm, and no grid is built.  Otherwise sigma is evaluated
+    once on a NORM_GRID-point grid, and the grid argmax is polished by a
+    zoom inside one grid step either side: each level evaluates sigma at
+    ZOOM_POINTS equally spaced points of the bracket with one batched SVD
+    and keeps the two samples beside their argmax, until the bracket is
+    narrower than 1e-12 (nine levels).  The result is then the larger of
+    the grid maximum and sigma at the final bracket's ends; _speed_bound
+    covers what the grid can still miss.  It is computed once per spec
+    object and memoized on it.
     """
     if spec._commutator_norm is None:
         object.__setattr__(spec, "_commutator_norm", _max_derivative_sigma(spec))
@@ -312,8 +319,20 @@ def commutator_norm(spec: WalkSpec) -> float:
 
 
 def _max_derivative_sigma(spec: WalkSpec) -> float:
-    if all(j == 0 for j in spec.terms):
-        return 0.0
+    js = np.array(spec.shifts())
+    w = js[:, None, None] * np.stack([spec.terms[j] for j in js])
+    span = js[-1] - js[0]
+    # B_m gathers the products (j A_j)(l A_l)^* with j - l = m; B_0 sits at index span
+    gram = np.zeros((2 * span + 1, spec.n, spec.n), dtype=complex)
+    np.add.at(
+        gram,
+        np.subtract.outer(js, js).ravel() + span,
+        np.einsum("jab,lcb->jlac", w, w.conj()).reshape(-1, spec.n, spec.n),
+    )
+    drift = np.delete(np.linalg.norm(gram, axis=(1, 2)), span).sum()
+    scale = np.linalg.norm(w, axis=(1, 2)).sum()
+    if drift <= 4 * spec.n * np.finfo(float).eps * scale**2:
+        return math.sqrt(np.linalg.eigvalsh(gram[span])[-1])
     ks = 2 * np.pi * np.arange(NORM_GRID) / NORM_GRID
     sig = np.linalg.svd(derivative_symbol_on_grid(spec, ks), compute_uv=False)[:, 0]
     best = int(np.argmax(sig))
@@ -331,10 +350,12 @@ def _max_derivative_sigma(spec: WalkSpec) -> float:
 def _speed_bound(spec: WalkSpec) -> float:
     """Upper bound on |dlambda/dk| for every band: sup_k ||d/dk U_hat(k)||.
 
-    commutator_norm is at least the maximum over the NORM_GRID-point grid,
-    so the supremum exceeds it by at most pi / NORM_GRID times the
-    Lipschitz constant of the top singular value, which is at most
-    sum_j j^2 ||A_j||.
+    On a constant Gram symbol commutator_norm is the supremum up to
+    rounding.  Otherwise it is at least the maximum over the
+    NORM_GRID-point grid, so the supremum exceeds it by at most
+    pi / NORM_GRID times the Lipschitz constant of the top singular value,
+    which is at most sum_j j^2 ||A_j||.  That term is added on both paths;
+    on the first it covers the rounding many times over.
     """
     slack = sum(j * j * np.linalg.norm(a, 2) for j, a in spec.terms.items())
     return commutator_norm(spec) + np.pi / NORM_GRID * slack
