@@ -55,7 +55,6 @@ from .realize import (
 from .spectral import (
     Band,
     BandSet,
-    NonIntegerWinding,
     UnresolvedCrossing,
     det_winding,
     monodromy,

@@ -46,6 +46,15 @@ a map that is not a permutation refuses the seam step.  Scalar steps are
 not proven, so a walk whose avoided crossing is narrower than the grid
 can still be answered wrongly there.
 
+A band's winding is the sum of the principal arguments of the ratios of
+consecutive samples, a whole number of turns up to rounding.  Those are
+the true increments when every step moves the band by an arc below pi,
+which the speed bound guarantees when G > 2L, since hL = 2 pi L / G.  A
+grid with G <= 2L would alias the winding and is refused with a
+ValueError, before any fiber is solved, that names the first grid size
+that passes.  The det winding needs no grid: it is sum_j j ||A_j||_F^2
+(det_winding).
+
 sample_bands memoizes its result on the spec object, per grid size, for
 as long as some caller holds the BandSet: decompose and is_ct_realizable
 on one spec and grid then share a single extraction.  The memo holds the
@@ -68,7 +77,6 @@ __all__ = [
     "Band",
     "BandSet",
     "UnresolvedCrossing",
-    "NonIntegerWinding",
     "sample_bands",
     "monodromy",
     "det_winding",
@@ -78,7 +86,6 @@ __all__ = [
 MERGE_TOL = 1e-9       # values closer than this are numerically one point
 CONST_TOL = 1e-9       # constant-band detection threshold
 COEF_TOL = 1e-9        # Fourier support floor for period detection
-WINDING_TOL = 1e-6     # |raw winding - integer| must stay below this
 AMBIG_FACTOR = 0.2     # prediction residual vs gap ratio that triggers refinement
 MAX_HALVINGS = 4
 
@@ -101,9 +108,7 @@ class UnresolvedCrossing(RuntimeError):
         self.min_gap = None if min_gap is None else float(min_gap)
         self.bound = None if bound is None else float(bound)
         self.next_grid = None
-        message = "band assignment ambiguous on k in [%.9f, %.9f] after %d refinements" % (
-            k_lo, k_hi, MAX_HALVINGS
-        )
+        message = "band assignment ambiguous on k in [%.9f, %.9f]" % (k_lo, k_hi)
         if self.min_gap is not None and self.min_gap > 0 and self.bound is not None:
             self.next_grid = 64
             while 4.0 * np.pi * self.bound / self.next_grid >= self.min_gap:
@@ -117,10 +122,6 @@ class UnresolvedCrossing(RuntimeError):
 
     def __reduce__(self):
         return (UnresolvedCrossing, (self.k_lo, self.k_hi, self.min_gap, self.bound))
-
-
-class NonIntegerWinding(RuntimeError):
-    """Argument unwrapping did not close to an integer number of turns."""
 
 
 @dataclass(frozen=True)
@@ -538,46 +539,13 @@ def _divisors(d: int):
     return [k for k in range(1, d + 1) if d % k == 0]
 
 
-def _upsample2(samples: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolant of periodic samples on a grid twice as fine.
-
-    The spectrum is zero-padded, which is exact for a trigonometric
-    polynomial of degree below half the sample count; the unpaired Nyquist
-    bin of an even count is split evenly between +m/2 and -m/2.  Entry 2i
-    is samples[i], entry 2i + 1 the value midway to the next sample.
-    """
-    m = samples.size
-    coef = np.fft.fft(samples)
-    padded = np.zeros(2 * m, dtype=complex)
-    half = m // 2 + 1
-    padded[:half] = coef[:half]
-    padded[m + half :] = coef[half:]
-    if m % 2 == 0:
-        padded[m // 2] /= 2
-        padded[2 * m - m // 2] = padded[m // 2]
-    return 2.0 * np.fft.ifft(padded)
-
-
-def _winding_from_samples(samples: np.ndarray, retry: bool = True) -> int:
-    inc = np.angle(np.roll(samples, -1) / samples)
-    total = float(inc.sum() / (2.0 * np.pi))
-    w = round(total)
-    if abs(total - w) <= WINDING_TOL:
-        return int(w)
-    if retry:
-        # one spectral upsampling pass before giving up; the samples define
-        # a trigonometric polynomial, so resampling is faithful
-        return _winding_from_samples(_upsample2(samples), retry=False)
-    raise NonIntegerWinding(
-        "argument sum %.3e turns is not an integer within %.0e" % (total, WINDING_TOL)
-    )
-
-
 def _finalize_band(samples, sections, degree, grid_size) -> Band:
     length = samples.size
     fourier = np.fft.fft(samples) / length
     is_constant = bool(np.max(np.abs(samples - samples[0])) < CONST_TOL)
-    winding = 0 if is_constant else _winding_from_samples(samples)
+    # every step moves the band by an arc below pi (_extract_bands refuses
+    # coarser grids), so the principal increments are the true ones
+    winding = round(float(np.angle(np.roll(samples, -1) / samples).sum()) / (2.0 * np.pi))
     min_period = None
     if not is_constant:
         freqs = np.rint(np.fft.fftfreq(length) * length).astype(int)
@@ -701,9 +669,19 @@ def _band_sort_key(band: Band):
 
 
 def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
+    bound = _speed_bound(spec)
+    if grid_size <= 2.0 * bound:
+        first = 64
+        while first <= 2.0 * bound:
+            first *= 2
+        raise ValueError(
+            "grid %d does not exceed twice the speed bound L = %.3e, so one"
+            " step may move a band by half a turn and alias its winding;"
+            " first valid grid %d" % (grid_size, bound, first)
+        )
     ks = 2.0 * np.pi * np.arange(grid_size) / grid_size
     vals, vecs = _eig_grid(spec, ks)
-    tv, tw, sigma = _track(spec, ks, vals, vecs, _speed_bound(spec))
+    tv, tw, sigma = _track(spec, ks, vals, vecs, bound)
     return _assemble_bands(tv, tw, sigma, grid_size)
 
 
@@ -726,6 +704,10 @@ def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:
 
     Raises
     ------
+    ValueError
+        If grid_size is not a power of two of at least 64, or does not
+        exceed twice the speed bound (see the module docstring); the
+        message names the first grid size that does.
     UnresolvedCrossing
         If two bands stay indistinguishable at a near-degeneracy after the
         maximum local refinement.  The frames of its traceback below this
@@ -763,18 +745,17 @@ def monodromy(spec: WalkSpec, grid_size: int = 2048) -> tuple:
 def det_winding(spec: WalkSpec, grid_size: int = 2048) -> int:
     """Winding number of k -> det U_hat(k) on the base torus.
 
-    Cross-checked against the sum of band windings weighted by
+    d/dk log det U_hat(k) = tr(U_hat(k)^* dU_hat/dk), and the terms
+    e^{i(j-l)k} with j != l average to zero over the torus, so its mean is
+    i sum_j j ||A_j||_F^2: the winding is sum_j j ||A_j||_F^2, read off the
+    coefficients with no grid.  This is the index of Gross, Nesme, Vogts
+    and Werner (CMP 2012) of a translation-invariant walk.  It is
+    cross-checked against the sum of band windings weighted by
     multiplicity, which it must equal exactly.  The bands come from
     sample_bands, so a caller holding this spec's BandSet shares it.
     """
     band_set = sample_bands(spec, grid_size)
-    ks = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    dets = np.linalg.det(symbol_on_grid(spec, ks))
-    try:
-        w = _winding_from_samples(dets)
-    except NonIntegerWinding:
-        ks2 = 2.0 * np.pi * np.arange(2 * grid_size) / (2 * grid_size)
-        w = _winding_from_samples(np.linalg.det(symbol_on_grid(spec, ks2)))
+    w = round(sum(j * float(np.vdot(a, a).real) for j, a in spec.terms.items()))
     sheet_sum = sum(b.multiplicity * b.winding for b in band_set.bands)
     if sheet_sum != w:
         raise RuntimeError(

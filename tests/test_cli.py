@@ -238,6 +238,21 @@ def test_grid_is_checked_before_any_work(capsys, argv):
     assert "--grid" in captured.err
 
 
+def test_grid_that_can_alias_a_winding_exits_2(tmp_path, capsys):
+    # S^200 has speed bound L = 261, so grids up to 512 are at most 2L
+    path = tmp_path / "shift200.json"
+    path.write_text('{"n": 1, "terms": [{"shift": 200, "matrix": [[[1.0, 0.0]]]}]}')
+    assert main(["analyze", str(path), "--grid", "256"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid 256 does not exceed twice the speed bound")
+    assert captured.err.endswith("first valid grid 1024\n")
+    assert main(["analyze", str(path), "--grid", "1024"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["det_winding"] == 200
+    assert [b["winding"] for b in doc["bands"]] == [200]
+
+
 @pytest.mark.parametrize("window", ["-3", "0"])
 def test_intertwine_rejects_non_positive_window(capsys, window):
     argv = ["intertwine", "grover4", "grover4_subwalk", "--grid", "256",

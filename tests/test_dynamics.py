@@ -260,7 +260,8 @@ def test_propagator_keeps_structural_zeros(make_spec, t):
 
     coined(0.5) and grover4 leave every other row empty by parity, and one
     component of each edge row.  cube_root, whose U^3 is a pure shift,
-    occupies two rows; it is propagated in two legs, as simulate does.
+    occupies two rows; it is propagated in two legs, so the zeros of a
+    propagated input state are checked too.
     From about 540 steps on, the edge amplitudes of coined and grover4
     (0.5^t) fall below 1.5e-162, so the stepper's masses there underflow
     to 0.0.  The propagator's absolute rounding (~1e-17) cannot follow, so

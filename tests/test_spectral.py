@@ -35,6 +35,7 @@ from qwalk.fixtures import (
     free,
     grover3,
     grover4,
+    shift_coin_walk,
 )
 from qwalk.spectral import (
     MERGE_TOL,
@@ -44,7 +45,6 @@ from qwalk.spectral import (
     _clusters,
     _eig_grid,
     _pair_gaps,
-    _upsample2,
 )
 
 from conftest import random_walk
@@ -125,6 +125,80 @@ def test_det_winding_additive_under_direct_sum():
     assert det_winding(direct_sum(a, b), 256) == 2
 
 
+def det_grid_winding(spec):
+    """Reference det winding, summed from principal argument increments.
+
+    det U_hat(k) is a trigonometric polynomial of degree at most
+    n * bandwidth.  It is sampled on the first power of two (at least 64)
+    above 2 n bandwidth, and on the grid twice as fine when the increments
+    there are not within 1e-6 of a whole number of turns.
+    """
+    grid = 64
+    while grid <= 2 * spec.n * spec.bandwidth:
+        grid *= 2
+    for g in (grid, 2 * grid):
+        dets = np.linalg.det(symbol_on_grid(spec, 2 * np.pi * np.arange(g) / g))
+        turns = np.angle(np.roll(dets, -1) / dets).sum() / (2 * np.pi)
+        if abs(turns - round(turns)) <= 1e-6:
+            return round(turns)
+    raise AssertionError("det grid of %d points does not close" % (2 * grid))
+
+
+DET_ORACLE_WALKS = (
+    [(name, FIXTURES[name]) for name in fixture_names()]
+    + [("walk(%d)" % seed, lambda seed=seed: random_walk(seed)) for seed in range(20)]
+    + [
+        ("walk(%d)^%d" % (seed, p), lambda seed=seed, p=p: walk_power(random_walk(seed), p))
+        for seed in (1, 5, 6) for p in (2, 3)
+    ]
+    + [
+        ("walk(5)+walk(7)", lambda: direct_sum(random_walk(5), random_walk(7))),
+        ("grover4+cube_root", lambda: direct_sum(grover4(), cube_root())),
+        ("walk(7)+alpha", lambda: direct_sum(random_walk(7), modulated(random_walk(7), 0.7))),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "name,make_spec", DET_ORACLE_WALKS, ids=[w[0] for w in DET_ORACLE_WALKS]
+)
+def test_det_winding_closed_form_matches_det_grid(monkeypatch, name, make_spec):
+    spec = make_spec()
+    want = det_grid_winding(spec)
+    held = sample_bands(spec, 256)
+    # with the bands held, det_winding builds no symbol grid
+    monkeypatch.setattr(qwalk.spectral, "symbol_on_grid", None)
+    assert det_winding(spec, 256) == want
+    assert held is sample_bands(spec, 256)
+
+
+@pytest.mark.parametrize(
+    "make_spec,first,winding",
+    [
+        (lambda: WalkSpec(n=1, terms={200: np.eye(1)}), 1024, 200),
+        (lambda: shift_coin_walk((40, -1), np.array([[1, 1], [1, -1]]) / np.sqrt(2)), 128, 39),
+    ],
+    ids=["S^200", "hadamard(40,-1)"],
+)
+def test_grid_that_can_alias_a_winding_is_refused(make_spec, first, winding):
+    # below 2L one step may move a band by half a turn: S^200 read winding
+    # -56 at grid 256, and the Hadamard walk failed the det cross-check at 64
+    spec = make_spec()
+    bound = qwalk.walkspec._speed_bound(spec)
+    assert first // 2 <= 2 * bound < first
+    grid = 64
+    while grid < first:
+        with pytest.raises(ValueError) as info:
+            sample_bands(spec, grid)
+        text = str(info.value)
+        assert "grid %d" % grid in text and "%.3e" % bound in text
+        assert text.endswith("first valid grid %d" % first)
+        grid *= 2
+    bands = sample_bands(spec, first)
+    assert det_winding(spec, first) == winding
+    assert sum(b.multiplicity * b.winding for b in bands.bands) == winding
+
+
 def test_amplified_walk_doubles_multiplicity():
     base = sample_bands(grover3(), 128)
     doubled = sample_bands(amplify(grover3(), 2), 128)
@@ -185,18 +259,6 @@ def test_value_and_derivative_interpolation():
     pts = np.array([0.1, 1.7, 5.5])
     np.testing.assert_allclose(band.value_at(pts), np.exp(1j * pts), atol=1e-12)
     np.testing.assert_allclose(band.derivative_at(pts), 1j * np.exp(1j * pts), atol=1e-10)
-
-
-def test_upsample_matches_band_fourier_series():
-    # the winding retry upsamples by zero-padding the spectrum; band samples
-    # are a trigonometric polynomial, so the new midpoints are its values
-    for spec in (coined(0.5), grover3(), grover4(), cube_root()):
-        for band in sample_bands(spec, 256).bands:
-            up = _upsample2(band.samples)
-            np.testing.assert_allclose(up[::2], band.samples, rtol=0, atol=1e-12)
-            kg = band.kgrid
-            mid = kg + 0.5 * (kg[1] - kg[0])
-            np.testing.assert_allclose(up[1::2], band.value_at(mid), rtol=0, atol=1e-12)
 
 
 def fourier_decay(band):
@@ -689,6 +751,8 @@ def assert_refusal_advice(exc, spec):
     assert g == 64 or 4 * np.pi * exc.bound / (g // 2) >= exc.min_gap
     text = str(exc)
     assert text.startswith("band assignment ambiguous on k in [")
+    # no refinement runs before a seam refusal, so none is claimed
+    assert "refinement" not in text
     assert "%.3e" % exc.min_gap in text and "%.3e" % exc.bound in text and str(g) in text
     clone = pickle.loads(pickle.dumps(exc))
     assert (clone.k_lo, clone.k_hi, clone.min_gap, clone.bound, clone.next_grid) == (
