@@ -3,22 +3,29 @@
 evolve computes U^t psi without truncation on the window the support can
 reach, which grows by the bandwidth per step.  It has two paths.  The
 stepper applies every coefficient A_j in position space, once per step.
-The spectral propagator multiplies the Fourier transform of the state by
-U_hat(k)^t, raised by repeated squaring, on an FFT grid wide enough that
-nothing wraps around; its cost grows like t log t instead of t^2.  A flop
-model picks the cheaper path, which is the stepper below a few dozen steps.
+The spectral propagator evolves each shift coset on its own FFT grid:
+every shift lies in s0 + gZ, g the gcd of the shift differences, so U
+maps the sites c + gZ onto c + s0 + gZ and acts there as the walk with
+shifts (j - s0) / g.  The Fourier transform of each occupied coset is
+multiplied by that walk's symbol to the power t, raised by repeated
+squaring on a grid of about 1/g of the span, wide enough that nothing
+wraps around; its cost grows like t log t instead of t^2.  A flop model
+picks the cheaper path, which is the stepper below a few dozen steps.
 Both return the same window and agree to 1e-12 (the stepper is the
-propagator's oracle in the tests).  Entries that the shift cosets or the
-least and largest path displacements rule out, such as the rows of the
-wrong parity for coined and Grover walks, are exact zeros on both.  The
-stepper has more exact zeros, at holes in the sumset of the shifts next
-to the light-cone edge and where edge amplitudes underflow; there the
-propagator leaves rounding-level mass (below 1e-28).  The rescaled position
-x/t converges weakly; limit_law computes the limit measure from the band
-data: each band contributes its group velocity Re(lambda' / (i lambda))
-distributed according to the overlap of the initial state with the band's
-eigenvector section.  Constant bands (and bands of constant velocity)
-contribute atoms.
+propagator's oracle in the tests).  The rows of the cosets the state
+leaves empty, such as the rows of the wrong parity for coined and Grover
+walks, are never written by the propagator, and the entries outside the
+least and largest path displacements are cleared, so both are exact zeros
+on both paths.  The stepper has more exact zeros, at
+holes in the sumset of the shifts next to the light-cone edge and where
+edge amplitudes underflow; there the propagator leaves rounding-level
+mass (below 1e-28).
+
+The rescaled position x/t converges weakly; limit_law computes the limit
+measure from the band data: each band contributes its group velocity
+Re(lambda' / (i lambda)) distributed according to the overlap of the
+initial state with the band's eigenvector section.  Constant bands (and
+bands of constant velocity) contribute atoms.
 """
 
 from __future__ import annotations
@@ -59,8 +66,10 @@ HISTOGRAM_BINS = 401
 # an n = 4 walk is 0.5 MB, so the squarings stay in a 2 MB L2
 PROPAGATOR_BLOCK = 1024
 # propagator flop weight against the stepper's in the dispatch model: the
-# median, over fixture and random walks at 4 to 1024 steps on a 2-CPU Xeon,
-# of the weight at which the model ranks the two paths as they were timed
+# weight at which the model ranks the two paths as they were timed, over
+# fixture and random walks at 4 to 1024 steps on a 2-CPU Xeon, had median
+# 3.2-3.3 (quartiles 2.4-5.7) with one full-span grid and 5.6 (quartiles
+# 3.6-10.9) with the coset grids, which halve the modelled work of g = 2 walks
 PROPAGATOR_COST = 3.0
 
 
@@ -192,10 +201,10 @@ def evolve(spec: WalkSpec, state: State, steps: int, mem_cap_mb=None) -> State:
     x_min - bandwidth * |steps| to x_max + bandwidth * |steps| whichever
     path computes it: the position-space stepper, or for longer runs the
     spectral propagator (see the module docstring), chosen by the flop
-    model of _propagator_is_cheaper.  The two agree to 1e-12, and entries
-    that _reachable rules out are exact zeros on both.  The projected peak
-    allocation of the chosen path is checked against QWALK_MEM_CAP_MB up
-    front.
+    model of _propagator_is_cheaper.  The two agree to 1e-12, and the rows
+    of unoccupied shift cosets and the entries that _reachable rules out
+    are exact zeros on both.  The projected peak allocation of the chosen
+    path is checked against QWALK_MEM_CAP_MB up front.
     """
     if state.n != spec.n:
         raise ValueError(
@@ -204,11 +213,12 @@ def evolve(spec: WalkSpec, state: State, steps: int, mem_cap_mb=None) -> State:
     steps = operator.index(steps)
     if steps < 0:
         return evolve(adjoint_walk(spec), state, -steps, mem_cap_mb)
-    width = state.amplitudes.shape[0]
-    peak = _stepper_bytes(spec, width, steps)
-    spectral = _propagator_is_cheaper(spec, width, steps)
+    amps = state.amplitudes
+    spectral = _propagator_is_cheaper(spec, amps, steps)
     if spectral:
-        peak = max(peak, _propagator_bytes(spec, width, steps))
+        peak = _propagator_bytes(spec, amps, steps)
+    else:
+        peak = _stepper_bytes(spec, amps.shape[0], steps)
     cap = _mem_cap_bytes(mem_cap_mb)
     if peak > cap:
         raise MemoryCapExceeded(
@@ -260,88 +270,142 @@ def _fft_size(m: int) -> int:
     return best
 
 
-def _fft_window(spec: WalkSpec, width: int, steps: int) -> int:
-    """FFT length covering every site steps applications can reach."""
+def _cosets(spec: WalkSpec, amps: np.ndarray, steps: int):
+    """The shift cosets that _propagate evolves, each on its own grid.
+
+    Every shift lies in shifts[0] + gZ, g the gcd of the shift differences
+    (1 when there is a single shift).  Returns g and, for each residue c
+    mod g whose rows amps[c::g] hold a nonzero entry, the triple (c, span,
+    grid): span = len(amps[c::g]) + (max shift - min shift) / g * steps rows
+    of stride g can be reached, and grid = _fft_size(span) FFT points hold
+    them without wrapping around.
+    """
     shifts = spec.shifts()
-    return _fft_size(width + (shifts[-1] - shifts[0]) * steps)
+    g = max(int(np.gcd.reduce(np.diff(shifts))), 1)
+    reach = (shifts[-1] - shifts[0]) // g * steps
+    nonzero = np.any(amps != 0, axis=1)
+    out = []
+    for c in range(min(g, nonzero.size)):
+        if nonzero[c::g].any():
+            span = nonzero[c::g].size + reach
+            out.append((c, span, _fft_size(span)))
+    return g, out
 
 
-def _propagator_is_cheaper(spec: WalkSpec, width: int, steps: int) -> bool:
+def _propagator_is_cheaper(spec: WalkSpec, amps: np.ndarray, steps: int) -> bool:
     """Flop model for the choice between stepper and propagator.
 
     The stepper costs steps * (width + b * steps) * n^2 * |terms| (the mean
     window times the coefficient products); the propagator costs about
     (bit_length + popcount of steps) * G * n^3 for the squarings and the
-    matrix-vector products on the G-point grid, times PROPAGATOR_COST.
-    Neither counts fixed per-call overhead, so near the crossover (a few
-    dozen steps) either choice is within a factor of two of the other.
+    matrix-vector products, G the total grid of the occupied cosets, times
+    PROPAGATOR_COST.  Neither counts fixed per-call overhead, so near the
+    crossover (a few dozen steps) either choice is within a factor of two
+    of the other.
     """
     if steps <= 0:
         return False
     n, b = spec.n, spec.bandwidth
-    stepper = steps * (width + b * steps) * n * n * len(spec.terms)
+    stepper = steps * (amps.shape[0] + b * steps) * n * n * len(spec.terms)
     rounds = steps.bit_length() + bin(steps).count("1")
-    grid = _fft_window(spec, width, steps)
+    grid = sum(grid for _, _, grid in _cosets(spec, amps, steps)[1])
     return PROPAGATOR_COST * rounds * grid * n**3 < stepper
 
 
-def _propagator_bytes(spec: WalkSpec, width: int, steps: int) -> int:
-    """Peak allocation of _propagate: four (G, n) grids plus the block stacks."""
-    grid = _fft_window(spec, width, steps)
+def _propagator_bytes(spec: WalkSpec, amps: np.ndarray, steps: int) -> int:
+    """Peak allocation of _propagate, 16 KiB more.
+
+    The output window (width + 2 b steps, n) stays live throughout.  Beside
+    it comes either one coset at a time, with three (grid, n) complex grids
+    (an FFT's input, its output and its working copy) and the block's real
+    (block, 2n, 2n) power, its square and the complex symbol it is built
+    from, or _reachable at the end, with two (span + 1, n) int64 arrays, a
+    bincount column, two (span, n) masks and three int64 row indices per
+    site of the state.  The 16 KiB cover array headers, the per-block
+    vectors and the coefficient patterns, up to 9 KB in all on the fixture
+    and conftest walks.
+    """
+    n = spec.n
+    width = amps.shape[0]
+    shifts = spec.shifts()
+    window = 16 * (width + 2 * spec.bandwidth * steps) * n
+    grid = max((grid for _, _, grid in _cosets(spec, amps, steps)[1]), default=0)
     block = min(grid, PROPAGATOR_BLOCK)
-    return 16 * (4 * grid * spec.n + 8 * block * spec.n**2)
+    coset = 16 * 3 * grid * n + 8 * block * (2 * 4 * n * n + 2 * n * n)
+    span = width + (shifts[-1] - shifts[0]) * steps
+    reachable = 8 * (2 * (span + 1) * n + span + 1 + 3 * width) + 2 * span * n
+    return window + max(coset, reachable) + 16384
 
 
 def _propagate(spec: WalkSpec, state: State, steps: int) -> State:
     """U^steps applied in momentum space (steps >= 0); _step's window.
 
-    The state is placed on a periodic grid of G sites, G at least the
-    width the support can reach (width + (max shift - min shift) * steps),
-    so the circular convolution the FFT computes equals the walk's.  Each
-    fiber's U_hat(k)^steps comes from repeated squaring, whose rounding
-    error, like that of any power of the rounded symbol, grows about
-    linearly in steps (2e-13 at 1000 steps on the free walk).  The fibers
-    are processed in blocks of PROPAGATOR_BLOCK, so besides the (G, n)
-    grids only one small stack of fiber matrices is live.
+    The rows amps[c::g] of each coset of _cosets are evolved by the walk
+    with shifts (j - shifts[0]) / g (see the module docstring) and written
+    back with stride g.  Rows of the other cosets are never written, and
+    _reachable clears the entries that no path reaches.
     """
     amps = state.amplitudes
     width, n = amps.shape
-    shifts = spec.shifts()
-    lo = shifts[0] * steps
-    span = width + (shifts[-1] - shifts[0]) * steps
-    grid = _fft_window(spec, width, steps)
-    # grid index m holds site x_min + m (mod grid); psi_hat(k) = sum_m e^{ikm} psi_m
+    b, s0 = spec.bandwidth, spec.shifts()[0]
+    g, cosets = _cosets(spec, amps, steps)
+    out = np.zeros((width + 2 * b * steps, n), dtype=complex)
+    off = (s0 + b) * steps  # the row of site x_min + s0 * steps
+    for c, span, grid in cosets:
+        out[off + c :: g][:span] = _power_on_grid(spec, amps[c::g], g, grid, steps)[:span]
+    keep = _reachable(spec, amps, steps)
+    out[off : off + keep.shape[0]][~keep] = 0.0
+    return State(x_min=state.x_min - b * steps, amplitudes=out)
+
+
+def _power_on_grid(spec: WalkSpec, rows: np.ndarray, g: int, grid: int, steps: int) -> np.ndarray:
+    """V^steps of rows placed at sites 0, 1, ... of a periodic grid, shape (grid, n).
+
+    V is the walk with shifts (j - s0) / g on one coset, s0 the least shift,
+    so V_hat(k) = e^{-i s0 k / g} U_hat(k / g).  When the grid is at least
+    the span the support can reach, the circular convolution the FFT
+    computes equals the walk's.  Each fiber's U_hat(k / g)^steps comes from
+    repeated squaring, whose rounding error, like that of any power of the
+    rounded symbol, grows about linearly in steps (at most 5e-14 at 1000
+    steps on the fixture and conftest walks); the origin phase
+    e^{-i k s0 steps / g} is applied once at the end.  The fibers are processed in blocks of PROPAGATOR_BLOCK, so
+    besides the (grid, n) arrays only one small stack of fiber matrices is
+    live.
+    """
+    n, s0 = spec.n, spec.shifts()[0]
+    # grid index m holds site m (mod grid); psi_hat(k) = sum_m e^{ikm} psi_m
     buf = np.zeros((grid, n), dtype=complex)
-    buf[:width] = amps
+    buf[: rows.shape[0]] = rows
     psi_hat = np.fft.ifft(buf, axis=0)
     del buf
-    ks = 2.0 * np.pi * np.arange(grid) / grid
+    cycle = g * grid
     for start in range(0, grid, PROPAGATOR_BLOCK):
-        blk = slice(start, start + PROPAGATOR_BLOCK)
+        m = np.arange(start, min(start + PROPAGATOR_BLOCK, grid))
+        blk = slice(start, start + m.size)
         # the real form [[Re, -Im], [Im, Re]] of each fiber: numpy's batched
         # matmul runs several times faster on small real matrices
-        sym = symbol_on_grid(spec, ks[blk])
-        power = np.empty((sym.shape[0], 2 * n, 2 * n))
+        sym = symbol_on_grid(spec, 2.0 * np.pi * m / cycle)
+        power = np.empty((m.size, 2 * n, 2 * n))
         power[:, :n, :n] = power[:, n:, n:] = sym.real
         power[:, n:, :n] = sym.imag
         power[:, :n, n:] = -sym.imag
-        vec = np.concatenate([psi_hat[blk].real, psi_hat[blk].imag], axis=1)[:, :, None]
+        vec = np.concatenate([psi_hat[blk].real, psi_hat[blk].imag], axis=1)
         e = steps
         while True:
             if e & 1:
-                vec = power @ vec
+                # a matmul with a trailing axis of 1 costs as much as a squaring
+                vec = np.einsum("bij,bj->bi", power, vec)
             e >>= 1
             if not e:
                 break
             power = power @ power
-        psi_hat[blk] = vec[:, :n, 0] + 1j * vec[:, n:, 0]
-    reached = np.fft.fft(psi_hat, axis=0)[(lo + np.arange(span)) % grid]
-    reached[~_reachable(spec, amps, steps)] = 0.0
-    b = spec.bandwidth
-    out = np.zeros((width + 2 * b * steps, n), dtype=complex)
-    off = lo + b * steps
-    out[off : off + span] = reached
-    return State(x_min=state.x_min - b * steps, amplitudes=out)
+        # the origin phase at k = 2 pi m / grid is e^{-2 pi i m s0 steps / cycle};
+        # m s0 steps is reduced mod cycle in integers, since a float product
+        # would lose ~1e-12 of the phase at 1000 steps
+        turns = m * (s0 * steps % cycle) % cycle
+        phase = np.exp(-2j * np.pi / cycle * turns)
+        psi_hat[blk] = (vec[:, :n] + 1j * vec[:, n:]) * phase[:, None]
+    return np.fft.fft(psi_hat, axis=0)
 
 
 def _reachable(spec: WalkSpec, amps: np.ndarray, steps: int) -> np.ndarray:
@@ -350,14 +414,13 @@ def _reachable(spec: WalkSpec, amps: np.ndarray, steps: int) -> np.ndarray:
     The stepper leaves every other entry at an exact zero, which the
     propagator's rounding would fill.  Row m holds site x_min + lo + m,
     lo = shifts[0] * steps.  Its component r can be reached from an
-    occupied entry (i, c) of the initial state only if two tests pass.
-    Every step moves by shifts[0] modulo g, the gcd of the shift
-    differences, so m = i modulo g (parity for coined and grover4).  And
-    the displacement m + lo - i lies between the least and the largest
-    displacement of a steps-long path of nonzero coefficients from c to r,
-    read off the (min, +) and (max, +) powers of the coefficient pattern.
-    With these cube_root, whose U^3 is a pure shift, keeps its few entries
-    even when evolved in several legs.  Returns a (span, n) mask.
+    occupied entry (i, c) of the initial state only if the displacement
+    m + lo - i lies between the least and the largest displacement of a
+    steps-long path of nonzero coefficients from c to r, read off the
+    (min, +) and (max, +) powers of the coefficient pattern.  (Rows of the
+    wrong coset mod g need no test: _propagate never writes them.)  With
+    this cube_root, whose U^3 is a pure shift, keeps its few entries even
+    when evolved in several legs.  Returns a (span, n) mask.
     """
     n, shifts = spec.n, spec.shifts()
     lo = shifts[0] * steps
@@ -375,12 +438,7 @@ def _reachable(spec: WalkSpec, amps: np.ndarray, steps: int) -> np.ndarray:
         for r in np.flatnonzero(np.isfinite(least[:, c])):
             opened[:, r] += np.bincount(rows + int(least[r, c]), minlength=span + 1)
             opened[:, r] -= np.bincount(rows + int(most[r, c]) + 1, minlength=span + 1)
-    keep = np.cumsum(opened, axis=0)[:span] > 0
-    g = int(np.gcd.reduce(np.diff(shifts)))
-    if g > 1:
-        occupied = np.flatnonzero(np.any(amps != 0, axis=1))
-        keep &= np.isin(np.arange(span) % g, occupied % g)[:, None]
-    return keep
+    return np.cumsum(opened, axis=0)[:span] > 0
 
 
 def _min_plus_power(mat: np.ndarray, e: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from qwalk import (
 from qwalk.dynamics import (
     MEM_CAP_ENV,
     _propagate,
+    _propagator_bytes,
     _step,
     _stepper_bytes,
     _to_band_coordinates,
@@ -202,12 +203,15 @@ def test_memory_cap_param_must_be_a_positive_integer(value):
 
 
 def test_memory_cap_counts_propagator_grids():
-    # at 20000 steps evolve takes the propagator; the stepper's two windows
-    # alone need 15 MB, the propagator's padded grids and fiber stacks 33 MB
-    with pytest.raises(MemoryCapExceeded, match=r"cap is 20 MB") as info:
-        evolve(grover4(), basis_state(4, 0), 20000, mem_cap_mb=20)
+    # at 20000 steps evolve takes the propagator on grover3: the stepper's
+    # three windows would need 5.5 MB, the propagator's output window, FFT
+    # grids and fiber stacks 8.5 MB
+    spec = grover3()
+    assert _stepper_bytes(spec, 1, 20000) < 7 * 1024 * 1024
+    with pytest.raises(MemoryCapExceeded, match=r"cap is 7 MB") as info:
+        evolve(spec, basis_state(3, 0), 20000, mem_cap_mb=7)
     need = int(re.search(r"needs about (\d+) MB", str(info.value)).group(1))
-    assert need > 30
+    assert need > 7
 
 
 @pytest.mark.parametrize(
@@ -228,6 +232,28 @@ def test_stepper_projection_covers_its_peak(make_spec):
         assert _stepper_bytes(spec, 1, steps) >= peak, (steps, peak)
 
 
+@pytest.mark.parametrize(
+    "make_spec",
+    [grover4, lambda: coined(0.5), lambda: random_walk(3), lambda: random_walk(5)],
+    ids=["grover4", "coined", "walk(3)", "walk(5)"],
+)
+def test_propagator_projection_covers_its_peak(make_spec):
+    # one coset's grids and fiber stacks, then _reachable's int arrays, each
+    # beside the output window
+    spec = make_spec()
+    rng = np.random.default_rng(3)
+    wide = rng.normal(size=(200, spec.n)) + 1j * rng.normal(size=(200, spec.n))
+    for state in (uniform_coin_state(spec.n), State(x_min=0, amplitudes=wide)):
+        for steps in (100, 1000, 5000):
+            tracemalloc.start()
+            try:
+                _propagate(spec, state, steps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert _propagator_bytes(spec, state.amplitudes, steps) >= peak, (steps, peak)
+
+
 ORACLE_WALKS = [(name, FIXTURES[name]()) for name in fixture_names()] + [
     ("walk(%d)" % seed, random_walk(seed)) for seed in range(20)
 ]
@@ -235,20 +261,40 @@ ORACLE_WALKS = [(name, FIXTURES[name]()) for name in fixture_names()] + [
 
 @pytest.mark.parametrize("name,spec", ORACLE_WALKS, ids=[w[0] for w in ORACLE_WALKS])
 def test_propagator_matches_stepper(name, spec):
+    """The propagator against the stepper on three states.
+
+    The third state fills g consecutive rows, g the gcd of the shift
+    differences, so it occupies every shift coset mod g: g = 2 for coined,
+    grover4, grover4_subwalk and walks 1, 7 and 16, 3 for walk 4, 4 for
+    walk 19 and 5 for walks 5 and 12, whose least shift is not a multiple
+    of 5.  The propagator evolves each coset on its own grid.  On these
+    walks the sumset of the shifts has no holes and the random state no
+    exact cancellations, so while no edge amplitude underflows (t <= 400)
+    both paths have the same exact zeros.
+    """
     rng = np.random.default_rng(7)
     amps = rng.normal(size=(3, spec.n)) + 1j * rng.normal(size=(3, spec.n))
     amps[1] = 0.0
     amps /= np.linalg.norm(amps)
-    states = [uniform_coin_state(spec.n), State(x_min=-1, amplitudes=amps)]
+    g = max(int(np.gcd.reduce(np.diff(spec.shifts()))), 1)
+    dense = rng.normal(size=(g, spec.n)) + 1j * rng.normal(size=(g, spec.n))
+    dense /= np.linalg.norm(dense)
+    states = [
+        (uniform_coin_state(spec.n), False),
+        (State(x_min=-1, amplitudes=amps), False),
+        (State(x_min=-1, amplitudes=dense), g > 1),
+    ]
     for steps in (1, -1, 37, -37, 400, -400, 1000, -1000):
         walk = spec if steps > 0 else adjoint_walk(spec)
-        for st in states:
+        for st, same_zeros in states:
             ref = _step(walk, st, abs(steps))
             got = _propagate(walk, st, abs(steps))
             assert got.x_min == ref.x_min, (name, steps)
             assert got.amplitudes.shape == ref.amplitudes.shape, (name, steps)
             err = np.max(np.abs(got.amplitudes - ref.amplitudes))
             assert err <= 1e-12, (name, steps, err)
+            if same_zeros and abs(steps) <= 400:
+                np.testing.assert_array_equal(got.amplitudes != 0, ref.amplitudes != 0)
 
 
 @pytest.mark.parametrize("t", [400, 1000])
