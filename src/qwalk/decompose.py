@@ -163,29 +163,28 @@ def cover_walk(band: Band) -> WalkSpec:
     """Render the d-dimensional walk whose only band is the given one.
 
     The walk acts on ell_2(Z) tensor C^d; entry (s', s) of coefficient A_j
-    is the band's Fourier coefficient at frequency d j + s' - s.  If the
-    truncation at COEF_KEEP leaves the coefficients measurably non-unitary
-    the threshold is lowered and the rendering retried.
+    is the band's Fourier coefficient at frequency d j + s' - s, kept when
+    its modulus exceeds COEF_KEEP.  A band whose coefficients the grid has
+    not resolved renders a non-unitary walk; that raises a ValueError
+    naming the grid, the worst identity and a finer grid to decompose on.
     """
     d = band.degree
-    freqs = band.fourier_freqs
-    coefs = np.asarray(band.fourier)
-    keep = COEF_KEEP
-    while True:
-        terms: dict[int, np.ndarray] = {}
-        for ell, c in zip(freqs, coefs):
-            if abs(c) <= keep:
-                continue
+    terms: dict[int, np.ndarray] = {}
+    for ell, c in zip(band.fourier_freqs, band.fourier):
+        if abs(c) > COEF_KEEP:
             for sp in range(d):
                 s = (sp - ell) % d
                 j = (int(ell) - sp + s) // d
                 terms.setdefault(j, np.zeros((d, d), dtype=complex))[sp, s] = c
-        try:
-            return WalkSpec(n=d, terms=terms)
-        except UnitarityError:
-            if keep < 1e-18:
-                raise
-            keep *= 1e-2
+    try:
+        return WalkSpec(n=d, terms=terms)
+    except UnitarityError as exc:
+        G = band.grid_size
+        raise ValueError(
+            "band sampled on grid %d is not resolved: its cover walk violates "
+            "unitarity identity m=%d by %.3e; decompose on a finer grid, such as %d"
+            % (G, exc.m, exc.residual, 2 * G)
+        ) from exc
 
 
 def assemble(dec: Decomposition) -> WalkSpec:

@@ -268,39 +268,33 @@ class CommutantReport:
 
 def commutant_report(dec: Decomposition) -> CommutantReport:
     """Group summands into equivalence classes; classes index the factors
-    of the commutant of the walk (joint with all its intertwiners)."""
-    cclasses = []
-    taken = [False] * len(dec.constants)
-    for i, ci in enumerate(dec.constants):
-        if taken[i]:
-            continue
-        size = ci.multiplicity
-        for j in range(i + 1, len(dec.constants)):
-            if not taken[j] and abs(ci.alpha - dec.constants[j].alpha) <= CONST_MATCH_TOL:
-                size += dec.constants[j].multiplicity
-                taken[j] = True
-        cclasses.append(ConstantClass(alpha=ci.alpha, size=size))
-    pclasses = []
-    taken = [False] * len(dec.primes)
-    for i, pi in enumerate(dec.primes):
-        if taken[i]:
-            continue
-        size = pi.multiplicity
-        alphas = [0.0]
-        for j in range(i + 1, len(dec.primes)):
-            pj = dec.primes[j]
-            if taken[j] or pi.rate != pj.rate:
-                continue
-            match = find_translation(pi.band, pj.band)
-            if match is not None:
-                size += pj.multiplicity
-                alphas.append(match.alpha)
-                taken[j] = True
-        pclasses.append(
-            PrimeClass(rate=pi.rate, size=size, alphas=tuple(alphas))
-        )
+    of the commutant of the walk (joint with all its intertwiners).
+
+    Each summand joins the first class whose first member it intertwines
+    with, or opens a class of its own.
+    """
+    classes = []  # [first member, size, alphas]
+    for s in dec.constants + dec.primes:
+        for cls in classes:
+            space = intertwiner_space(cls[0], s)
+            if space.kind != "zero":
+                cls[1] += s.multiplicity
+                if space.match is not None:
+                    cls[2].append(space.match.alpha)
+                break
+        else:
+            classes.append([s, s.multiplicity, [0.0]])
     return CommutantReport(
-        constant_classes=tuple(cclasses), prime_classes=tuple(pclasses)
+        constant_classes=tuple(
+            ConstantClass(alpha=first.alpha, size=size)
+            for first, size, _ in classes
+            if isinstance(first, ConstantSummand)
+        ),
+        prime_classes=tuple(
+            PrimeClass(rate=first.rate, size=size, alphas=tuple(alphas))
+            for first, size, alphas in classes
+            if isinstance(first, PrimeModelWalk)
+        ),
     )
 
 

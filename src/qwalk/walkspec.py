@@ -6,7 +6,10 @@ finite support.  Unitarity of U is equivalent to the coefficient identities
 
     sum_j A_{j+m} A_j^*  =  delta_{m,0} I   for every integer m,
 
-which are checked entrywise on construction.  The Fourier symbol is the
+which are checked entrywise on construction.  Only the differences m of
+two supported shifts can give a nonzero sum, so the check forms the
+|terms|^2 products A_j A_l^* once and adds them up by j - l, at a cost
+independent of the span of the shifts.  The Fourier symbol is the
 matrix trigonometric polynomial U_hat(k) = sum_j e^{ijk} A_j, unitary for
 every quasi-momentum k; everything downstream (bands, windings,
 decomposition, dynamics) works through this symbol.
@@ -170,22 +173,28 @@ def _complex_cell(cell) -> complex | None:
 
 def _check_unitarity(spec: WalkSpec) -> None:
     # sum_j A_{j+m} A_j^* must vanish for m != 0 and give I for m = 0
-    worst_m, worst_res = 0, 0.0
-    shifts = spec.shifts()
-    lo, hi = shifts[0], shifts[-1]
-    for m in range(lo - hi, hi - lo + 1):
-        acc = np.zeros((spec.n, spec.n), dtype=np.complex128)
-        for j, aj in spec.terms.items():
-            ajm = spec.terms.get(j + m)
-            if ajm is not None:
-                acc += ajm @ aj.conj().T
-        if m == 0:
-            acc -= np.eye(spec.n)
-        res = float(np.max(np.abs(acc)))
-        if res > worst_res:
-            worst_m, worst_res = m, res
-    if worst_res > UNITARITY_TOL:
-        raise UnitarityError(worst_m, worst_res)
+    ms, sums = _pair_sums(spec, 1)
+    sums[ms == 0] -= np.eye(spec.n)
+    res = np.abs(sums).max(axis=(1, 2))
+    worst = int(np.argmax(res))
+    if res[worst] > UNITARITY_TOL:
+        raise UnitarityError(int(ms[worst]), float(res[worst]))
+
+
+def _pair_sums(spec: WalkSpec, weights) -> tuple:
+    """The shift differences m that occur and C_m = sum_{j - l = m} (w_j A_j)(w_l A_l)^*.
+
+    weights is 1 or an array over spec.shifts().  Returns the ascending
+    differences and the sums, shape (len(ms), n, n): |terms|^2 products
+    however wide the span.
+    """
+    js = np.array(spec.shifts())
+    w = np.reshape(weights, (-1, 1, 1)) * np.stack([spec.terms[j] for j in js])
+    ms, slot = np.unique(np.subtract.outer(js, js).ravel(), return_inverse=True)
+    sums = np.zeros((ms.size, spec.n, spec.n), dtype=complex)
+    pairs = np.einsum("jab,lcb->jlac", w, w.conj()).reshape(-1, spec.n, spec.n)
+    np.add.at(sums, slot, pairs)
+    return ms, sums
 
 
 def parse_walk_spec(text: str) -> WalkSpec:
@@ -298,7 +307,8 @@ def commutator_norm(spec: WalkSpec) -> float:
     W(k) = sum_j j e^{ijk} A_j and its norm is the maximum largest singular
     value sigma(k) of W over the torus.  First the Gram symbol W(k) W(k)^* =
     sum_m e^{imk} B_m is formed from its Fourier coefficients B_m = sum_j
-    j (j - m) A_j A_{j-m}^*.  When sum_{m != 0} ||B_m||_F is within the
+    j (j - m) A_j A_{j-m}^*, taken over the shift differences m that occur:
+    |terms|^2 products whatever the span.  When sum_{m != 0} ||B_m||_F is within the
     rounding bound 4 n eps (sum_j |j| ||A_j||_F)^2 of those products, the
     Gram symbol is constant (every shift-coin walk diag(S^{a_i}) C, whose
     W(k) W(k)^* = diag(a_i^2)), and by Weyl's inequality sigma(k)^2 is
@@ -319,20 +329,12 @@ def commutator_norm(spec: WalkSpec) -> float:
 
 
 def _max_derivative_sigma(spec: WalkSpec) -> float:
-    js = np.array(spec.shifts())
-    w = js[:, None, None] * np.stack([spec.terms[j] for j in js])
-    span = js[-1] - js[0]
-    # B_m gathers the products (j A_j)(l A_l)^* with j - l = m; B_0 sits at index span
-    gram = np.zeros((2 * span + 1, spec.n, spec.n), dtype=complex)
-    np.add.at(
-        gram,
-        np.subtract.outer(js, js).ravel() + span,
-        np.einsum("jab,lcb->jlac", w, w.conj()).reshape(-1, spec.n, spec.n),
-    )
-    drift = np.delete(np.linalg.norm(gram, axis=(1, 2)), span).sum()
-    scale = np.linalg.norm(w, axis=(1, 2)).sum()
+    # B_m gathers the products (j A_j)(l A_l)^* with j - l = m
+    ms, gram = _pair_sums(spec, spec.shifts())
+    drift = np.linalg.norm(gram[ms != 0], axis=(1, 2)).sum()
+    scale = sum(abs(j) * np.linalg.norm(a) for j, a in spec.terms.items())
     if drift <= 4 * spec.n * np.finfo(float).eps * scale**2:
-        return math.sqrt(np.linalg.eigvalsh(gram[span])[-1])
+        return math.sqrt(np.linalg.eigvalsh(gram[ms == 0][0])[-1])
     ks = 2 * np.pi * np.arange(NORM_GRID) / NORM_GRID
     sig = np.linalg.svd(derivative_symbol_on_grid(spec, ks), compute_uv=False)[:, 0]
     best = int(np.argmax(sig))

@@ -253,6 +253,22 @@ def test_grid_that_can_alias_a_winding_exits_2(tmp_path, capsys):
     assert [b["winding"] for b in doc["bands"]] == [200]
 
 
+def test_wide_shifts_are_refused_by_the_grid_rule(tmp_path, capsys):
+    # coined walk with shifts +-10^7: validation and the speed bound cost
+    # nothing per span step, so the grid rule refuses it at once
+    r = 0.5**0.5
+    terms = [
+        {"shift": 10**7, "matrix": [[[r, 0.0], [r, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+        {"shift": -(10**7), "matrix": [[[0.0, 0.0], [0.0, 0.0]], [[r, 0.0], [-r, 0.0]]]},
+    ]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 2, "terms": terms}))
+    assert main(["analyze", str(path), "--grid", "256"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "first valid grid" in captured.err
+
+
 @pytest.mark.parametrize("window", ["-3", "0"])
 def test_intertwine_rejects_non_positive_window(capsys, window):
     argv = ["intertwine", "grover4", "grover4_subwalk", "--grid", "256",

@@ -141,3 +141,15 @@ def test_empty_decomposition_rejected():
     )
     with pytest.raises(ValueError):
         assemble(hollow)
+
+
+def test_unresolved_band_names_a_finer_grid():
+    # at grid 256 this walk's prime bands leave coefficients the cover walk
+    # needs below the sampling resolution; the rendering is not retried
+    spec = random_walk(21, shift_max=2)
+    with pytest.raises(ValueError, match=r"grid 256 is not resolved") as err:
+        assemble(decompose(spec, 256))
+    msg = str(err.value)
+    assert "identity m=" in msg and "decompose on a finer grid, such as 512" in msg
+    dec = decompose(spec, 2048)
+    assert dec_signature(decompose(assemble(dec), 2048)) == dec_signature(dec)

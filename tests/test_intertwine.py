@@ -7,16 +7,20 @@ import pytest
 from qwalk import (
     ConstantSummand,
     WalkSpec,
+    amplify,
     build_intertwiner,
     commutant_report,
     decompose,
+    direct_sum,
     find_translation,
     intertwiner_residual,
     intertwiner_space,
     model_walk_matrix,
     write_intertwiner_csv,
 )
+from qwalk import intertwine
 from qwalk.fixtures import FIXTURES, coined, grover3, grover4
+from qwalk.intertwine import CONST_MATCH_TOL, CommutantReport, ConstantClass, PrimeClass
 
 
 def modulate(spec, alpha):
@@ -133,3 +137,63 @@ def test_intertwiner_csv():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "row,col,re,im"
     assert len(lines) == 3  # zeros are skipped
+
+
+def pairwise_commutant_report(dec):
+    """Classes grouped pair by pair: each unclaimed summand claims every
+    later unclaimed one that matches it."""
+    cclasses = []
+    taken = [False] * len(dec.constants)
+    for i, ci in enumerate(dec.constants):
+        if taken[i]:
+            continue
+        size = ci.multiplicity
+        for j in range(i + 1, len(dec.constants)):
+            if not taken[j] and abs(ci.alpha - dec.constants[j].alpha) <= CONST_MATCH_TOL:
+                size += dec.constants[j].multiplicity
+                taken[j] = True
+        cclasses.append(ConstantClass(alpha=ci.alpha, size=size))
+    pclasses = []
+    taken = [False] * len(dec.primes)
+    for i, pi in enumerate(dec.primes):
+        if taken[i]:
+            continue
+        size = pi.multiplicity
+        alphas = [0.0]
+        for j in range(i + 1, len(dec.primes)):
+            pj = dec.primes[j]
+            if taken[j] or pi.rate != pj.rate:
+                continue
+            match = intertwine.find_translation(pi.band, pj.band)
+            if match is not None:
+                size += pj.multiplicity
+                alphas.append(match.alpha)
+                taken[j] = True
+        pclasses.append(PrimeClass(rate=pi.rate, size=size, alphas=tuple(alphas)))
+    return CommutantReport(constant_classes=tuple(cclasses), prime_classes=tuple(pclasses))
+
+
+COMMUTANT_WALKS = [(name, lambda name=name: FIXTURES[name]()) for name in sorted(FIXTURES)] + [
+    ("grover3 x I2", lambda: amplify(grover3(), 2)),
+    ("grover4 + grover4", lambda: direct_sum(grover4(), grover4())),
+    ("coined + coined_0.7", lambda: direct_sum(coined(0.5), modulate(coined(0.5), 0.7))),
+]
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("name,make_spec", COMMUTANT_WALKS, ids=[w[0] for w in COMMUTANT_WALKS])
+def test_commutant_report_matches_pairwise_grouping(monkeypatch, name, make_spec, grid):
+    dec = decompose(make_spec(), grid)
+    calls = []
+    real = intertwine.find_translation
+
+    def counted(band1, band2):
+        calls.append(1)
+        return real(band1, band2)
+
+    monkeypatch.setattr(intertwine, "find_translation", counted)
+    want = pairwise_commutant_report(dec).to_dict()
+    want_calls = len(calls)
+    calls.clear()
+    assert commutant_report(dec).to_dict() == want
+    assert len(calls) == want_calls

@@ -1,5 +1,6 @@
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from qwalk import (
     WalkSpecError,
     amplify,
     commutator_norm,
+    cover_walk,
+    decompose,
     derivative_symbol_on_grid,
     direct_sum,
     parse_walk_spec,
@@ -335,3 +338,85 @@ def test_spec_equality_compares_coefficients():
     neg = WalkSpec(n=1, terms={1: np.array([[complex(1.0, -0.0)]])})
     pos = WalkSpec(n=1, terms={1: np.array([[complex(1.0, 0.0)]])})
     assert neg == pos and hash(neg) == hash(pos)
+
+
+def per_m_unitarity(n, terms):
+    """The coefficient identities checked one m at a time over the whole span.
+
+    Returns the worst identity as (m, residual); the first m wins a tie.
+    """
+    worst_m, worst_res = 0, 0.0
+    shifts = sorted(terms)
+    lo, hi = shifts[0], shifts[-1]
+    for m in range(lo - hi, hi - lo + 1):
+        acc = np.zeros((n, n), dtype=np.complex128)
+        for j, aj in terms.items():
+            ajm = terms.get(j + m)
+            if ajm is not None:
+                acc += ajm @ aj.conj().T
+        if m == 0:
+            acc -= np.eye(n)
+        res = float(np.max(np.abs(acc)))
+        if res > worst_res:
+            worst_m, worst_res = m, res
+    return worst_m, worst_res
+
+
+def power(spec, p):
+    out = spec
+    for _ in range(p - 1):
+        out = split_step(out, spec)
+    return out
+
+
+def unitarity_survey():
+    walks = [build_fixture(name) for name in sorted(FIXTURES)]
+    walks += [random_walk(seed, shift_max=m) for m in (1, 2, 3) for seed in range(40)]
+    walks += [power(random_walk(seed, shift_max=2), p) for p in (2, 3) for seed in range(20)]
+    for name in ("grover3", "cube_root", "coined", "det_winding"):
+        walks += [cover_walk(p.band) for p in decompose(build_fixture(name), 2048).primes]
+    return walks
+
+
+UNITARITY_SURVEY = unitarity_survey()
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-13, 9e-13, 1.1e-12, 1e-9])
+def test_unitarity_check_matches_the_per_m_rule(eps):
+    rng = np.random.default_rng(15)
+    verdicts = set()
+    for spec in UNITARITY_SURVEY:
+        terms = {j: a.copy() for j, a in spec.terms.items()}
+        j0 = spec.shifts()[len(terms) // 2]
+        kick = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
+        terms[j0] += eps * kick / np.abs(kick).max()
+        m, res = per_m_unitarity(spec.n, terms)
+        try:
+            WalkSpec(n=spec.n, terms=terms)
+        except UnitarityError as err:
+            assert res > walkspec.UNITARITY_TOL
+            # C_{-m} = C_m^*, so m and -m tie and rounding picks either
+            assert abs(err.m) == abs(m) and abs(err.residual - res) <= 1e-15
+            verdicts.add(False)
+        else:
+            assert res <= walkspec.UNITARITY_TOL
+            verdicts.add(True)
+    # kicks well below the tolerance all pass and kicks well above it all fail
+    if eps <= 1e-13:
+        assert verdicts == {True}
+    elif eps >= 1e-9:
+        assert verdicts == {False}
+
+
+def test_wide_shifts_cost_nothing_per_span_step():
+    # a dense span-indexed table for shifts +-10^7 would be 4e7 (2, 2) blocks, 2.6 GB
+    a = 10**7
+    tracemalloc.start()
+    try:
+        spec = shift_coin_walk((a, -a), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+        norm = commutator_norm(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm == pytest.approx(a, rel=1e-15)
+    assert peak < 2**20
