@@ -13,7 +13,7 @@ renders the canonical representative back as a banded walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -95,13 +95,20 @@ class Decomposition:
 
 
 def _prime_band(band: Band, q: int) -> Band:
-    """Restrict a band to one fundamental loop of its prime's cover."""
+    """Restrict a band to one fundamental loop of its prime's cover.
+
+    When q is the band's degree that loop is the whole band, so the prime
+    keeps the band's samples, Fourier coefficients, winding and period and
+    takes the synthetic section, which is already in the gauge of
+    _finalize_band, with multiplicity 1.
+    """
     G = band.grid_size
     length = q * G
-    samples = np.array(band.samples[:length])
     theta = 2.0 * np.pi * q * np.arange(length) / length
     section = np.exp(-1j * np.outer(theta, np.arange(q)) / q) / math.sqrt(q)
-    return _finalize_band(samples, [section], q, G)
+    if q == band.degree:
+        return replace(band, eigvec_samples=section[None], multiplicity=1)
+    return _finalize_band(np.array(band.samples[:length]), [section], q, G)
 
 
 def decompose(spec: WalkSpec, grid_size: int = 2048) -> Decomposition:

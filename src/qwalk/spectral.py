@@ -46,14 +46,28 @@ a map that is not a permutation refuses the seam step.  Scalar steps are
 not proven, so a walk whose avoided crossing is narrower than the grid
 can still be answered wrongly there.
 
+A walk whose constant commutant (the X with X A_j = A_j X for every j)
+holds more than the scalars is a direct sum of smaller walks, and each
+is solved and tracked alone, with its own speed bound.  The eigenspaces
+of a generic Hermitian X in the commutant (null space at COMMUTANT_TOL =
+1e-9, eigenvalues grouped at BLOCK_TOL = 1e-6) give orthonormal bases
+V_b, and the block walk has coefficients V_b^* A_j V_b; the split is
+made only when every block is invariant to COUPLING_TOL = 1e-12 and
+passes WalkSpec validation (walkspec._invariant_blocks).  A fiber then
+costs sum_b n_b^3 instead of n^3, and crossings between blocks never
+reach the tracker.  The blocks' tracked values, their sections mapped
+back by V_b and their seam permutations are assembled together, so bands
+that coincide across blocks still merge.  An irreducible walk is one
+block in the identity basis.
+
 A band's winding is the sum of the principal arguments of the ratios of
 consecutive samples, a whole number of turns up to rounding.  Those are
 the true increments when every step moves the band by an arc below pi,
 which the speed bound guarantees when G > 2L, since hL = 2 pi L / G.  A
 grid with G <= 2L would alias the winding and is refused with a
 ValueError, before any fiber is solved, that names the first grid size
-that passes.  The det winding needs no grid: it is sum_j j ||A_j||_F^2
-(det_winding).
+that passes; L is the whole walk's, also when it splits into blocks.
+The det winding needs no grid: it is sum_j j ||A_j||_F^2 (det_winding).
 
 sample_bands memoizes its result on the spec object, per grid size, for
 as long as some caller holds the BandSet: decompose and is_ct_realizable
@@ -71,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walkspec import WalkSpec, _speed_bound, symbol_on_grid
+from .walkspec import WalkSpec, _invariant_blocks, _speed_bound, symbol_on_grid
 
 __all__ = [
     "Band",
@@ -224,8 +238,11 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
     that almost every fiber is solved once.  A phase where I - z U is
     exactly singular is skipped for that fiber; only a trial whose batched
     solve fails looks for such fibers, by their determinant.  H is not
-    symmetrized: near a pole its large non-Hermitian rounding must reach
-    the bound.
+    symmetrized, and eigh reads only its lower triangle and the real part
+    of its diagonal, so near a pole mu can miss the blow-up: a 1 x 1
+    symbol within rounding of the trial phase gives a huge imaginary H
+    and mu = 0.  So a fiber is also refused when an entry of H exceeds
+    the bound, which no entry of a Hermitian H with max|mu| within it does.
     """
     mats = symbol_on_grid(spec, ks)
     n = spec.n
@@ -250,8 +267,10 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
             singular = np.linalg.det(a) == 0
             a[singular] = eye
             cay = np.linalg.solve(a, eye + zu)
-        mu, v = np.linalg.eigh(1j * cay)
-        ok = ~singular & (np.abs(mu).max(axis=1) <= 1.0 / np.tan(np.pi / (4 * n + 4)))
+        h = 1j * cay
+        mu, v = np.linalg.eigh(h)
+        cap = 1.0 / np.tan(np.pi / (4 * n + 4))
+        ok = ~singular & (np.abs(mu).max(axis=1) <= cap) & (np.abs(h).max(axis=(1, 2)) <= cap)
         vals[todo[ok]] = np.exp(1j * phi[ok])[:, None] * (mu[ok] - 1j) / (mu[ok] + 1j)
         vecs[todo[ok]] = v[ok]
         todo = todo[~ok]
@@ -559,14 +578,14 @@ def _finalize_band(samples, sections, degree, grid_size) -> Band:
         support = freqs[(mags > thresh) & (freqs != 0)]
         m = int(np.gcd.reduce(np.abs(support))) if support.size else 1
         tol = max(1e-8, 100.0 * alias_floor)
-        for cand in sorted(_divisors(m), reverse=True):
+        # the candidate 1 is the default, so it needs no inverse FFT
+        min_period = 1
+        for cand in reversed(_divisors(m)[1:]):
             shifted = (np.exp(2j * np.pi * freqs / cand) * fourier * length)
             shifted = np.fft.ifft(shifted)
             if np.max(np.abs(shifted - samples)) <= tol:
                 min_period = cand
                 break
-        if min_period is None:
-            min_period = 1
     secs = np.array(sections)
     # gauge: at ktilde = 0, the largest component (first of ties) real positive
     for c in range(secs.shape[0]):
@@ -680,9 +699,19 @@ def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
             " first valid grid %d" % (grid_size, bound, first)
         )
     ks = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    vals, vecs = _eig_grid(spec, ks)
-    tv, tw, sigma = _track(spec, ks, vals, vecs, bound)
-    return _assemble_bands(tv, tw, sigma, grid_size)
+    # an irreducible walk is one block in the identity basis
+    tv, tw, sigma = [], [], []
+    for block, basis in _invariant_blocks(spec) or [(spec, None)]:
+        vals, vecs = _eig_grid(block, ks)
+        block_bound = bound if basis is None else _speed_bound(block)
+        values, sections, seam = _track(block, ks, vals, vecs, block_bound)
+        tv.append(values)
+        tw.append(sections if basis is None else basis @ sections)
+        sigma.append(seam + sum(map(len, sigma)))
+    return _assemble_bands(
+        np.concatenate(tv, axis=1), np.concatenate(tw, axis=2),
+        np.concatenate(sigma), grid_size,
+    )
 
 
 def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:

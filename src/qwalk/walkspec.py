@@ -49,6 +49,13 @@ UNITARITY_TOL = 1e-12
 NORM_GRID = 2048
 # points per level of the zoom that polishes the grid maximum
 ZOOM_POINTS = 33
+# singular values of X -> (A_j X - X A_j)_j at or below this span the
+# constant commutant
+COMMUTANT_TOL = 1e-9
+# eigenvalues of the commutant element within this (chained) share a block
+BLOCK_TOL = 1e-6
+# largest entry of A_j V_b - V_b (V_b^* A_j V_b) for which a block is invariant
+COUPLING_TOL = 1e-12
 
 
 class WalkSpecError(ValueError):
@@ -86,11 +93,12 @@ class WalkSpec:
     across threads; every operation on them is pure.  A spec also carries a
     memo of results derived from it: the BandSet of each grid size that
     some caller still holds (weakly referenced, so the memo keeps nothing
-    alive) and the commutator norm.  Concurrent callers may compute the
-    same result twice, but a result is stored only once complete, so none
-    sees a partial one.  Copies and unpickled specs start with an empty
-    memo.  Two specs are equal when they have the same n, the same shifts
-    and equal coefficient matrices; the memo takes no part in equality.
+    alive), the commutator norm and the split into invariant blocks.
+    Concurrent callers may compute the same result twice, but a result is
+    stored only once complete, so none sees a partial one.  Copies and
+    unpickled specs start with an empty memo.  Two specs are equal when
+    they have the same n, the same shifts and equal coefficient matrices;
+    the memo takes no part in equality.
     """
 
     n: int
@@ -100,6 +108,7 @@ class WalkSpec:
         init=False, repr=False, default_factory=weakref.WeakValueDictionary
     )
     _commutator_norm: float | None = field(init=False, repr=False, default=None)
+    _blocks: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 1:
@@ -361,6 +370,60 @@ def _speed_bound(spec: WalkSpec) -> float:
     """
     slack = sum(j * j * np.linalg.norm(a, 2) for j, a in spec.terms.items())
     return commutator_norm(spec) + np.pi / NORM_GRID * slack
+
+
+def _invariant_blocks(spec: WalkSpec) -> tuple:
+    """The walk's invariant blocks, as (block walk, basis) pairs; () when it has one.
+
+    The constant commutant, the matrices X with X A_j = A_j X for every j,
+    is the null space of the stacked (|terms| n^2) x n^2 matrix of
+    A_j (x) I - I (x) A_j^T: its right singular vectors with singular value
+    at most COMMUTANT_TOL.  It is closed under adjoints, since U_hat(k)^* =
+    U_hat(k)^{-1}, so for a fixed-seed combination X of them, scaled to
+    Frobenius norm 1, X + X^* is a generic Hermitian element.  Its
+    eigenvalues grouped at BLOCK_TOL give orthonormal bases V_b of
+    subspaces that every U_hat(k) maps to themselves, and the block walk
+    has coefficients V_b^* A_j V_b.  The walk is split only when every
+    block passes the invariance test (COUPLING_TOL, rounding level) and
+    WalkSpec validation.  Computed once per spec object and memoized on it.
+    """
+    if spec._blocks is None:
+        object.__setattr__(spec, "_blocks", _commutant_blocks(spec))
+    return spec._blocks
+
+
+def _commutant_blocks(spec: WalkSpec) -> tuple:
+    n = spec.n
+    if n == 1:
+        return ()
+    a = np.stack(list(spec.terms.values()))
+    eye = np.eye(n)
+    # row (j, r, c), column (s, t): the (r, c) entry of A_j X - X A_j per X_st
+    stacked = np.einsum("jrs,ct->jrcst", a, eye) - np.einsum("rs,jtc->jrcst", eye, a)
+    _, sv, vh = np.linalg.svd(stacked.reshape(-1, n * n), full_matrices=False)
+    null = vh[sv <= COMMUTANT_TOL].conj()
+    if len(null) == 1:
+        return ()
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
+    x = (c / np.linalg.norm(c) @ null).reshape(n, n)
+    vals, vecs = np.linalg.eigh(x + x.conj().T)
+    cuts = np.flatnonzero(np.diff(vals) > BLOCK_TOL) + 1
+    if not cuts.size:
+        return ()
+    blocks = []
+    for basis in np.split(vecs, cuts, axis=1):
+        image = a @ basis
+        inner = basis.conj().T @ image
+        if np.abs(image - basis @ inner).max() > COUPLING_TOL:
+            return ()
+        try:
+            block = WalkSpec(n=basis.shape[1], terms=dict(zip(spec.terms, inner)))
+        except WalkSpecError:
+            return ()
+        basis.setflags(write=False)
+        blocks.append((block, basis))
+    return tuple(blocks)
 
 
 def direct_sum(a: WalkSpec, b: WalkSpec) -> WalkSpec:

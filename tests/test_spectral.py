@@ -46,6 +46,7 @@ from qwalk.spectral import (
     _eig_grid,
     _pair_gaps,
 )
+from qwalk.walkspec import _invariant_blocks
 
 from conftest import random_walk
 
@@ -536,9 +537,13 @@ SOLVED_ONCE_WALKS = [
 )
 def test_each_fiber_is_solved_about_once(eigh_rows, name, make_spec, grid):
     # the predicted trial phase passes on almost every fiber, including
-    # those with an eigenvalue at a fixed phase such as grover4's band at 1
-    sample_bands(make_spec(), grid)
-    assert eigh_rows[0] <= 1.1 * grid
+    # those with an eigenvalue at a fixed phase such as grover4's band at 1;
+    # a reducible walk solves each fiber once per invariant block
+    spec = make_spec()
+    sample_bands(spec, grid)
+    blocks = len(_invariant_blocks(spec)) or 1
+    assert (blocks > 1) == (name in ("constant(3)", "walk(6)", "walk(9)"))
+    assert eigh_rows[0] <= 1.1 * grid * blocks
 
 
 def test_eig_grid_skips_empty_trials_and_pole_free_dets(monkeypatch):
@@ -606,6 +611,188 @@ def test_commutator_norm_computed_once_per_spec(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_pole_within_rounding_of_the_trial_phase_is_refused(monkeypatch):
+    # at the trial phase 0 the 1 x 1 Cayley matrix is about 9e15 i, and eigh
+    # reads only its real part: mu = 0 would give -1 for a band at 1
+    c = 1 - 2.0**-52
+    spec = WalkSpec(n=1, terms={0: np.array([[c]])})
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: -real(a))
+    vals, _ = _eig_grid(spec, np.zeros(1))
+    assert abs(vals[0, 0] - c) <= 1e-15
+    (band,) = sample_bands(spec, 64).bands
+    assert np.max(np.abs(band.samples - c)) <= 1e-15
+
+
+def presplit_bands(spec, grid):
+    """The extraction before the split: the whole walk tracked as one block."""
+    ks = 2.0 * np.pi * np.arange(grid) / grid
+    vals, vecs = _eig_grid(spec, ks)
+    tv, tw, sigma = qwalk.spectral._track(spec, ks, vals, vecs, qwalk.walkspec._speed_bound(spec))
+    return qwalk.spectral._assemble_bands(tv, tw, sigma, grid)
+
+
+def signature(band_set):
+    return [(b.degree, b.winding, b.min_period, b.multiplicity) for b in band_set.bands]
+
+
+def assert_bands_are_fiber_eigenvalues(band_set, spec, tol):
+    # the multiset of band values over a fiber against numpy's eigvals there
+    G = band_set.grid_size
+    for g in np.random.default_rng(0).choice(G, 8, replace=False):
+        got = np.concatenate([np.repeat(b.samples[g::G], b.multiplicity) for b in band_set.bands])
+        want = np.linalg.eigvals(symbol_on_grid(spec, np.array([2.0 * np.pi * g / G]))[0])
+        dist = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() <= tol
+
+
+def sum_with_modulated(seed, alpha):
+    return direct_sum(random_walk(seed), modulated(random_walk(seed), alpha))
+
+
+def test_split_tolerances_are_pinned():
+    # null space of the stacked commutator, grouping of the commutant
+    # element's eigenvalues, and the invariance of a block at rounding level
+    assert qwalk.walkspec.COMMUTANT_TOL == 1e-9
+    assert qwalk.walkspec.BLOCK_TOL == 1e-6
+    assert qwalk.walkspec.COUPLING_TOL == 1e-12
+
+
+REDUCIBLE_WALKS = [
+    ("walk(4)+U_0.5", lambda: sum_with_modulated(4, 0.5), [3, 3]),
+    ("walk(7)+U_0.7", lambda: sum_with_modulated(7, 0.7), [4, 4]),
+    ("amplify(grover4,2)", lambda: amplify(grover4(), 2), [4, 4]),
+    ("grover4+cube_root", lambda: direct_sum(grover4(), cube_root()), [3, 4]),
+    ("constant(3)", lambda: constant(3), [1, 1, 1]),
+    ("walk(6)", lambda: random_walk(6), [1, 1]),
+    ("walk(9)", lambda: random_walk(9), [1, 1]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,make_spec,sizes", REDUCIBLE_WALKS, ids=[w[0] for w in REDUCIBLE_WALKS]
+)
+def test_blocks_are_walks_and_sections_orthonormal_in_the_original_basis(name, make_spec, sizes):
+    spec = make_spec()
+    blocks = _invariant_blocks(spec)
+    assert sorted(block.n for block, _ in blocks) == sizes
+    bases = np.hstack([basis for _, basis in blocks])
+    assert np.max(np.abs(bases.conj().T @ bases - np.eye(spec.n))) <= 1e-13
+    for block, basis in blocks:
+        # WalkSpec validated the block's unitarity identities
+        assert isinstance(block, WalkSpec) and block.shifts() == spec.shifts()
+        for j, a in spec.terms.items():
+            assert np.max(np.abs(basis.conj().T @ a @ basis - block.terms[j])) <= 1e-15
+            assert np.max(np.abs(a @ basis - basis @ block.terms[j])) <= 1e-12
+    grid = 256
+    band_set = sample_bands(spec, grid)
+    mats = symbol_on_grid(spec, 2.0 * np.pi * np.arange(grid) / grid)
+    vals = np.concatenate(
+        [np.tile(b.samples.reshape(b.degree, grid), (b.multiplicity, 1)) for b in band_set.bands]
+    )
+    vecs = np.concatenate(
+        [c.reshape(b.degree, grid, spec.n) for b in band_set.bands for c in b.eigvec_samples]
+    )
+    gram = np.einsum("sgi,tgi->gst", vecs.conj(), vecs)
+    assert np.max(np.abs(gram - np.eye(spec.n))) <= 1e-12
+    resid = np.einsum("gij,sgj->sgi", mats, vecs) - vals[:, :, None] * vecs
+    assert np.max(np.abs(resid)) <= 1e-12
+
+
+def test_commutant_is_computed_once_per_spec(monkeypatch):
+    calls = []
+    real = qwalk.walkspec._commutant_blocks
+    monkeypatch.setattr(
+        qwalk.walkspec, "_commutant_blocks", lambda spec: calls.append(spec) or real(spec)
+    )
+    for spec in (grover4(), amplify(grover4(), 2)):
+        calls.clear()
+        decompose(spec, 256)
+        is_ct_realizable(spec, 2048)
+        sample_bands(spec, 256)
+        assert calls == [spec]
+
+
+def test_sum_with_a_modulated_copy_is_answered_at_both_grids(monkeypatch, tracks):
+    # each summand is tracked alone, so the crossings between them never
+    # reach the tracker; the whole walk tracked as one is refused at 256
+    spec = sum_with_modulated(4, 0.5)
+    coarse, fine = sample_bands(spec, 256), sample_bands(spec, 2048)
+    assert len(tracks) == 4
+    assert signature(coarse) == signature(fine) == [(1, 2, 1, 1)] * 6
+    for band_set in (coarse, fine):
+        assert_bands_are_fiber_eigenvalues(band_set, spec, 1e-12)
+    monkeypatch.setattr(qwalk.spectral, "_invariant_blocks", lambda spec: ())
+    with pytest.raises(UnresolvedCrossing):
+        sample_bands(sum_with_modulated(4, 0.5), 256)
+
+
+@pytest.mark.parametrize(
+    "name,make_base", [("walk(3)", lambda: random_walk(3)), ("grover3", grover3)]
+)
+def test_a_sum_of_equal_walks_still_merges(monkeypatch, name, make_base):
+    # bands that coincide across blocks merge into one of multiplicity 2,
+    # as they did when the sum was tracked whole
+    spec = direct_sum(make_base(), make_base())
+    assert len(_invariant_blocks(spec)) == 2
+    got = sample_bands(spec, 256)
+    half = signature(sample_bands(make_base(), 256))
+    assert signature(got) == [(d, w, p, 2 * m) for d, w, p, m in half]
+    monkeypatch.setattr(qwalk.spectral, "_invariant_blocks", lambda spec: ())
+    want = sample_bands(direct_sum(make_base(), make_base()), 256)
+    assert signature(got) == signature(want)
+    for bg, bw in zip(got.bands, want.bands):
+        assert np.max(np.abs(bg.samples - bw.samples)) <= 1e-12
+        assert np.max(np.abs(band_projectors(bg) - band_projectors(bw))) <= 1e-10
+
+
+def test_weakly_coupled_blocks_are_not_split(monkeypatch, tracks):
+    # a coin turn by 1e-6 between the summands leaves a trivial commutant;
+    # with the null-space tolerance widened past it the near-commutant
+    # gets in, and the invariance test refuses the split
+    summed = sum_with_modulated(4, 0.5)
+    eps = 1e-6
+    turn = np.eye(6)
+    turn[[0, 3], [0, 3]] = np.cos(eps)
+    turn[0, 3], turn[3, 0] = -np.sin(eps), np.sin(eps)
+    spec = WalkSpec(n=6, terms={j: a @ turn for j, a in summed.terms.items()})
+    assert len(_invariant_blocks(summed)) == 2
+    assert _invariant_blocks(spec) == ()
+    extract_or_refusal(spec, 2048)
+    assert len(tracks) == 1
+    monkeypatch.setattr(qwalk.walkspec, "COMMUTANT_TOL", 1e-3)
+    assert qwalk.walkspec._commutant_blocks(spec) == ()
+
+
+# fixtures and conftest walks 0-39 whose constant commutant is the scalars
+IRREDUCIBLE_WALKS = [
+    (name, make_spec)
+    for name, make_spec in [(name, FIXTURES[name]) for name in fixture_names()]
+    + [("walk(%d)" % seed, lambda seed=seed: random_walk(seed)) for seed in range(40)]
+    if not _invariant_blocks(make_spec())
+]
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize(
+    "name,make_spec", IRREDUCIBLE_WALKS, ids=[w[0] for w in IRREDUCIBLE_WALKS]
+)
+def test_irreducible_walks_keep_their_band_sets_bit_for_bit(name, make_spec, grid):
+    got = extract_or_refusal(make_spec(), grid)
+    try:
+        want = presplit_bands(make_spec(), grid)
+    except UnresolvedCrossing as exc:
+        assert isinstance(got, UnresolvedCrossing) and str(got) == str(exc)
+        return
+    assert len(got.bands) == len(want)
+    for bg, bw in zip(got.bands, want):
+        for field in ("samples", "eigvec_samples", "fourier"):
+            assert np.array_equal(getattr(bg, field), getattr(bw, field))
+        for field in ("degree", "multiplicity", "winding", "min_period", "is_constant"):
+            assert getattr(bg, field) == getattr(bw, field)
+
+
 def scalar_track(spec, ks, vals, vecs, bound):
     """Reference tracker: one _match_step per fiber, swept both ways from the start.
 
@@ -660,6 +847,8 @@ TRACK_ORACLE_WALKS = EIG_ORACLE_WALKS + [
     ("coined(1-1e-9)", lambda: coined(1 - 1e-9)),
     # two predictions share a nearest eigenvalue on one fiber at each grid
     ("walk(10)^2", lambda: walk_power(random_walk(10), 2)),
+    # irreducible, so its n = 8 steps reach the matcher; walk(7)+alpha splits
+    ("walk(15, n<=8)", lambda: random_walk(15, n_max=9)),
 ]
 
 
