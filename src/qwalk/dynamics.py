@@ -9,14 +9,18 @@ maps the sites c + gZ onto c + s0 + gZ and acts there as the walk with
 shifts (j - s0) / g.  The Fourier transform of each occupied coset is
 multiplied by that walk's symbol to the power t, raised by repeated
 squaring on a grid of about 1/g of the span, wide enough that nothing
-wraps around; its cost grows like t log t instead of t^2.  A flop model
+wraps around; its cost grows like t log t instead of t^2.  When every
+coefficient is real (the Grover and coined walks), the symbol at -k is
+the conjugate of the symbol at k, so only half of each grid's fibers are
+raised and each power also serves its mirror fiber.  A flop model
 picks the cheaper path, which is the stepper below a few dozen steps.
 Both return the same window and agree to 1e-12 (the stepper is the
 propagator's oracle in the tests).  The rows of the cosets the state
 leaves empty, such as the rows of the wrong parity for coined and Grover
-walks, are never written by the propagator, and the entries outside the
-least and largest path displacements are cleared, so both are exact zeros
-on both paths.  The stepper has more exact zeros, at
+walks, are never written by the propagator, and on each coset's rows the
+entries outside the least and largest path displacements from that
+coset's own occupied rows are cleared, so both are exact zeros on both
+paths.  The stepper has more exact zeros, at
 holes in the sumset of the shifts next to the light-cone edge and where
 edge amplitudes underflow; there the propagator leaves rounding-level
 mass (below 1e-28).
@@ -171,11 +175,11 @@ def parse_state(text: str) -> State:
 
 
 def adjoint_walk(spec: WalkSpec) -> WalkSpec:
-    """The inverse walk U^*; term at shift j becomes A_{-j}^* at -j."""
-    return WalkSpec(
-        n=spec.n,
-        terms={-j: a.conj().T for j, a in spec.terms.items()},
-    )
+    """The inverse walk U^*; term at shift j becomes A_{-j}^* at -j.
+
+    U^* is unitary when U is, so its coefficients are not checked again.
+    """
+    return WalkSpec(n=spec.n, terms={-j: a.conj().T for j, a in spec.terms.items()}, _valid=True)
 
 
 def _mem_cap_bytes(mem_cap_mb) -> int:
@@ -214,9 +218,10 @@ def evolve(spec: WalkSpec, state: State, steps: int, mem_cap_mb=None) -> State:
     if steps < 0:
         return evolve(adjoint_walk(spec), state, -steps, mem_cap_mb)
     amps = state.amplitudes
-    spectral = _propagator_is_cheaper(spec, amps, steps)
+    cosets = _cosets(spec, amps, steps)
+    spectral = _propagator_is_cheaper(spec, amps, steps, cosets)
     if spectral:
-        peak = _propagator_bytes(spec, amps, steps)
+        peak = _propagator_bytes(spec, amps, steps, cosets)
     else:
         peak = _stepper_bytes(spec, amps.shape[0], steps)
     cap = _mem_cap_bytes(mem_cap_mb)
@@ -225,7 +230,7 @@ def evolve(spec: WalkSpec, state: State, steps: int, mem_cap_mb=None) -> State:
             "evolution window needs about %d MB, cap is %d MB"
             % (peak // (1024 * 1024) + 1, cap // (1024 * 1024))
         )
-    return (_propagate if spectral else _step)(spec, state, steps)
+    return _propagate(spec, state, steps, cosets) if spectral else _step(spec, state, steps)
 
 
 def _stepper_bytes(spec: WalkSpec, width: int, steps: int) -> int:
@@ -292,68 +297,74 @@ def _cosets(spec: WalkSpec, amps: np.ndarray, steps: int):
     return g, out
 
 
-def _propagator_is_cheaper(spec: WalkSpec, amps: np.ndarray, steps: int) -> bool:
+def _propagator_is_cheaper(spec: WalkSpec, amps: np.ndarray, steps: int, cosets) -> bool:
     """Flop model for the choice between stepper and propagator.
 
     The stepper costs steps * (width + b * steps) * n^2 * |terms| (the mean
     window times the coefficient products); the propagator costs about
     (bit_length + popcount of steps) * G * n^3 for the squarings and the
-    matrix-vector products, G the total grid of the occupied cosets, times
-    PROPAGATOR_COST.  Neither counts fixed per-call overhead, so near the
-    crossover (a few dozen steps) either choice is within a factor of two
-    of the other.
+    matrix-vector products, G the total grid of the occupied cosets (the
+    _cosets result), times PROPAGATOR_COST.  Neither counts fixed per-call
+    overhead, so near the crossover (a few dozen steps) either choice is
+    within a factor of two of the other.
     """
     if steps <= 0:
         return False
     n, b = spec.n, spec.bandwidth
     stepper = steps * (amps.shape[0] + b * steps) * n * n * len(spec.terms)
     rounds = steps.bit_length() + bin(steps).count("1")
-    grid = sum(grid for _, _, grid in _cosets(spec, amps, steps)[1])
+    grid = sum(grid for _, _, grid in cosets[1])
     return PROPAGATOR_COST * rounds * grid * n**3 < stepper
 
 
-def _propagator_bytes(spec: WalkSpec, amps: np.ndarray, steps: int) -> int:
+def _propagator_bytes(spec: WalkSpec, amps: np.ndarray, steps: int, cosets) -> int:
     """Peak allocation of _propagate, 16 KiB more.
 
     The output window (width + 2 b steps, n) stays live throughout.  Beside
-    it comes either one coset at a time, with three (grid, n) complex grids
-    (an FFT's input, its output and its working copy) and the block's real
-    (block, 2n, 2n) power, its square and the complex symbol it is built
-    from, or _reachable at the end, with two (span + 1, n) int64 arrays, a
-    bincount column, two (span, n) masks and three int64 row indices per
-    site of the state.  The 16 KiB cover array headers, the per-block
-    vectors and the coefficient patterns, up to 9 KB in all on the fixture
-    and conftest walks.
+    it comes either one coset of the _cosets result at a time, or
+    _reachable at the end, with its (span, n) bool mask, the negation
+    _propagate clears by and, for each run of occupied rows (at most
+    (width + g) n / 2 of them), its endpoints and its n intervals, at most
+    8 + 6n int64 values in all.  A coset holds its (grid, n) complex
+    transform and beside it either an FFT's output and working copy, or
+    the block's real (block, 2n, 2n) power and its square (the complex
+    symbol it is built from is freed before the squarings) with at most
+    twelve real n-vectors per fiber (two columns on a real walk, whose
+    blocks hold half the fibers: the gathers and their real form, or a
+    product and the phased output).  The 16 KiB cover array headers and
+    the coefficient patterns, up to 9 KB in all on the fixture and
+    conftest walks.
     """
     n = spec.n
     width = amps.shape[0]
     shifts = spec.shifts()
     window = 16 * (width + 2 * spec.bandwidth * steps) * n
-    grid = max((grid for _, _, grid in _cosets(spec, amps, steps)[1]), default=0)
-    block = min(grid, PROPAGATOR_BLOCK)
-    coset = 16 * 3 * grid * n + 8 * block * (2 * 4 * n * n + 2 * n * n)
+    grid = max((grid for _, _, grid in cosets[1]), default=0)
+    block = min(grid // 2 + 1 if _is_real(spec) else grid, PROPAGATOR_BLOCK)
+    coset = 16 * grid * n + max(16 * 2 * grid * n, 8 * block * (2 * 4 * n * n + 12 * n))
     span = width + (shifts[-1] - shifts[0]) * steps
-    reachable = 8 * (2 * (span + 1) * n + span + 1 + 3 * width) + 2 * span * n
-    return window + max(coset, reachable) + 16384
+    runs = (width + cosets[0]) * n // 2 + 1
+    return window + max(coset, 2 * span * n + 8 * runs * (8 + 6 * n)) + 16384
 
 
-def _propagate(spec: WalkSpec, state: State, steps: int) -> State:
+def _propagate(spec: WalkSpec, state: State, steps: int, cosets) -> State:
     """U^steps applied in momentum space (steps >= 0); _step's window.
 
-    The rows amps[c::g] of each coset of _cosets are evolved by the walk
-    with shifts (j - shifts[0]) / g (see the module docstring) and written
-    back with stride g.  Rows of the other cosets are never written, and
-    _reachable clears the entries that no path reaches.
+    cosets is _cosets(spec, state.amplitudes, steps): the rows amps[c::g]
+    of each listed coset are evolved by the walk with shifts
+    (j - shifts[0]) / g (see the module docstring) and written back with
+    stride g.  Rows of the other cosets are never written, and _reachable
+    clears the entries that no path reaches.
     """
     amps = state.amplitudes
     width, n = amps.shape
     b, s0 = spec.bandwidth, spec.shifts()[0]
-    g, cosets = _cosets(spec, amps, steps)
+    g, occupied = cosets
     out = np.zeros((width + 2 * b * steps, n), dtype=complex)
     off = (s0 + b) * steps  # the row of site x_min + s0 * steps
-    for c, span, grid in cosets:
+    for c, span, grid in occupied:
         out[off + c :: g][:span] = _power_on_grid(spec, amps[c::g], g, grid, steps)[:span]
-    keep = _reachable(spec, amps, steps)
+    keep = _reachable(spec, amps, steps, g)
     out[off : off + keep.shape[0]][~keep] = 0.0
     return State(x_min=state.x_min - b * steps, amplitudes=out)
 
@@ -368,20 +379,27 @@ def _power_on_grid(spec: WalkSpec, rows: np.ndarray, g: int, grid: int, steps: i
     repeated squaring, whose rounding error, like that of any power of the
     rounded symbol, grows about linearly in steps (at most 5e-14 at 1000
     steps on the fixture and conftest walks); the origin phase
-    e^{-i k s0 steps / g} is applied once at the end.  The fibers are processed in blocks of PROPAGATOR_BLOCK, so
-    besides the (grid, n) arrays only one small stack of fiber matrices is
-    live.
+    e^{-i k s0 steps / g} is applied once at the end.  When every
+    coefficient is real (an exact test, no tolerance), V's coefficients are
+    too, so V_hat(-k) = conj V_hat(k): only the fibers m = 0 ... grid // 2
+    are raised, and each squaring chain carries a second column, conj
+    psi_hat at the mirror fiber grid - m, whose image conj(V_hat^steps conj
+    psi_hat) is that fiber's result (the self-mirrored fibers 0 and grid / 2
+    drop it).  A complex walk raises every fiber with one column.  The
+    fibers are processed in blocks of PROPAGATOR_BLOCK, so besides the
+    (grid, n) arrays only one small stack of fiber matrices is live.
     """
     n, s0 = spec.n, spec.shifts()[0]
+    paired = _is_real(spec)
     # grid index m holds site m (mod grid); psi_hat(k) = sum_m e^{ikm} psi_m
     buf = np.zeros((grid, n), dtype=complex)
     buf[: rows.shape[0]] = rows
     psi_hat = np.fft.ifft(buf, axis=0)
     del buf
     cycle = g * grid
-    for start in range(0, grid, PROPAGATOR_BLOCK):
-        m = np.arange(start, min(start + PROPAGATOR_BLOCK, grid))
-        blk = slice(start, start + m.size)
+    fibers = grid // 2 + 1 if paired else grid
+    for start in range(0, fibers, PROPAGATOR_BLOCK):
+        m = np.arange(start, min(start + PROPAGATOR_BLOCK, fibers))
         # the real form [[Re, -Im], [Im, Re]] of each fiber: numpy's batched
         # matmul runs several times faster on small real matrices
         sym = symbol_on_grid(spec, 2.0 * np.pi * m / cycle)
@@ -389,67 +407,109 @@ def _power_on_grid(spec: WalkSpec, rows: np.ndarray, g: int, grid: int, steps: i
         power[:, :n, :n] = power[:, n:, n:] = sym.real
         power[:, n:, :n] = sym.imag
         power[:, :n, n:] = -sym.imag
-        vec = np.concatenate([psi_hat[blk].real, psi_hat[blk].imag], axis=1)
+        del sym
+        cols = np.stack([psi_hat[m], psi_hat[-m].conj()] if paired else [psi_hat[m]], axis=2)
+        vec = np.concatenate([cols.real, cols.imag], axis=1)
+        del cols
         e = steps
         while True:
             if e & 1:
-                # a matmul with a trailing axis of 1 costs as much as a squaring
-                vec = np.einsum("bij,bj->bi", power, vec)
+                # a matmul costs as much as a squaring with one column and
+                # about half as much with two; einsum is the fast one-column form
+                vec = power @ vec if paired else np.einsum("bij,bjk->bik", power, vec)
             e >>= 1
             if not e:
                 break
             power = power @ power
+        del power
         # the origin phase at k = 2 pi m / grid is e^{-2 pi i m s0 steps / cycle};
         # m s0 steps is reduced mod cycle in integers, since a float product
         # would lose ~1e-12 of the phase at 1000 steps
         turns = m * (s0 * steps % cycle) % cycle
-        phase = np.exp(-2j * np.pi / cycle * turns)
-        psi_hat[blk] = (vec[:, :n] + 1j * vec[:, n:]) * phase[:, None]
+        vec = (vec[:, :n] + 1j * vec[:, n:]) * np.exp(-2j * np.pi / cycle * turns)[:, None, None]
+        psi_hat[m] = vec[:, :, 0]
+        if paired:
+            mirrored = (m > 0) & (2 * m < grid)
+            psi_hat[grid - m[mirrored]] = vec[mirrored, :, 1].conj()
+        del vec  # freed before the next block's fiber stacks are built
     return np.fft.fft(psi_hat, axis=0)
 
 
-def _reachable(spec: WalkSpec, amps: np.ndarray, steps: int) -> np.ndarray:
+def _is_real(spec: WalkSpec) -> bool:
+    """True when no coefficient has a nonzero imaginary part (exactly, no tolerance)."""
+    return not any(a.imag.any() for a in spec.terms.values())
+
+
+def _reachable(spec: WalkSpec, amps: np.ndarray, steps: int, g: int) -> np.ndarray:
     """Entries of _propagate's span that a path of nonzero coefficients reaches.
 
     The stepper leaves every other entry at an exact zero, which the
     propagator's rounding would fill.  Row m holds site x_min + lo + m,
-    lo = shifts[0] * steps.  Its component r can be reached from an
-    occupied entry (i, c) of the initial state only if the displacement
-    m + lo - i lies between the least and the largest displacement of a
-    steps-long path of nonzero coefficients from c to r, read off the
-    (min, +) and (max, +) powers of the coefficient pattern.  (Rows of the
-    wrong coset mod g need no test: _propagate never writes them.)  With
+    lo = shifts[0] * steps.  Every path displacement lies in lo + gZ, so
+    the source rows of row m lie in its own coset mod g, and the mask is
+    built per coset on its stride-g rows.  Its component r can be reached
+    from an occupied entry (i, c) of the initial state only if the
+    displacement m + lo - i lies between the least and the largest
+    displacement of a steps-long path of nonzero coefficients from c to r,
+    read off the (min, +) and (max, +) powers of the coefficient pattern.
+    So a run [a, b] of occupied stride rows of component c reaches
+    [a + (least - lo) / g, b + (most - lo) / g] of component r; the
+    intervals are merged per (coset, component) and written as slices.
+    (Rows of unoccupied cosets stay False: _propagate never writes them.)
+    With
     this cube_root, whose U^3 is a pure shift, keeps its few entries even
-    when evolved in several legs.  Returns a (span, n) mask.
+    when evolved in several legs.  Returns a (span, n) bool mask.
     """
     n, shifts = spec.n, spec.shifts()
     lo = shifts[0] * steps
     span = amps.shape[0] + (shifts[-1] - shifts[0]) * steps
-    least = np.full((n, n), np.inf)
-    most = np.full((n, n), np.inf)  # negated, so both powers are (min, +)
+    # the least and the negated largest displacement, both (min, +)
+    bounds = np.full((2, n, n), np.inf)
     for j, a in spec.terms.items():
-        least[a != 0] = np.minimum(least[a != 0], j)
-        most[a != 0] = np.minimum(most[a != 0], -j)
-    least, most = _min_plus_power(least, steps), -_min_plus_power(most, steps)
-    # count the intervals [i + least[r, c], i + most[r, c]] open at each row
-    opened = np.zeros((span + 1, n), dtype=int)
-    for c in range(n):
-        rows = np.flatnonzero(amps[:, c] != 0) - lo
-        for r in np.flatnonzero(np.isfinite(least[:, c])):
-            opened[:, r] += np.bincount(rows + int(least[r, c]), minlength=span + 1)
-            opened[:, r] -= np.bincount(rows + int(most[r, c]) + 1, minlength=span + 1)
-    return np.cumsum(opened, axis=0)[:span] > 0
+        bounds[0][a != 0] = np.minimum(bounds[0][a != 0], j)
+        bounds[1][a != 0] = np.minimum(bounds[1][a != 0], -j)
+    least, neg_most = _min_plus_power(bounds, steps)
+    finite = np.isfinite(least)
+    # in stride-g rows a source row p of component c reaches rows
+    # p + first[r, c] ... p + last[r, c] of component r
+    first = (np.where(finite, least, lo) - lo).astype(int) // g
+    last = (-np.where(finite, neg_most, -lo) - lo).astype(int) // g
+    # occupied[c, col, 1 + p] is row c + g p of the state, False-padded at both ends
+    rows = -(-amps.shape[0] // g)
+    occupied = np.zeros((rows * g, n), dtype=bool)
+    occupied[: amps.shape[0]] = amps != 0
+    occupied = np.pad(occupied.reshape(rows, g, n).transpose(1, 2, 0), ((0, 0), (0, 0), (1, 1)))
+    edge = np.diff(occupied.view(np.int8), axis=2)
+    coset, comp, head = np.nonzero(edge == 1)  # the runs [head, tail] of stride rows
+    tail = np.nonzero(edge == -1)[2] - 1
+    # each run's interval on each target component, offset by key * stride
+    # so that intervals of two (coset, target) pairs never merge
+    stride = -(-span // g) + 2
+    key = (coset[:, None] * n + np.arange(n)) * stride
+    reach = finite[:, comp].T
+    starts = (key + head[:, None] + first[:, comp].T)[reach]
+    ends = (key + tail[:, None] + last[:, comp].T)[reach]
+    keep = np.zeros((span, n), dtype=bool)
+    if not starts.size:
+        return keep
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], np.maximum.accumulate(ends[order])
+    cut = np.flatnonzero(starts[1:] > ends[:-1] + 1)
+    for start, end in zip(starts[np.r_[0, cut + 1]].tolist(), ends[np.r_[cut, ends.size - 1]].tolist()):
+        k, q = divmod(start, stride)
+        keep[k // n :: g][q : end - k * stride + 1, k % n] = True
+    return keep
 
 
 def _min_plus_power(mat: np.ndarray, e: int) -> np.ndarray:
-    """mat^e in the (min, +) semiring, by repeated squaring."""
-    out = np.where(np.eye(mat.shape[0], dtype=bool), 0.0, np.inf)
+    """mat^e in the (min, +) semiring, by repeated squaring, over the last two axes."""
+    out = np.where(np.eye(mat.shape[-1], dtype=bool), 0.0, np.inf)
     while e:
         if e & 1:
-            out = np.min(out[:, :, None] + mat[None, :, :], axis=1)
+            out = np.min(out[..., :, :, None] + mat[..., None, :, :], axis=-2)
         e >>= 1
         if e:
-            mat = np.min(mat[:, :, None] + mat[None, :, :], axis=1)
+            mat = np.min(mat[..., :, :, None] + mat[..., None, :, :], axis=-2)
     return out
 
 
@@ -618,7 +678,9 @@ def kolmogorov_distance(
             xs2 = np.concatenate([xs2[~near], [v]])
     o2 = np.argsort(xs2, kind="stable")
     xs2, cum2 = xs2[o2], np.cumsum(ws2[o2])
-    grid = np.union1d(xs1, xs2)
+    # searchsorted needs neither sorted nor distinct queries, and np.union1d
+    # would import numpy.ma (about 10 ms) on its first call
+    grid = np.concatenate([xs1, xs2])
     idx1 = np.searchsorted(xs1, grid, side="right")
     idx2 = np.searchsorted(xs2, grid, side="right")
     f1 = np.where(idx1 > 0, cum1[np.maximum(idx1 - 1, 0)], 0.0)

@@ -549,7 +549,7 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
             nb = g0 + 1 if g0 + 1 < G else g0 - 1
             tw[g0][:, idx] = _rotate_onto(tw[g0][:, idx], tw[nb][:, idx])
     sigma = np.abs(tw[G].conj().T @ tw[0]).argmax(axis=1)
-    if np.unique(sigma).size < n:
+    if np.bincount(sigma, minlength=n).max() > 1:
         raise UnresolvedCrossing(ks[G - 1], ks[G], _min_gap(vals[G - 1], vals[G]), bound)
     return tv[:G], tw[:G], sigma
 

@@ -24,7 +24,7 @@ import hashlib
 import json
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -109,8 +109,11 @@ class WalkSpec:
     )
     _commutator_norm: float | None = field(init=False, repr=False, default=None)
     _blocks: tuple | None = field(init=False, repr=False, default=None)
+    # True only for the exact image of a validated walk (dynamics.adjoint_walk),
+    # which satisfies the unitarity identities without a second check
+    _valid: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _valid):
         if not _is_int(self.n) or self.n < 1:
             raise WalkSpecError("coin dimension n must be a positive integer")
         cleaned = {}
@@ -134,7 +137,8 @@ class WalkSpec:
             raise WalkSpecError("walk has no nonzero coefficient matrix")
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "bandwidth", max(abs(j) for j in cleaned))
-        _check_unitarity(self)
+        if not _valid:
+            _check_unitarity(self)
 
     def __eq__(self, other):
         if not isinstance(other, WalkSpec):

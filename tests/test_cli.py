@@ -349,6 +349,36 @@ def test_cli_runs_without_scipy():
     assert proc.stderr == ""
 
 
+NUMPY_MA_RUN = """
+import contextlib, io, sys
+from qwalk.cli import main
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0 or "numpy.ma" in sys.modules:
+        sys.exit("exit %%d, numpy.ma imported: %%s, after %%s" %% (code, "numpy.ma" in sys.modules, argv))
+"""
+
+
+def test_cli_commands_do_not_import_numpy_ma():
+    # np.unique without return_inverse and np.union1d import numpy.ma, about
+    # 10 ms of every process; these are the benchmark's cli commands
+    commands = [
+        ["analyze", "grover4"],
+        ["analyze", "grover3", "--format", "csv"],
+        ["decompose", "cube_root"],
+        ["realizable", "grover3", "--format", "csv"],
+        ["intertwine", "grover4", "grover4_subwalk"],
+        ["simulate", "coined(0.5)", "--steps", "400", "--limit-law"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_RUN % (commands,)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_no_module_imports_scipy():
     # numpy is the one runtime dependency; scipy serves the tests only
     imported = []

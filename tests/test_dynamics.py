@@ -10,6 +10,7 @@ from qwalk import (
     DistributionSnapshot,
     MemoryCapExceeded,
     State,
+    WalkSpec,
     adjoint_walk,
     basis_state,
     commutator_norm,
@@ -23,10 +24,14 @@ from qwalk import (
     uniform_coin_state,
     write_distribution_csv,
 )
+from qwalk import dynamics, walkspec
 from qwalk.dynamics import (
     MEM_CAP_ENV,
+    _cosets,
+    _min_plus_power,
     _propagate,
     _propagator_bytes,
+    _reachable,
     _step,
     _stepper_bytes,
     _to_band_coordinates,
@@ -40,7 +45,9 @@ from qwalk.fixtures import (
     free,
     grover3,
     grover4,
+    shift_coin_walk,
 )
+from qwalk.walkspec import symbol_on_grid
 
 from conftest import BAD_STATE_DOCUMENTS, random_walk
 
@@ -79,6 +86,11 @@ def ballistic_bound_check(spec, state, speed, t_max):
         "outside_mass": tuple(outside),
         "passed": bool(valid and outside[-1] < 1e-3),
     }
+
+
+def propagate(spec, state, steps):
+    """_propagate on the cosets that evolve scans for the state."""
+    return _propagate(spec, state, steps, _cosets(spec, state.amplitudes, steps))
 
 
 def occupied(state, tol=1e-12):
@@ -168,6 +180,22 @@ def test_adjoint_round_trip():
         np.testing.assert_allclose(got[x], row, atol=1e-12)
 
 
+def test_adjoint_walk_skips_the_unitarity_check(monkeypatch):
+    spec = grover4()
+
+    def refuse(_spec):
+        raise AssertionError("unitarity checked again")
+
+    monkeypatch.setattr(walkspec, "_check_unitarity", refuse)
+    adj = adjoint_walk(spec)
+    assert adj.shifts() == [-j for j in reversed(spec.shifts())]
+    for j, a in spec.terms.items():
+        np.testing.assert_array_equal(adj.terms[-j], a.conj().T)
+        assert not adj.terms[-j].flags.writeable
+    with pytest.raises(AssertionError, match="checked again"):
+        WalkSpec(n=spec.n, terms=adj.terms)
+
+
 def test_norm_preserved_under_evolution():
     st = evolve(grover3(), uniform_coin_state(3), 200)
     assert abs(st.norm() - 1.0) < 1e-10
@@ -238,7 +266,7 @@ def test_stepper_projection_covers_its_peak(make_spec):
     ids=["grover4", "coined", "walk(3)", "walk(5)"],
 )
 def test_propagator_projection_covers_its_peak(make_spec):
-    # one coset's grids and fiber stacks, then _reachable's int arrays, each
+    # one coset's grids and fiber stacks, then _reachable's bool mask, each
     # beside the output window
     spec = make_spec()
     rng = np.random.default_rng(3)
@@ -247,19 +275,34 @@ def test_propagator_projection_covers_its_peak(make_spec):
         for steps in (100, 1000, 5000):
             tracemalloc.start()
             try:
-                _propagate(spec, state, steps)
+                propagate(spec, state, steps)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert _propagator_bytes(spec, state.amplitudes, steps) >= peak, (steps, peak)
+            cosets = _cosets(spec, state.amplitudes, steps)
+            assert _propagator_bytes(spec, state.amplitudes, steps, cosets) >= peak, (steps, peak)
+
+
+def rotation(theta):
+    return [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
+
+
+def gcd_of_shifts(spec):
+    return max(int(np.gcd.reduce(np.diff(spec.shifts()))), 1)
 
 
 ORACLE_WALKS = [(name, FIXTURES[name]()) for name in fixture_names()] + [
     ("walk(%d)" % seed, random_walk(seed)) for seed in range(20)
 ]
+# real coefficients, g = 5 and least shift -3, so the mirror fibers of a coset
+# grid carry the factor e^{2 pi i s0 / g}, which is not +-1
+REAL_G5 = ("shift_coin((-3, 2))", shift_coin_walk((-3, 2), rotation(0.7)))
+ORACLE_STEPS = (1, 2, 37, 400, 1000)
 
 
-@pytest.mark.parametrize("name,spec", ORACLE_WALKS, ids=[w[0] for w in ORACLE_WALKS])
+@pytest.mark.parametrize(
+    "name,spec", ORACLE_WALKS + [REAL_G5], ids=[w[0] for w in ORACLE_WALKS + [REAL_G5]]
+)
 def test_propagator_matches_stepper(name, spec):
     """The propagator against the stepper on three states.
 
@@ -276,7 +319,7 @@ def test_propagator_matches_stepper(name, spec):
     amps = rng.normal(size=(3, spec.n)) + 1j * rng.normal(size=(3, spec.n))
     amps[1] = 0.0
     amps /= np.linalg.norm(amps)
-    g = max(int(np.gcd.reduce(np.diff(spec.shifts()))), 1)
+    g = gcd_of_shifts(spec)
     dense = rng.normal(size=(g, spec.n)) + 1j * rng.normal(size=(g, spec.n))
     dense /= np.linalg.norm(dense)
     states = [
@@ -284,17 +327,162 @@ def test_propagator_matches_stepper(name, spec):
         (State(x_min=-1, amplitudes=amps), False),
         (State(x_min=-1, amplitudes=dense), g > 1),
     ]
-    for steps in (1, -1, 37, -37, 400, -400, 1000, -1000):
+    for steps in ORACLE_STEPS + tuple(-t for t in ORACLE_STEPS):
         walk = spec if steps > 0 else adjoint_walk(spec)
         for st, same_zeros in states:
             ref = _step(walk, st, abs(steps))
-            got = _propagate(walk, st, abs(steps))
+            got = propagate(walk, st, abs(steps))
             assert got.x_min == ref.x_min, (name, steps)
             assert got.amplitudes.shape == ref.amplitudes.shape, (name, steps)
             err = np.max(np.abs(got.amplitudes - ref.amplitudes))
             assert err <= 1e-12, (name, steps, err)
             if same_zeros and abs(steps) <= 400:
                 np.testing.assert_array_equal(got.amplitudes != 0, ref.amplitudes != 0)
+
+
+def test_real_oracle_walks_meet_odd_and_even_grids():
+    # a real walk raises fibers 0 ... grid // 2 and mirrors the rest; an odd
+    # grid has no self-mirrored fiber grid / 2, an even one has
+    cases = [grover3(), coined(0.5), grover4(), REAL_G5[1]]
+    assert [gcd_of_shifts(spec) for spec in cases] == [1, 2, 2, 5]
+    for spec in cases:
+        assert dynamics._is_real(spec)
+        start = uniform_coin_state(spec.n).amplitudes
+        grids = {grid for t in ORACLE_STEPS for _, _, grid in _cosets(spec, start, t)[1]}
+        assert {grid % 2 for grid in grids} == {0, 1}, grids
+
+
+def test_real_walks_raise_half_the_fibers(monkeypatch):
+    """grid // 2 + 1 fibers per coset on a real walk, every fiber on a complex one.
+
+    A walk whose one imaginary part is 1e-300 is complex: the test is exact.
+    """
+    fibers = []
+
+    def counting(spec, ks):
+        fibers.append(len(ks))
+        return symbol_on_grid(spec, ks)
+
+    monkeypatch.setattr(dynamics, "symbol_on_grid", counting)
+    base = coined(0.5)
+    tiny = {j: a.copy() for j, a in base.terms.items()}
+    tiny[-1][0, 0] += 1e-300j
+    tiny = WalkSpec(n=2, terms=tiny)
+    rng = np.random.default_rng(5)
+    for spec, real in [(grover4(), True), (base, True), (random_walk(5), False), (tiny, False)]:
+        assert dynamics._is_real(spec) is real
+        g = gcd_of_shifts(spec)
+        dense = rng.normal(size=(g, spec.n)) + 1j * rng.normal(size=(g, spec.n))
+        st = State(x_min=0, amplitudes=dense)
+        for steps in (37, 1000):
+            fibers.clear()
+            cosets = _cosets(spec, dense, steps)
+            got = _propagate(spec, st, steps, cosets)
+            grids = [grid for _, _, grid in cosets[1]]
+            assert len(grids) == g
+            assert sum(fibers) == sum(grid // 2 + 1 if real else grid for grid in grids)
+            ref = _step(spec, st, steps)
+            assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-12
+
+
+def whole_span_reachable(spec, amps, steps):
+    """The reachability mask built over the whole span, the oracle of _reachable.
+
+    Every occupied entry (i, c) opens the interval [i - lo + least[r, c],
+    i - lo + most[r, c]] of component r on every row, whatever its coset.
+    """
+    n, shifts = spec.n, spec.shifts()
+    lo = shifts[0] * steps
+    span = amps.shape[0] + (shifts[-1] - shifts[0]) * steps
+    least = np.full((n, n), np.inf)
+    most = np.full((n, n), np.inf)
+    for j, a in spec.terms.items():
+        least[a != 0] = np.minimum(least[a != 0], j)
+        most[a != 0] = np.minimum(most[a != 0], -j)
+    least, most = _min_plus_power(least, steps), -_min_plus_power(most, steps)
+    opened = np.zeros((span + 1, n), dtype=int)
+    for c in range(n):
+        rows = np.flatnonzero(amps[:, c] != 0) - lo
+        for r in np.flatnonzero(np.isfinite(least[:, c])):
+            opened[:, r] += np.bincount(rows + int(least[r, c]), minlength=span + 1)
+            opened[:, r] -= np.bincount(rows + int(most[r, c]) + 1, minlength=span + 1)
+    return np.cumsum(opened, axis=0)[:span] > 0
+
+
+@pytest.mark.parametrize("name,spec", ORACLE_WALKS, ids=[w[0] for w in ORACLE_WALKS])
+def test_reachable_equals_the_whole_span_mask_on_one_coset(name, spec):
+    """On a state in one coset mod g the masks agree on that coset's rows.
+
+    The rows of the other cosets are False (_propagate never writes them).
+    The two-leg state is the one-coset state propagated 37 steps.
+    """
+    g = gcd_of_shifts(spec)
+    rng = np.random.default_rng(17)
+    amps = np.zeros((2 * g + 1, spec.n), dtype=complex)
+    amps[::g] = rng.normal(size=(3, spec.n)) + 1j * rng.normal(size=(3, spec.n))
+    amps[g] = 0.0
+    amps[0, 0] = 0.0
+    one_coset = State(x_min=0, amplitudes=amps)
+    states = [uniform_coin_state(spec.n), one_coset, propagate(spec, one_coset, 37)]
+    for steps in (1, 37, 400, 1000):
+        for st in states:
+            got = _reachable(spec, st.amplitudes, steps, g)
+            ref = whole_span_reachable(spec, st.amplitudes, steps)
+            assert got.shape == ref.shape
+            rows = np.zeros(got.shape[0], dtype=bool)
+            for c in range(g):
+                rows[c::g] = np.any(st.amplitudes[c::g] != 0)
+            np.testing.assert_array_equal(got[rows], ref[rows])
+            assert not got[~rows].any()
+
+
+SEVERAL_COSET_WALKS = [w for w in ORACLE_WALKS + [REAL_G5] if gcd_of_shifts(w[1]) > 1]
+
+
+@pytest.mark.parametrize(
+    "name,spec", SEVERAL_COSET_WALKS, ids=[w[0] for w in SEVERAL_COSET_WALKS]
+)
+def test_reachable_on_several_cosets_clears_only_stepper_zeros(name, spec):
+    """On a state in several cosets the mask is no looser than the whole-span one.
+
+    Each entry it clears beyond that mask was covered only through another
+    coset's interval; the stepper leaves it an exact zero, and so does the
+    propagator, whose coset grids write rounding there.
+    """
+    g = gcd_of_shifts(spec)
+    s0, b = spec.shifts()[0], spec.bandwidth
+    rng = np.random.default_rng(19)
+    dense = rng.normal(size=(g, spec.n)) + 1j * rng.normal(size=(g, spec.n))
+    apart = np.zeros((2 * g + 2, spec.n), dtype=complex)
+    apart[[0, 2 * g + 1]] = rng.normal(size=(2, spec.n))
+    cleared = 0
+    for amps in (dense, apart):
+        st = State(x_min=0, amplitudes=amps)
+        for steps in (1, 37, 400, 1000):
+            got = _reachable(spec, amps, steps, g)
+            ref = whole_span_reachable(spec, amps, steps)
+            assert not (got & ~ref).any()
+            off = (s0 + b) * steps
+            for path in (_step, propagate):
+                window = path(spec, st, steps).amplitudes[off : off + got.shape[0]]
+                assert np.all(window[ref & ~got] == 0), path
+            cleared += int((ref & ~got).sum())
+    assert cleared > 0
+
+
+def test_reachable_peak_is_its_bool_mask():
+    # walk 5 has shifts {-3, 2}, g = 5: a 25 200-row span with 5040 rows per coset
+    spec = random_walk(5)
+    rng = np.random.default_rng(3)
+    wide = rng.normal(size=(200, spec.n)) + 1j * rng.normal(size=(200, spec.n))
+    tracemalloc.start()
+    try:
+        keep = _reachable(spec, wide, 5000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keep.dtype == bool and keep.shape == (200 + 5 * 5000, spec.n)
+    assert peak <= keep.nbytes + 64 * 1024, peak
 
 
 @pytest.mark.parametrize("t", [400, 1000])
@@ -316,9 +504,9 @@ def test_propagator_keeps_structural_zeros(make_spec, t):
     """
     spec = make_spec()
     st = uniform_coin_state(spec.n)
-    ref, got = _step(spec, st, t), _propagate(spec, st, t)
+    ref, got = _step(spec, st, t), propagate(spec, st, t)
     if make_spec is cube_root:
-        got = _propagate(spec, _propagate(spec, st, t // 2), t - t // 2)
+        got = propagate(spec, propagate(spec, st, t // 2), t - t // 2)
     np.testing.assert_array_equal(got.amplitudes != 0, ref.amplitudes != 0)
     ref_rows = np.any(ref.amplitudes != 0, axis=1)
     assert ref_rows.mean() < 0.6
