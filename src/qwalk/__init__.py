@@ -6,6 +6,12 @@ bands, classifies it up to equivalence into constant and prime model
 summands, decides continuous-time realizability by winding numbers,
 classifies intertwiners, and verifies the ballistic weak limit of the
 dynamics against the band data.
+
+The names of the dynamics, intertwine and realize modules, and those
+modules themselves, are loaded on first access (PEP 562), so that a
+command line run imports only what its subcommand uses.  decompose is
+bound eagerly: it names both a submodule and the public function, and
+the function must win.
 """
 
 from .decompose import (
@@ -16,42 +22,7 @@ from .decompose import (
     cover_walk,
     decompose,
 )
-from .dynamics import (
-    DistributionSnapshot,
-    LimitLaw,
-    MemoryCapExceeded,
-    State,
-    adjoint_walk,
-    basis_state,
-    empirical_moment,
-    evolve,
-    kolmogorov_distance,
-    limit_law,
-    parse_state,
-    position_distribution,
-    uniform_coin_state,
-    write_distribution_csv,
-)
 from .fixtures import FIXTURES, build_fixture, fixture_names, shift_coin_walk
-from .intertwine import (
-    CommutantReport,
-    IntertwinerSpace,
-    TranslationMatch,
-    build_intertwiner,
-    commutant_report,
-    find_translation,
-    intertwiner_residual,
-    intertwiner_space,
-    model_walk_matrix,
-    write_intertwiner_csv,
-)
-from .realize import (
-    RealizabilityVerdict,
-    generator_coefficients,
-    is_ct_realizable,
-    witness_step,
-    write_witness_csv,
-)
 from .spectral import (
     Band,
     BandSet,
@@ -77,3 +48,63 @@ from .walkspec import (
 )
 
 __version__ = "0.1.0"
+
+# submodule -> the names it exports here, imported on first access
+_LAZY = {
+    "dynamics": (
+        "DistributionSnapshot",
+        "LimitLaw",
+        "MemoryCapExceeded",
+        "State",
+        "adjoint_walk",
+        "basis_state",
+        "empirical_moment",
+        "evolve",
+        "kolmogorov_distance",
+        "limit_law",
+        "parse_state",
+        "position_distribution",
+        "uniform_coin_state",
+        "write_distribution_csv",
+    ),
+    "intertwine": (
+        "CommutantReport",
+        "IntertwinerSpace",
+        "TranslationMatch",
+        "build_intertwiner",
+        "commutant_report",
+        "find_translation",
+        "intertwiner_residual",
+        "intertwiner_space",
+        "model_walk_matrix",
+        "write_intertwiner_csv",
+    ),
+    "realize": (
+        "RealizabilityVerdict",
+        "generator_coefficients",
+        "is_ct_realizable",
+        "witness_step",
+        "write_witness_csv",
+    ),
+}
+_ORIGIN = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | set(_LAZY) | set(_ORIGIN)
+)
+
+
+def __getattr__(name):
+    import importlib
+
+    if name in _LAZY:
+        return importlib.import_module("." + name, __name__)
+    if name not in _ORIGIN:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _ORIGIN[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

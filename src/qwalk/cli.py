@@ -18,28 +18,12 @@ import sys
 
 from . import __version__
 from .decompose import decompose
-from .dynamics import (
-    MemoryCapExceeded,
-    basis_state,
-    empirical_moment,
-    evolve,
-    kolmogorov_distance,
-    limit_law,
-    parse_state,
-    position_distribution,
-    uniform_coin_state,
-    write_distribution_csv,
-)
 from .fixtures import build_fixture, fixture_names
-from .intertwine import (
-    build_intertwiner,
-    commutant_report,
-    intertwiner_space,
-    write_intertwiner_csv,
-)
-from .realize import is_ct_realizable, write_witness_csv
 from .spectral import UnresolvedCrossing, monodromy, write_band_csv
 from .walkspec import WalkSpec, parse_walk_spec, spec_digest
+
+# the dynamics, intertwine and realize modules are imported by the handlers
+# that use them, so each run loads only its subcommand's modules
 
 SCHEMA_VERSION = 2
 
@@ -105,6 +89,8 @@ def _cmd_analyze(args) -> int:
         write_band_csv(band_set, buf)
         _emit(buf.getvalue(), args.out)
         return 0
+    from .realize import is_ct_realizable
+
     verdict = is_ct_realizable(spec, args.grid)
     doc = _report_header("analyze", spec, args)
     doc.update(
@@ -137,6 +123,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_realizable(args) -> int:
+    from .realize import is_ct_realizable, write_witness_csv
+
     spec = _load_walk(args.spec)
     verdict = is_ct_realizable(spec, args.grid)
     if args.format == "csv":
@@ -164,6 +152,13 @@ def _summand_labels(dec):
 
 
 def _cmd_intertwine(args) -> int:
+    from .intertwine import (
+        build_intertwiner,
+        commutant_report,
+        intertwiner_space,
+        write_intertwiner_csv,
+    )
+
     spec1 = _load_walk(args.spec)
     spec2 = _load_walk(args.spec2)
     dec1 = decompose(spec1, args.grid)
@@ -210,6 +205,8 @@ def _cmd_intertwine(args) -> int:
 
 
 def _initial_state(args, n):
+    from .dynamics import basis_state, parse_state, uniform_coin_state
+
     if args.state is not None:
         with open(args.state, "r", encoding="utf-8") as fh:
             return parse_state(fh.read())
@@ -224,10 +221,24 @@ def _initial_state(args, n):
 
 
 def _cmd_simulate(args) -> int:
+    from .dynamics import (
+        MemoryCapExceeded,
+        empirical_moment,
+        evolve,
+        kolmogorov_distance,
+        limit_law,
+        position_distribution,
+        write_distribution_csv,
+    )
+
     spec = _load_walk(args.spec)
     state = _initial_state(args, spec.n)
     checkpoints = sorted({max(args.steps // 4, 1), max(args.steps // 2, 1), args.steps})
-    snaps = [position_distribution(evolve(spec, state, t), t) for t in checkpoints]
+    try:
+        snaps = [position_distribution(evolve(spec, state, t), t) for t in checkpoints]
+    except MemoryCapExceeded as exc:
+        # main reports it as invalid input, exit 2
+        raise ValueError(str(exc)) from exc
     snap = snaps[-1]
     if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -369,7 +380,7 @@ def main(argv=None) -> int:
     except UnresolvedCrossing as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (ValueError, OSError, MemoryCapExceeded) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError as exc:

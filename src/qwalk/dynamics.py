@@ -43,7 +43,7 @@ import numpy as np
 
 from .decompose import Decomposition
 from .spectral import BandSet
-from .walkspec import WalkSpec, _complex_cell, symbol_on_grid
+from .walkspec import WalkSpec, _complex_cell, _is_real, symbol_on_grid
 
 __all__ = [
     "State",
@@ -435,11 +435,6 @@ def _power_on_grid(spec: WalkSpec, rows: np.ndarray, g: int, grid: int, steps: i
     return np.fft.fft(psi_hat, axis=0)
 
 
-def _is_real(spec: WalkSpec) -> bool:
-    """True when no coefficient has a nonzero imaginary part (exactly, no tolerance)."""
-    return not any(a.imag.any() for a in spec.terms.values())
-
-
 def _reachable(spec: WalkSpec, amps: np.ndarray, steps: int, g: int) -> np.ndarray:
     """Entries of _propagate's span that a path of nonzero coefficients reaches.
 
@@ -659,16 +654,25 @@ def kolmogorov_distance(
     Snapshot mass within atom_window of an atom is therefore attributed
     to the atom and the jumps compared cumulatively; the default window
     is one histogram bin, the law's own resolution.
+
+    Tie rule: a cloud velocity within ATOM_VELOCITY_TOL of a rescaled
+    site x/t (x an integer) counts at that site.  The snapshot jumps
+    there, and without the rule a velocity that is x/t up to rounding
+    (grover3 has velocities of 0 that come out as +-1e-14) would count
+    before or after the site's mass by the sign of its rounding error.
     """
     if snapshot.t <= 0:
         raise ValueError("snapshot needs a positive time")
     if atom_window is None:
         atom_window = float(law.bin_edges[1] - law.bin_edges[0])
-    xs1 = np.concatenate([law.velocities, [v for v, _ in law.atoms]])
+    t = snapshot.t
+    site = np.rint(law.velocities * t) / t
+    velocities = np.where(np.abs(law.velocities - site) <= ATOM_VELOCITY_TOL, site, law.velocities)
+    xs1 = np.concatenate([velocities, [v for v, _ in law.atoms]])
     ws1 = np.concatenate([law.weights, [m for _, m in law.atoms]])
     o1 = np.argsort(xs1, kind="stable")
     xs1, cum1 = xs1[o1], np.cumsum(ws1[o1])
-    xs2 = np.asarray(snapshot.sites / snapshot.t, dtype=float)
+    xs2 = np.asarray(snapshot.sites / t, dtype=float)
     ws2 = np.array(snapshot.masses, dtype=float)
     for v, _ in law.atoms:
         near = np.abs(xs2 - v) <= atom_window

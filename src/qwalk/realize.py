@@ -121,7 +121,9 @@ def write_witness_csv(verdict: RealizabilityVerdict, fileobj) -> None:
     """Long-format dump: band index, cover point k, witness phase h."""
     if not verdict.realizable:
         raise ValueError("walk is not realizable; no witness generator exists")
-    fileobj.write("band,k,h\n")
-    for bi, (band, h) in enumerate(zip(verdict.band_set.bands, verdict.witnesses)):
-        for k, val in zip(band.kgrid, h):
-            fileobj.write("%d,%.17g,%.17g\n" % (bi, k, val))
+    # one float table, band indices included (exact, and %d prints them alike)
+    table = np.concatenate([
+        np.column_stack([np.full(h.size, bi), band.kgrid, h])
+        for bi, (band, h) in enumerate(zip(verdict.band_set.bands, verdict.witnesses))
+    ])
+    fileobj.write("band,k,h\n" + "%d,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist()))

@@ -12,10 +12,14 @@ The symbol grid is solved by one batched eigh of the Cayley transform of
 U_hat(k), which gives orthonormal frames, degenerate clusters included.
 Each fiber first tries the Cayley phase farthest from the spectrum that
 one batched eigvals of every 16th fiber predicts for it, so almost every
-fiber is solved once.  Sheet labels follow the solver's column order, so
-each cycle starts at a canonical sheet: least argument in [0, 2pi) at
-k = 0, ties within MERGE_TOL ordered where the sheets separate.  Band
-samples, order and values at k = 0 then depend on the walk alone.
+fiber is solved once.  When every coefficient of a walk (or of a block,
+below) is real, an exact test, U_hat(-k) is the conjugate of U_hat(k):
+only the fibers 0 ... G/2 are solved, and fiber G - m takes the
+conjugates of fiber m's values and sections.  Sheet labels follow the
+solver's column order, so each cycle starts at a canonical sheet: least
+argument in [0, 2pi) at k = 0, ties within MERGE_TOL ordered where the
+sheets separate.  Band samples, order and values at k = 0 then depend on
+the walk alone.
 
 Tracking starts at the grid point with the best-separated spectrum and
 sweeps both ways.  Each branch moves at most hL over a grid step h, where
@@ -80,12 +84,11 @@ on every call.
 from __future__ import annotations
 
 import functools
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from .walkspec import WalkSpec, _invariant_blocks, _speed_bound, symbol_on_grid
+from .walkspec import WalkSpec, _invariant_blocks, _is_real, _speed_bound, symbol_on_grid
 
 __all__ = [
     "Band",
@@ -687,6 +690,26 @@ def _band_sort_key(band: Band):
     )
 
 
+def _solve_grid(spec: WalkSpec, ks: np.ndarray):
+    """_eig_grid on the base grid ks = 2 pi g / G, solving half of it on a real walk.
+
+    When every coefficient is real (an exact test, no tolerance), U_hat(-k)
+    is the conjugate of U_hat(k), and k_{G - m} = 2 pi - k_m, so only the
+    fibers 0 ... G / 2 are solved and fiber G - m takes the conjugates of
+    fiber m's values and sections.
+    """
+    if not _is_real(spec):
+        return _eig_grid(spec, ks)
+    half = ks.size // 2
+    vals, vecs = _eig_grid(spec, ks[: half + 1])
+    mirror = np.arange(half - 1, 0, -1)
+    # + 0.0 turns the -0.0 that conj gives a real value back into 0.0
+    return (
+        np.concatenate([vals, vals[mirror].conj() + 0.0]),
+        np.concatenate([vecs, vecs[mirror].conj()]),
+    )
+
+
 def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
     bound = _speed_bound(spec)
     if grid_size <= 2.0 * bound:
@@ -702,7 +725,7 @@ def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
     # an irreducible walk is one block in the identity basis
     tv, tw, sigma = [], [], []
     for block, basis in _invariant_blocks(spec) or [(spec, None)]:
-        vals, vecs = _eig_grid(block, ks)
+        vals, vecs = _solve_grid(block, ks)
         block_bound = bound if basis is None else _speed_bound(block)
         values, sections, seam = _track(block, ks, vals, vecs, block_bound)
         tv.append(values)
@@ -751,6 +774,8 @@ def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:
     except UnresolvedCrossing as exc:
         # a caller that keeps the exception keeps its traceback; clear the
         # finished frames in it so they do not keep the (G, n, n) arrays
+        import traceback
+
         traceback.clear_frames(exc.__traceback__)
         raise
     band_set = BandSet(bands=tuple(bands), n=spec.n, grid_size=grid_size)
@@ -806,10 +831,6 @@ def write_band_csv(band_set: BandSet, fileobj) -> None:
                 headers.append("band%d_copy%d_sheet%d_re" % (bi, c, s))
                 headers.append("band%d_copy%d_sheet%d_im" % (bi, c, s))
                 columns.append(band.samples[s * G : (s + 1) * G])
-    fileobj.write(",".join(headers) + "\n")
-    for g in range(G):
-        row = ["%.17g" % ks[g]]
-        for col in columns:
-            row.append("%.17g" % col[g].real)
-            row.append("%.17g" % col[g].imag)
-        fileobj.write(",".join(row) + "\n")
+    table = np.column_stack([ks, *(part for col in columns for part in (col.real, col.imag))])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    fileobj.write(",".join(headers) + "\n" + row * G % tuple(table.ravel().tolist()))

@@ -20,7 +20,6 @@ identity on the coin space.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import weakref
@@ -93,7 +92,8 @@ class WalkSpec:
     across threads; every operation on them is pure.  A spec also carries a
     memo of results derived from it: the BandSet of each grid size that
     some caller still holds (weakly referenced, so the memo keeps nothing
-    alive), the commutator norm and the split into invariant blocks.
+    alive), the commutator norm, the speed bound and the split into
+    invariant blocks.
     Concurrent callers may compute the same result twice, but a result is
     stored only once complete, so none sees a partial one.  Copies and
     unpickled specs start with an empty memo.  Two specs are equal when
@@ -108,6 +108,7 @@ class WalkSpec:
         init=False, repr=False, default_factory=weakref.WeakValueDictionary
     )
     _commutator_norm: float | None = field(init=False, repr=False, default=None)
+    _speed_bound: float | None = field(init=False, repr=False, default=None)
     _blocks: tuple | None = field(init=False, repr=False, default=None)
     # True only for the exact image of a validated walk (dynamics.adjoint_walk),
     # which satisfies the unitarity identities without a second check
@@ -271,6 +272,8 @@ def serialize_walk_spec(spec: WalkSpec) -> str:
 
 def spec_digest(spec: WalkSpec) -> str:
     """Stable content digest of a spec, used in reports."""
+    import hashlib
+
     return "sha256:" + hashlib.sha256(serialize_walk_spec(spec).encode()).hexdigest()
 
 
@@ -370,10 +373,23 @@ def _speed_bound(spec: WalkSpec) -> float:
     NORM_GRID-point grid, so the supremum exceeds it by at most
     pi / NORM_GRID times the Lipschitz constant of the top singular value,
     which is at most sum_j j^2 ||A_j||.  That term is added on both paths;
-    on the first it covers the rounding many times over.
+    on the first it covers the rounding many times over.  Computed once
+    per spec object and memoized on it.
     """
-    slack = sum(j * j * np.linalg.norm(a, 2) for j, a in spec.terms.items())
-    return commutator_norm(spec) + np.pi / NORM_GRID * slack
+    if spec._speed_bound is None:
+        slack = sum(j * j * np.linalg.norm(a, 2) for j, a in spec.terms.items())
+        bound = commutator_norm(spec) + np.pi / NORM_GRID * slack
+        object.__setattr__(spec, "_speed_bound", bound)
+    return spec._speed_bound
+
+
+def _is_real(spec: WalkSpec) -> bool:
+    """True when no coefficient has a nonzero imaginary part (exactly, no tolerance).
+
+    Then U_hat(-k) is the conjugate of U_hat(k), so the symbol on the
+    mirror half of a grid is read off the other half.
+    """
+    return not any(a.imag.any() for a in spec.terms.values())
 
 
 def _invariant_blocks(spec: WalkSpec) -> tuple:

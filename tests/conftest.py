@@ -31,6 +31,15 @@ def random_walk(seed, n_max=5, shift_max=3):
     return shift_coin_walk(tuple(int(s) for s in shifts), coin)
 
 
+def real_random_walk(seed, n_max=5, shift_max=3):
+    """random_walk's shift blocks with a seeded real orthogonal coin."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, n_max))
+    shifts = rng.integers(-shift_max, shift_max + 1, n)
+    q, r = qr(rng.standard_normal((n, n)))
+    return shift_coin_walk(tuple(int(s) for s in shifts), q * np.sign(np.diagonal(r)))
+
+
 @pytest.fixture(scope="session")
 def grover3_dec():
     return decompose(FIXTURES["grover3"]())

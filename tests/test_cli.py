@@ -379,6 +379,100 @@ def test_cli_commands_do_not_import_numpy_ma():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_memory_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("QWALK_MEM_CAP_MB", "1")
+    assert main(["simulate", "grover4", "--steps", "5000", "--grid", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: evolution window needs about ")
+
+
+# the benchmark's cli commands, each with the qwalk modules beyond
+# qwalk, cli, decompose, fixtures, spectral and walkspec that it may load
+SUBCOMMAND_MODULES = [
+    (["analyze", "grover4"], {"realize"}),
+    (["analyze", "grover3", "--format", "csv"], set()),
+    (["decompose", "cube_root"], set()),
+    (["realizable", "grover3", "--format", "csv"], {"realize"}),
+    (["intertwine", "grover4", "grover4_subwalk"], {"intertwine"}),
+    (["simulate", "coined(0.5)", "--steps", "400", "--limit-law"], {"dynamics"}),
+]
+
+LOADED_MODULES_RUN = """
+import contextlib, io, sys, types
+from qwalk.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(%r)
+import qwalk
+assert isinstance(qwalk.decompose, types.FunctionType), qwalk.decompose
+print(code, sorted(m for m in sys.modules if m.startswith("qwalk.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,extra", SUBCOMMAND_MODULES, ids=[argv[0] + "-" + argv[-1] for argv, _ in SUBCOMMAND_MODULES]
+)
+def test_each_subcommand_loads_only_its_modules(argv, extra):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_RUN % (argv,)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    base = {"cli", "decompose", "fixtures", "spectral", "walkspec"}
+    want = ["qwalk." + m for m in sorted(base | extra)]
+    assert proc.stdout == "0 %r\n" % want
+
+
+def test_decompose_is_the_function_after_any_import_order():
+    # decompose names both a submodule and the function; importing a module
+    # of the package first must not leave qwalk.decompose bound to the module
+    for first in ("qwalk.cli", "qwalk.decompose", "qwalk.dynamics", "qwalk.intertwine", "qwalk.realize"):
+        code = "import types, %s, qwalk; assert isinstance(qwalk.decompose, types.FunctionType)" % first
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, (first, proc.stderr)
+
+
+# the package's public names before its exports were loaded lazily
+PACKAGE_NAMES = [
+    "Band", "BandSet", "CommutantReport", "ConstantSummand", "Decomposition",
+    "DistributionSnapshot", "FIXTURES", "IntertwinerSpace", "LimitLaw",
+    "MemoryCapExceeded", "PrimeModelWalk", "RealizabilityVerdict", "State",
+    "TranslationMatch", "UnitarityError", "UnresolvedCrossing", "WalkSpec",
+    "WalkSpecError", "adjoint_walk", "amplify", "assemble", "basis_state",
+    "build_fixture", "build_intertwiner", "commutant_report", "commutator_norm",
+    "cover_walk", "decompose", "derivative_symbol_on_grid", "det_winding",
+    "direct_sum", "dynamics", "empirical_moment", "evolve", "find_translation",
+    "fixture_names", "fixtures", "generator_coefficients", "intertwine",
+    "intertwiner_residual", "intertwiner_space", "is_ct_realizable",
+    "kolmogorov_distance", "limit_law", "model_walk_matrix", "monodromy",
+    "parse_state", "parse_walk_spec", "position_distribution", "realize",
+    "sample_bands", "serialize_walk_spec", "shift_coin_walk", "spec_digest",
+    "spectral", "symbol_at", "symbol_on_grid", "uniform_coin_state", "walkspec",
+    "witness_step", "write_band_csv", "write_distribution_csv",
+    "write_intertwiner_csv", "write_witness_csv",
+]
+
+PACKAGE_NAMES_RUN = """
+import qwalk
+public = [n for n in dir(qwalk) if not n.startswith("_")]
+names = {}
+exec("from qwalk import *", names)
+print(public, sorted(n for n in names if n != "__builtins__"), "__version__" in dir(qwalk))
+"""
+
+
+def test_star_import_and_dir_give_the_package_names():
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_NAMES_RUN], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "%r %r True\n" % (PACKAGE_NAMES, PACKAGE_NAMES)
+    assert sorted(qwalk.__all__) == PACKAGE_NAMES
+    for name in PACKAGE_NAMES:
+        assert getattr(qwalk, name) is not None
+    with pytest.raises(AttributeError):
+        qwalk.no_such_name
+
+
 def test_no_module_imports_scipy():
     # numpy is the one runtime dependency; scipy serves the tests only
     imported = []

@@ -79,3 +79,25 @@ def test_verdict_json_and_csv():
     bad = is_ct_realizable(grover4(), 128)
     with pytest.raises(ValueError):
         write_witness_csv(bad, io.StringIO())
+
+
+def row_loop_witness_csv(verdict):
+    """write_witness_csv as one formatted row per cover point."""
+    lines = ["band,k,h"]
+    for bi, (band, h) in enumerate(zip(verdict.band_set.bands, verdict.witnesses)):
+        lines += ["%d,%.17g,%.17g" % (bi, k, val) for k, val in zip(band.kgrid, h)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+def test_witness_csv_matches_the_row_loop(grid):
+    realizable = []
+    for name in sorted(FIXTURES):
+        verdict = is_ct_realizable(FIXTURES[name](), grid)
+        if not verdict.realizable:
+            continue
+        realizable.append(name)
+        buf = io.StringIO()
+        write_witness_csv(verdict, buf)
+        assert buf.getvalue() == row_loop_witness_csv(verdict), name
+    assert "grover3" in realizable and "coined" in realizable

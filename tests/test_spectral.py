@@ -46,9 +46,9 @@ from qwalk.spectral import (
     _eig_grid,
     _pair_gaps,
 )
-from qwalk.walkspec import _invariant_blocks
+from qwalk.walkspec import _invariant_blocks, _is_real
 
-from conftest import random_walk
+from conftest import random_walk, real_random_walk
 
 
 def grover4_moving(k, sign):
@@ -538,12 +538,16 @@ SOLVED_ONCE_WALKS = [
 def test_each_fiber_is_solved_about_once(eigh_rows, name, make_spec, grid):
     # the predicted trial phase passes on almost every fiber, including
     # those with an eigenvalue at a fixed phase such as grover4's band at 1;
-    # a reducible walk solves each fiber once per invariant block
+    # a reducible walk solves each fiber once per invariant block, and a
+    # block with real coefficients solves only the fibers 0 ... G / 2
     spec = make_spec()
     sample_bands(spec, grid)
-    blocks = len(_invariant_blocks(spec)) or 1
-    assert (blocks > 1) == (name in ("constant(3)", "walk(6)", "walk(9)"))
-    assert eigh_rows[0] <= 1.1 * grid * blocks
+    blocks = [block for block, _ in _invariant_blocks(spec)] or [spec]
+    assert (len(blocks) > 1) == (name in ("constant(3)", "walk(6)", "walk(9)"))
+    real = [_is_real(block) for block in blocks]
+    assert all(real) == (name in ("grover4", "grover3", "constant(3)", "free", "cube_root"))
+    fibers = sum(grid // 2 + 1 if r else grid for r in real)
+    assert eigh_rows[0] <= 1.1 * fibers
 
 
 def test_eig_grid_skips_empty_trials_and_pole_free_dets(monkeypatch):
@@ -765,6 +769,10 @@ def test_weakly_coupled_blocks_are_not_split(monkeypatch, tracks):
     assert qwalk.walkspec._commutant_blocks(spec) == ()
 
 
+# the fixtures with real coefficients that have one invariant block
+REAL_FIXTURES = (
+    "coined", "constant", "cube_root", "det_winding", "free", "grover3", "grover4", "grover4_subwalk",
+)
 # fixtures and conftest walks 0-39 whose constant commutant is the scalars
 IRREDUCIBLE_WALKS = [
     (name, make_spec)
@@ -779,16 +787,24 @@ IRREDUCIBLE_WALKS = [
     "name,make_spec", IRREDUCIBLE_WALKS, ids=[w[0] for w in IRREDUCIBLE_WALKS]
 )
 def test_irreducible_walks_keep_their_band_sets_bit_for_bit(name, make_spec, grid):
+    # presplit_bands solves every fiber; sample_bands solves half of a real
+    # walk's fibers and conjugates the rest, which differ from solved ones
+    # by rounding
     got = extract_or_refusal(make_spec(), grid)
     try:
         want = presplit_bands(make_spec(), grid)
     except UnresolvedCrossing as exc:
         assert isinstance(got, UnresolvedCrossing) and str(got) == str(exc)
         return
+    real = _is_real(make_spec())
+    assert real == (name in REAL_FIXTURES)
     assert len(got.bands) == len(want)
     for bg, bw in zip(got.bands, want):
         for field in ("samples", "eigvec_samples", "fourier"):
-            assert np.array_equal(getattr(bg, field), getattr(bw, field))
+            if real:
+                assert np.max(np.abs(getattr(bg, field) - getattr(bw, field))) <= 1e-13
+            else:
+                assert np.array_equal(getattr(bg, field), getattr(bw, field))
         for field in ("degree", "multiplicity", "winding", "min_period", "is_constant"):
             assert getattr(bg, field) == getattr(bw, field)
 
@@ -1129,3 +1145,110 @@ def test_invariants_agree_at_256_and_2048(name, make_spec):
     key = lambda b: (b.degree, b.winding, b.min_period, b.multiplicity)
     coarse, fine = (sorted(map(key, sample_bands(spec, g).bands)) for g in (256, 2048))
     assert coarse == fine
+
+
+def test_mirrored_fibers_are_the_symbols_eigenvalues():
+    # a real walk solves fibers 0 ... G / 2 and conjugates fiber m into
+    # fiber G - m; each mirrored fiber's values and sections against the
+    # symbol evaluated there
+    for name in REAL_FIXTURES:
+        spec = FIXTURES[name]()
+        for grid in (256, 2048):
+            ks = 2.0 * np.pi * np.arange(grid) / grid
+            vals, vecs = qwalk.spectral._solve_grid(spec, ks)
+            mirrored = np.arange(grid // 2 + 1, grid)
+            mats = symbol_on_grid(spec, ks[mirrored])
+            want = np.linalg.eigvals(mats)
+            for got_g, want_g in zip(vals[mirrored], want):
+                dist = np.abs(got_g[:, None] - want_g[None, :])
+                rows, cols = linear_sum_assignment(dist)
+                assert dist[rows, cols].max() <= 1e-13, (name, grid)
+            resid = mats @ vecs[mirrored] - vecs[mirrored] * vals[mirrored][:, None, :]
+            assert np.abs(resid).max() <= 1e-13, (name, grid)
+
+
+def full_solve_bands(spec, grid, monkeypatch):
+    """sample_bands with every fiber solved, as for a complex walk."""
+    with monkeypatch.context() as patch:
+        patch.setattr(qwalk.spectral, "_is_real", lambda spec: False)
+        return extract_or_refusal(spec, grid)
+
+
+HALF_SOLVE_WALKS = (
+    [(name, FIXTURES[name]) for name in fixture_names()]
+    + [("coined(1 - 10^-%g)" % m, lambda m=m: coined(1 - 10.0**-m)) for m in COINED_SWEEP_M]
+    + [("real_walk(%d)" % seed, lambda seed=seed: real_random_walk(seed)) for seed in range(20)]
+)
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize(
+    "name,make_spec", HALF_SOLVE_WALKS, ids=[w[0] for w in HALF_SOLVE_WALKS]
+)
+def test_half_solved_grids_keep_signatures_and_refusals(monkeypatch, name, make_spec, grid):
+    spec = make_spec()
+    assert _is_real(spec) == (name != "grover3_subwalk")
+    got = extract_or_refusal(spec, grid)
+    want = full_solve_bands(make_spec(), grid, monkeypatch)
+    if isinstance(want, UnresolvedCrossing):
+        # the start fiber is the best-separated one; on a mirrored grid its
+        # mirror ties with it exactly, where on the all-fiber path rounding
+        # picks one, so coined(1 - 10^-8) at 256 meets its crossing at pi
+        # before the one at 2 pi: the same gap, so the same next grid
+        assert isinstance(got, UnresolvedCrossing)
+        if (got.k_lo, got.k_hi) != (want.k_lo, want.k_hi):
+            assert name == "coined(1 - 10^-8)" and grid == 256
+            assert (got.k_hi, want.k_hi) == (np.pi, 2 * np.pi)
+        assert got.min_gap == pytest.approx(want.min_gap, rel=1e-9)
+        assert (got.bound, got.next_grid) == (want.bound, want.next_grid)
+        return
+    assert isinstance(got, qwalk.spectral.BandSet)
+    key = lambda b: (b.degree, b.multiplicity, b.winding, b.min_period, b.is_constant)
+    assert [key(b) for b in got.bands] == [key(b) for b in want.bands]
+
+
+def test_speed_bound_computed_once_per_spec(monkeypatch):
+    calls = []
+    real = qwalk.walkspec.commutator_norm
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(qwalk.walkspec, "commutator_norm", counting)
+    spec = grover4()
+    first = qwalk.walkspec._speed_bound(spec)
+    sample_bands(spec, 256)
+    sample_bands(spec, 2048)
+    assert qwalk.walkspec._speed_bound(spec) == first
+    assert len(calls) == 1
+    assert qwalk.walkspec._speed_bound(grover4()) == first
+    assert len(calls) == 2
+
+
+def row_loop_band_csv(band_set):
+    """write_band_csv as one formatted row per grid point."""
+    G = band_set.grid_size
+    ks = 2.0 * np.pi * np.arange(G) / G
+    headers, columns = ["k"], []
+    for bi, band in enumerate(band_set.bands):
+        for c in range(band.multiplicity):
+            for s in range(band.degree):
+                headers += ["band%d_copy%d_sheet%d_%s" % (bi, c, s, part) for part in ("re", "im")]
+                columns.append(band.samples[s * G : (s + 1) * G])
+    lines = [",".join(headers)]
+    for g in range(G):
+        row = ["%.17g" % ks[g]]
+        for col in columns:
+            row += ["%.17g" % col[g].real, "%.17g" % col[g].imag]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("name", fixture_names())
+def test_band_csv_matches_the_row_loop(name, grid):
+    band_set = sample_bands(FIXTURES[name](), grid)
+    buf = io.StringIO()
+    write_band_csv(band_set, buf)
+    assert buf.getvalue() == row_loop_band_csv(band_set)
