@@ -7,104 +7,54 @@ summands, decides continuous-time realizability by winding numbers,
 classifies intertwiners, and verifies the ballistic weak limit of the
 dynamics against the band data.
 
-The names of the dynamics, intertwine and realize modules, and those
-modules themselves, are loaded on first access (PEP 562), so that a
-command line run imports only what its subcommand uses.  decompose is
-bound eagerly: it names both a submodule and the public function, and
-the function must win.
+The package exports every name in the __all__ of its modules, and the
+modules themselves.  Those of decompose, fixtures, spectral and walkspec
+are bound on import; realize, intertwine and dynamics, and their names,
+are loaded on first access (PEP 562), so that a command line run imports
+only what its subcommand uses; a public name that none of them exports
+loads all three before it is refused.  decompose is bound eagerly: it
+names both a submodule and the public function, and the function must
+win.
 """
 
-from .decompose import (
-    ConstantSummand,
-    Decomposition,
-    PrimeModelWalk,
-    assemble,
-    cover_walk,
-    decompose,
-)
-from .fixtures import FIXTURES, build_fixture, fixture_names, shift_coin_walk
-from .spectral import (
-    Band,
-    BandSet,
-    UnresolvedCrossing,
-    det_winding,
-    monodromy,
-    sample_bands,
-    write_band_csv,
-)
-from .walkspec import (
-    UnitarityError,
-    WalkSpec,
-    WalkSpecError,
-    amplify,
-    commutator_norm,
-    derivative_symbol_on_grid,
-    direct_sum,
-    parse_walk_spec,
-    serialize_walk_spec,
-    spec_digest,
-    symbol_at,
-    symbol_on_grid,
-)
+from .decompose import *
+from .fixtures import *
+from .spectral import *
+from .walkspec import *
 
 __version__ = "0.1.0"
 
-# submodule -> the names it exports here, imported on first access
-_LAZY = {
-    "dynamics": (
-        "DistributionSnapshot",
-        "LimitLaw",
-        "MemoryCapExceeded",
-        "State",
-        "adjoint_walk",
-        "basis_state",
-        "empirical_moment",
-        "evolve",
-        "kolmogorov_distance",
-        "limit_law",
-        "parse_state",
-        "position_distribution",
-        "uniform_coin_state",
-        "write_distribution_csv",
-    ),
-    "intertwine": (
-        "CommutantReport",
-        "IntertwinerSpace",
-        "TranslationMatch",
-        "build_intertwiner",
-        "commutant_report",
-        "find_translation",
-        "intertwiner_residual",
-        "intertwiner_space",
-        "model_walk_matrix",
-        "write_intertwiner_csv",
-    ),
-    "realize": (
-        "RealizabilityVerdict",
-        "generator_coefficients",
-        "is_ct_realizable",
-        "witness_step",
-        "write_witness_csv",
-    ),
-}
-_ORIGIN = {name: module for module, names in _LAZY.items() for name in names}
+# loaded on first access, and searched for a name in this order: the
+# cheapest import first
+_LAZY = ("realize", "intertwine", "dynamics")
 
-__all__ = sorted(
-    {name for name in globals() if not name.startswith("_")} | set(_LAZY) | set(_ORIGIN)
-)
+
+def _module(name):
+    import importlib
+
+    return importlib.import_module("." + name, __name__)
 
 
 def __getattr__(name):
-    import importlib
-
     if name in _LAZY:
-        return importlib.import_module("." + name, __name__)
-    if name not in _ORIGIN:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module("." + _ORIGIN[name], __name__), name)
+        return _module(name)
+    if name == "__all__":
+        modules = ("decompose", "fixtures", "spectral", "walkspec") + _LAZY
+        value = sorted(set(modules).union(*(_module(m).__all__ for m in modules)))
+    else:
+        import importlib.util
+
+        # a private name or a submodule is no exported name: probing one
+        # (as from qwalk import cli does) loads nothing
+        owner = None
+        if not name.startswith("_") and importlib.util.find_spec("." + name, __name__) is None:
+            owner = next((m for m in _LAZY if name in _module(m).__all__), None)
+        if owner is None:
+            raise AttributeError("module %r has no attribute %r" % (__name__, name))
+        value = getattr(_module(owner), name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

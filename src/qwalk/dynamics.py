@@ -182,23 +182,23 @@ def adjoint_walk(spec: WalkSpec) -> WalkSpec:
     return WalkSpec(n=spec.n, terms={-j: a.conj().T for j, a in spec.terms.items()}, _valid=True)
 
 
-def _mem_cap_bytes(mem_cap_mb) -> int:
-    """The cap in bytes: mem_cap_mb, else QWALK_MEM_CAP_MB, else the default.
+def _mem_cap_bytes() -> int:
+    """The cap in bytes: QWALK_MEM_CAP_MB, else the default.
 
     The cap must be a positive whole number of MB; anything else raises a
     ValueError naming QWALK_MEM_CAP_MB and the bad value.
     """
-    raw = os.environ.get(MEM_CAP_ENV, DEFAULT_MEM_CAP_MB) if mem_cap_mb is None else mem_cap_mb
+    raw = os.environ.get(MEM_CAP_ENV, str(DEFAULT_MEM_CAP_MB))
     try:
-        cap = int(raw) if isinstance(raw, str) else operator.index(raw)
-    except (TypeError, ValueError):
+        cap = int(raw)
+    except ValueError:
         cap = 0
-    if isinstance(raw, bool) or cap < 1:
+    if cap < 1:
         raise ValueError("%s must be a positive integer number of MB, got %r" % (MEM_CAP_ENV, raw))
     return cap * 1024 * 1024
 
 
-def evolve(spec: WalkSpec, state: State, steps: int, mem_cap_mb=None) -> State:
+def evolve(spec: WalkSpec, state: State, steps: int) -> State:
     """Apply the walk for the given number of steps, without truncation.
 
     Negative steps use the adjoint.  The result covers the window
@@ -208,7 +208,7 @@ def evolve(spec: WalkSpec, state: State, steps: int, mem_cap_mb=None) -> State:
     model of _propagator_is_cheaper.  The two agree to 1e-12, and the rows
     of unoccupied shift cosets and the entries that _reachable rules out
     are exact zeros on both.  The projected peak allocation of the chosen
-    path is checked against QWALK_MEM_CAP_MB up front.
+    path is checked up front against QWALK_MEM_CAP_MB, the one cap setting.
     """
     if state.n != spec.n:
         raise ValueError(
@@ -216,7 +216,7 @@ def evolve(spec: WalkSpec, state: State, steps: int, mem_cap_mb=None) -> State:
         )
     steps = operator.index(steps)
     if steps < 0:
-        return evolve(adjoint_walk(spec), state, -steps, mem_cap_mb)
+        return evolve(adjoint_walk(spec), state, -steps)
     amps = state.amplitudes
     cosets = _cosets(spec, amps, steps)
     spectral = _propagator_is_cheaper(spec, amps, steps, cosets)
@@ -224,7 +224,7 @@ def evolve(spec: WalkSpec, state: State, steps: int, mem_cap_mb=None) -> State:
         peak = _propagator_bytes(spec, amps, steps, cosets)
     else:
         peak = _stepper_bytes(spec, amps.shape[0], steps)
-    cap = _mem_cap_bytes(mem_cap_mb)
+    cap = _mem_cap_bytes()
     if peak > cap:
         raise MemoryCapExceeded(
             "evolution window needs about %d MB, cap is %d MB"

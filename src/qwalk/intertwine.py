@@ -27,8 +27,6 @@ from .spectral import Band
 __all__ = [
     "TranslationMatch",
     "IntertwinerSpace",
-    "ConstantClass",
-    "PrimeClass",
     "CommutantReport",
     "find_translation",
     "intertwiner_space",

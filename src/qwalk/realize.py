@@ -59,7 +59,6 @@ def is_ct_realizable(spec: WalkSpec, grid_size: int = 2048) -> RealizabilityVerd
     continuous logarithm no matter the choice of branch.
     """
     band_set = sample_bands(spec, grid_size)
-    dw = det_winding(spec, grid_size)
     realizable = all(b.winding == 0 for b in band_set.bands)
     witnesses = None
     if realizable:
@@ -71,7 +70,7 @@ def is_ct_realizable(spec: WalkSpec, grid_size: int = 2048) -> RealizabilityVerd
         witnesses = tuple(lifts)
     return RealizabilityVerdict(
         realizable=realizable,
-        det_winding=dw,
+        det_winding=det_winding(spec),
         band_set=band_set,
         witnesses=witnesses,
     )

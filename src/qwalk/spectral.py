@@ -71,7 +71,8 @@ which the speed bound guarantees when G > 2L, since hL = 2 pi L / G.  A
 grid with G <= 2L would alias the winding and is refused with a
 ValueError, before any fiber is solved, that names the first grid size
 that passes; L is the whole walk's, also when it splits into blocks.
-The det winding needs no grid: it is sum_j j ||A_j||_F^2 (det_winding).
+The det winding needs no grid: it is sum_j j ||A_j||_F^2 (det_winding),
+and sample_bands checks the band windings of every extraction against it.
 
 sample_bands memoizes its result on the spec object, per grid size, for
 as long as some caller holds the BandSet: decompose and is_ct_realizable
@@ -107,15 +108,26 @@ AMBIG_FACTOR = 0.2     # prediction residual vs gap ratio that triggers refineme
 MAX_HALVINGS = 4
 
 
+def _first_grid(bound: float, gap: float = 2.0 * np.pi) -> int:
+    """The first power of two G >= 64 with 4 pi L / G < gap, L = bound.
+
+    On that grid a step between fibers with that gap is proven (2hL < gap);
+    the default gap 2pi gives the grid rule G > 2L.
+    """
+    grid = 64
+    while 4.0 * np.pi * bound / grid >= gap:
+        grid *= 2
+    return grid
+
+
 class UnresolvedCrossing(RuntimeError):
     """Two bands could not be disambiguated at a near-degeneracy.
 
     min_gap is the smallest distance above MERGE_TOL between two
     eigenvalues on the fibers at k_lo and k_hi, and bound the speed bound L
-    the step was held to.  next_grid is the smallest valid grid size (a
-    power of two, at least 64) whose step 2pi/G is proven at that gap,
-    4 pi L / G < min_gap; it is None unless a positive gap and a bound are
-    given.
+    the step was held to.  next_grid is the first valid grid size whose
+    step is proven at that gap (_first_grid); it is None unless a positive
+    gap and a bound are given.
     """
 
     def __init__(self, k_lo: float, k_hi: float, min_gap: float | None = None,
@@ -127,9 +139,7 @@ class UnresolvedCrossing(RuntimeError):
         self.next_grid = None
         message = "band assignment ambiguous on k in [%.9f, %.9f]" % (k_lo, k_hi)
         if self.min_gap is not None and self.min_gap > 0 and self.bound is not None:
-            self.next_grid = 64
-            while 4.0 * np.pi * self.bound / self.next_grid >= self.min_gap:
-                self.next_grid *= 2
+            self.next_grid = _first_grid(self.bound, self.min_gap)
             message += (
                 "; smallest gap on its end fibers %.3e, speed bound %.3e,"
                 " first grid that proves such a step %d"
@@ -712,10 +722,8 @@ def _solve_grid(spec: WalkSpec, ks: np.ndarray):
 
 def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
     bound = _speed_bound(spec)
-    if grid_size <= 2.0 * bound:
-        first = 64
-        while first <= 2.0 * bound:
-            first *= 2
+    first = _first_grid(bound)
+    if grid_size < first:
         raise ValueError(
             "grid %d does not exceed twice the speed bound L = %.3e, so one"
             " step may move a band by half a turn and alias its winding;"
@@ -764,6 +772,9 @@ def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:
         If two bands stay indistinguishable at a near-degeneracy after the
         maximum local refinement.  The frames of its traceback below this
         call are cleared, so a kept exception holds no tracking arrays.
+    RuntimeError
+        If the band windings weighted by multiplicity do not sum to
+        det_winding(spec); checked once per extraction, before the memo.
     """
     _validate_grid(grid_size)
     band_set = spec._band_memo.get(grid_size)
@@ -779,6 +790,13 @@ def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:
         traceback.clear_frames(exc.__traceback__)
         raise
     band_set = BandSet(bands=tuple(bands), n=spec.n, grid_size=grid_size)
+    w = det_winding(spec)
+    sheet_sum = sum(b.multiplicity * b.winding for b in bands)
+    if sheet_sum != w:
+        raise RuntimeError(
+            "internal error: det winding %d != sum of band windings %d"
+            % (w, sheet_sum)
+        )
     spec._band_memo[grid_size] = band_set
     return band_set
 
@@ -796,27 +814,17 @@ def monodromy(spec: WalkSpec, grid_size: int = 2048) -> tuple:
     return tuple(sorted(lengths))
 
 
-def det_winding(spec: WalkSpec, grid_size: int = 2048) -> int:
+def det_winding(spec: WalkSpec) -> int:
     """Winding number of k -> det U_hat(k) on the base torus.
 
     d/dk log det U_hat(k) = tr(U_hat(k)^* dU_hat/dk), and the terms
     e^{i(j-l)k} with j != l average to zero over the torus, so its mean is
     i sum_j j ||A_j||_F^2: the winding is sum_j j ||A_j||_F^2, read off the
-    coefficients with no grid.  This is the index of Gross, Nesme, Vogts
-    and Werner (CMP 2012) of a translation-invariant walk.  It is
-    cross-checked against the sum of band windings weighted by
-    multiplicity, which it must equal exactly.  The bands come from
-    sample_bands, so a caller holding this spec's BandSet shares it.
+    coefficients with no grid and no bands.  This is the index of Gross,
+    Nesme, Vogts and Werner (CMP 2012) of a translation-invariant walk.
+    sample_bands checks every band set it extracts against it.
     """
-    band_set = sample_bands(spec, grid_size)
-    w = round(sum(j * float(np.vdot(a, a).real) for j, a in spec.terms.items()))
-    sheet_sum = sum(b.multiplicity * b.winding for b in band_set.bands)
-    if sheet_sum != w:
-        raise RuntimeError(
-            "internal error: det winding %d != sum of band windings %d"
-            % (w, sheet_sum)
-        )
-    return w
+    return round(sum(j * float(np.vdot(a, a).real) for j, a in spec.terms.items()))
 
 
 def write_band_csv(band_set: BandSet, fileobj) -> None:

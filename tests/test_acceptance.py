@@ -141,7 +141,7 @@ def test_cube_root_prime_refinement_bookkeeping():
 
 def test_det_winding_walk_obstruction():
     spec = det_winding_walk(0.6, 0.8)
-    assert det_winding(spec, 512) == 1
+    assert det_winding(spec) == 1
     verdict = is_ct_realizable(spec, 512)
     assert verdict.realizable is False
 
@@ -249,7 +249,7 @@ def test_random_walk_ensemble_invariants():
 
         assert all(isinstance(b.winding, int) for b in bs2.bands), seed
         total = sum(b.winding * b.multiplicity for b in bs2.bands)
-        assert total == det_winding(spec, 256), seed
+        assert total == det_winding(spec), seed
 
         sig1 = sorted(
             (b.degree, b.winding, 0 if b.is_constant else b.min_period, b.multiplicity)

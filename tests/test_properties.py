@@ -68,7 +68,7 @@ def test_winding_additivity_matches_det_winding():
         spec = random_walk(seed)
         band_set = sample_bands(spec, 256)
         total = sum(b.winding * b.multiplicity for b in band_set.bands)
-        assert total == det_winding(spec, 256), seed
+        assert total == det_winding(spec), seed
 
 
 def test_grid_doubling_is_stable():

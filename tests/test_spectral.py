@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import pickle
@@ -20,6 +21,7 @@ from qwalk import (
     direct_sum,
     is_ct_realizable,
     monodromy,
+    parse_walk_spec,
     sample_bands,
     serialize_walk_spec,
     symbol_on_grid,
@@ -121,9 +123,9 @@ def test_minimal_period_and_constant_band():
 
 def test_det_winding_additive_under_direct_sum():
     a, b = free(), FIXTURES["det_winding"]()
-    assert det_winding(a, 128) == 1
-    assert det_winding(b, 256) == 1
-    assert det_winding(direct_sum(a, b), 256) == 2
+    assert det_winding(a) == 1
+    assert det_winding(b) == 1
+    assert det_winding(direct_sum(a, b)) == 2
 
 
 def det_grid_winding(spec):
@@ -163,24 +165,66 @@ DET_ORACLE_WALKS = (
 @pytest.mark.parametrize(
     "name,make_spec", DET_ORACLE_WALKS, ids=[w[0] for w in DET_ORACLE_WALKS]
 )
-def test_det_winding_closed_form_matches_det_grid(monkeypatch, name, make_spec):
+def test_det_winding_closed_form_matches_det_grid(name, make_spec):
     spec = make_spec()
     want = det_grid_winding(spec)
-    held = sample_bands(spec, 256)
-    # with the bands held, det_winding builds no symbol grid
-    monkeypatch.setattr(qwalk.spectral, "symbol_on_grid", None)
-    assert det_winding(spec, 256) == want
-    assert held is sample_bands(spec, 256)
+    assert det_winding(spec) == want
+    # sample_bands has checked its windings against the closed form
+    bands = sample_bands(spec, 256).bands
+    assert sum(b.multiplicity * b.winding for b in bands) == want
 
 
-@pytest.mark.parametrize(
-    "make_spec,first,winding",
-    [
-        (lambda: WalkSpec(n=1, terms={200: np.eye(1)}), 1024, 200),
-        (lambda: shift_coin_walk((40, -1), np.array([[1, 1], [1, -1]]) / np.sqrt(2)), 128, 39),
-    ],
-    ids=["S^200", "hadamard(40,-1)"],
+# the CI workflow's $wide document: a coined walk with shifts +-10^7
+WIDE_WALK = (
+    '{"n": 2, "terms": [{"shift": 10000000, "matrix": [[[0.7071067811865476, 0.0],'
+    ' [0.7071067811865476, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}, {"shift": -10000000,'
+    ' "matrix": [[[0.0, 0.0], [0.0, 0.0]], [[0.7071067811865476, 0.0],'
+    ' [-0.7071067811865476, 0.0]]]}]}'
 )
+
+
+def test_det_winding_needs_no_grid(monkeypatch):
+    # the closed form reads the coefficients alone, also for the +-10^7
+    # walk, whose first valid grid is 2^40
+    def no_grid(*args):
+        raise AssertionError("det_winding built a symbol grid")
+
+    monkeypatch.setattr(qwalk.spectral, "symbol_on_grid", no_grid)
+    assert det_winding(WalkSpec(n=1, terms={200: np.eye(1)})) == 200
+    assert det_winding(parse_walk_spec(WIDE_WALK)) == 0
+
+
+def test_every_extraction_is_checked_against_the_det_winding(monkeypatch):
+    # decompose alone never calls det_winding, yet its bands are checked,
+    # and a band set that fails the check is not memoized
+    real = qwalk.spectral._assemble_bands
+    calls = []
+
+    def one_winding_off(*args):
+        calls.append(1)
+        bands = real(*args)
+        return [dataclasses.replace(bands[0], winding=bands[0].winding + 1)] + bands[1:]
+
+    monkeypatch.setattr(qwalk.spectral, "_assemble_bands", one_winding_off)
+    spec = grover3()
+    w = det_winding(spec)
+    for _ in range(2):
+        with pytest.raises(RuntimeError) as info:
+            decompose(spec, 256)
+        assert str(info.value) == (
+            "internal error: det winding %d != sum of band windings %d" % (w, w + 1)
+        )
+    assert len(calls) == 2
+
+
+ALIASING_WALKS = [
+    (lambda: WalkSpec(n=1, terms={200: np.eye(1)}), 1024, 200),
+    (lambda: shift_coin_walk((40, -1), np.array([[1, 1], [1, -1]]) / np.sqrt(2)), 128, 39),
+]
+ALIASING_IDS = ["S^200", "hadamard(40,-1)"]
+
+
+@pytest.mark.parametrize("make_spec,first,winding", ALIASING_WALKS, ids=ALIASING_IDS)
 def test_grid_that_can_alias_a_winding_is_refused(make_spec, first, winding):
     # below 2L one step may move a band by half a turn: S^200 read winding
     # -56 at grid 256, and the Hadamard walk failed the det cross-check at 64
@@ -196,8 +240,27 @@ def test_grid_that_can_alias_a_winding_is_refused(make_spec, first, winding):
         assert text.endswith("first valid grid %d" % first)
         grid *= 2
     bands = sample_bands(spec, first)
-    assert det_winding(spec, first) == winding
+    assert det_winding(spec) == winding
     assert sum(b.multiplicity * b.winding for b in bands.bands) == winding
+
+
+@pytest.mark.parametrize("make_spec,first,winding", ALIASING_WALKS, ids=ALIASING_IDS)
+def test_aliasing_refusal_and_next_grid_share_one_rule(make_spec, first, winding):
+    # G > 2L is the rule 4 pi L / G < gap of next_grid at gap 2pi
+    spec = make_spec()
+    bound = qwalk.walkspec._speed_bound(spec)
+    with pytest.raises(ValueError, match="first valid grid %d$" % first):
+        sample_bands(spec, 64)
+    assert UnresolvedCrossing(0.0, 1.0, 2 * np.pi, bound).next_grid == first
+
+
+def test_a_speed_bound_of_half_the_grid_refuses_it(monkeypatch):
+    # at L = G / 2 exactly one step may move a band by half a turn
+    monkeypatch.setattr(qwalk.spectral, "_speed_bound", lambda spec: 128.0)
+    with pytest.raises(ValueError, match="^grid 256 .* first valid grid 512$"):
+        sample_bands(grover3(), 256)
+    assert UnresolvedCrossing(0.0, 1.0, 2 * np.pi, 128.0).next_grid == 512
+    assert UnresolvedCrossing(0.0, 1.0, 2 * np.pi, np.nextafter(128.0, 0.0)).next_grid == 256
 
 
 def test_amplified_walk_doubles_multiplicity():
@@ -415,7 +478,7 @@ def test_bands_are_extracted_once_per_spec_and_grid(tracks):
     spec = grover4()
     dec = decompose(spec, 256)
     assert is_ct_realizable(spec, 256).band_set is dec.band_set
-    assert det_winding(spec, 256) == 0
+    assert det_winding(spec) == 0
     assert monodromy(spec, 256) == (1, 1, 1, 1)
     assert len(tracks) == 1
     # an equal spec is another object and gets its own extraction, and so
