@@ -307,12 +307,13 @@ def _add_common(parser, two_specs=False, simulate=False):
         parser.add_argument(
             "--steps", type=int, default=100, help="number of walk steps"
         )
-        parser.add_argument(
+        start = parser.add_mutually_exclusive_group()
+        start.add_argument(
             "--state",
             default=None,
             help="initial state JSON file (default: uniform coin at the origin)",
         )
-        parser.add_argument(
+        start.add_argument(
             "--builtin",
             default=None,
             help="built-in initial state: 'uniform' or 'e0'..'e(n-1)'",

@@ -1,29 +1,25 @@
 """Time evolution and the ballistic weak limit.
 
 evolve computes U^t psi without truncation on the window the support can
-reach, which grows by the bandwidth per step.  It has two paths.  The
-stepper applies every coefficient A_j in position space, once per step.
-The spectral propagator evolves each shift coset on its own FFT grid:
-every shift lies in s0 + gZ, g the gcd of the shift differences, so U
-maps the sites c + gZ onto c + s0 + gZ and acts there as the walk with
-shifts (j - s0) / g.  The Fourier transform of each occupied coset is
-multiplied by that walk's symbol to the power t, raised by repeated
-squaring on a grid of about 1/g of the span, wide enough that nothing
-wraps around; its cost grows like t log t instead of t^2.  When every
-coefficient is real (the Grover and coined walks), the symbol at -k is
-the conjugate of the symbol at k, so only half of each grid's fibers are
-raised and each power also serves its mirror fiber.  A flop model
-picks the cheaper path, which is the stepper below a few dozen steps.
-Both return the same window and agree to 1e-12 (the stepper is the
-propagator's oracle in the tests).  The rows of the cosets the state
-leaves empty, such as the rows of the wrong parity for coined and Grover
-walks, are never written by the propagator, and on each coset's rows the
-entries outside the least and largest path displacements from that
-coset's own occupied rows are cleared, so both are exact zeros on both
-paths.  The stepper has more exact zeros, at
-holes in the sumset of the shifts next to the light-cone edge and where
-edge amplitudes underflow; there the propagator leaves rounding-level
-mass (below 1e-28).
+reach, which grows by the bandwidth per step.  A walk is multiplication
+by its symbol in momentum space, so evolve multiplies the state's Fourier
+transform by the symbol to the power t, one shift coset at a time: every
+shift lies in s0 + gZ, g the gcd of the shift differences, so U maps the
+sites c + gZ onto c + s0 + gZ and acts there as the walk with shifts
+(j - s0) / g.  Each occupied coset's transform is multiplied by that
+walk's symbol raised by repeated squaring, on an FFT grid of about 1/g
+of the span, wide enough that nothing wraps around; the cost grows like
+t log t.  When every coefficient is real (the Grover and coined walks),
+the symbol at -k is the conjugate of the symbol at k, so only half of
+each grid's fibers are raised and each power also serves its mirror
+fiber.  The rows of the cosets the state leaves empty, such as the rows
+of the wrong parity for coined and Grover walks, are never written, and
+on each coset's rows the entries outside the least and largest path
+displacements from that coset's own occupied rows are cleared, so both
+are exact zeros.  U^t psi has more exact zeros, at holes in the sumset
+of the shifts next to the light-cone edge, and a step-by-step product in
+position space (the tests' oracle) also has them where edge amplitudes
+underflow; there the propagator leaves rounding-level mass (below 1e-28).
 
 The rescaled position x/t converges weakly; limit_law computes the limit
 measure from the band data: each band contributes its group velocity
@@ -69,12 +65,6 @@ HISTOGRAM_BINS = 401
 # fibers per block of the propagator's k-grid: the real (block, 8, 8) stack of
 # an n = 4 walk is 0.5 MB, so the squarings stay in a 2 MB L2
 PROPAGATOR_BLOCK = 1024
-# propagator flop weight against the stepper's in the dispatch model: the
-# weight at which the model ranks the two paths as they were timed, over
-# fixture and random walks at 4 to 1024 steps on a 2-CPU Xeon, had median
-# 3.2-3.3 (quartiles 2.4-5.7) with one full-span grid and 5.6 (quartiles
-# 3.6-10.9) with the coset grids, which halve the modelled work of g = 2 walks
-PROPAGATOR_COST = 3.0
 
 
 class MemoryCapExceeded(RuntimeError):
@@ -201,14 +191,13 @@ def _mem_cap_bytes() -> int:
 def evolve(spec: WalkSpec, state: State, steps: int) -> State:
     """Apply the walk for the given number of steps, without truncation.
 
-    Negative steps use the adjoint.  The result covers the window
-    x_min - bandwidth * |steps| to x_max + bandwidth * |steps| whichever
-    path computes it: the position-space stepper, or for longer runs the
-    spectral propagator (see the module docstring), chosen by the flop
-    model of _propagator_is_cheaper.  The two agree to 1e-12, and the rows
-    of unoccupied shift cosets and the entries that _reachable rules out
-    are exact zeros on both.  The projected peak allocation of the chosen
-    path is checked up front against QWALK_MEM_CAP_MB, the one cap setting.
+    Negative steps use the adjoint, and zero steps return the state
+    itself.  The spectral propagator (see the module docstring) computes
+    the window x_min - bandwidth * |steps| to x_max + bandwidth * |steps|,
+    where the rows of unoccupied shift cosets and the entries that
+    _reachable rules out are exact zeros.  Its projected peak allocation
+    is checked up front against QWALK_MEM_CAP_MB, the one cap setting,
+    which is read and validated at every step count.
     """
     if state.n != spec.n:
         raise ValueError(
@@ -217,46 +206,17 @@ def evolve(spec: WalkSpec, state: State, steps: int) -> State:
     steps = operator.index(steps)
     if steps < 0:
         return evolve(adjoint_walk(spec), state, -steps)
-    amps = state.amplitudes
-    cosets = _cosets(spec, amps, steps)
-    spectral = _propagator_is_cheaper(spec, amps, steps, cosets)
-    if spectral:
-        peak = _propagator_bytes(spec, amps, steps, cosets)
-    else:
-        peak = _stepper_bytes(spec, amps.shape[0], steps)
     cap = _mem_cap_bytes()
+    if steps == 0:
+        return state
+    cosets = _cosets(spec, state.amplitudes, steps)
+    peak = _propagator_bytes(spec, state.amplitudes, steps, cosets)
     if peak > cap:
         raise MemoryCapExceeded(
             "evolution window needs about %d MB, cap is %d MB"
             % (peak // (1024 * 1024) + 1, cap // (1024 * 1024))
         )
-    return _propagate(spec, state, steps, cosets) if spectral else _step(spec, state, steps)
-
-
-def _stepper_bytes(spec: WalkSpec, width: int, steps: int) -> int:
-    """Peak allocation of _step: three windows of the final size, 4 KiB more.
-
-    The last step holds the previous window, the new one and the product
-    amps @ A_j^T added into it.  The 4 KiB cover the array headers and
-    loop objects, about 1.2 KB under CPython 3.11.
-    """
-    return 3 * 16 * (width + 2 * spec.bandwidth * steps) * spec.n + 4096
-
-
-def _step(spec: WalkSpec, state: State, steps: int) -> State:
-    """U^steps applied one step at a time in position space (steps >= 0)."""
-    b = spec.bandwidth
-    amps = np.asarray(state.amplitudes)
-    x_min = state.x_min
-    for _ in range(steps):
-        sites = amps.shape[0]
-        out = np.zeros((sites + 2 * b, spec.n), dtype=complex)
-        for j, mat in spec.terms.items():
-            lo = b + j
-            out[lo : lo + sites] += amps @ mat.T
-        amps = out
-        x_min -= b
-    return State(x_min=x_min, amplitudes=amps)
+    return _propagate(spec, state, steps, cosets)
 
 
 def _fft_size(m: int) -> int:
@@ -297,26 +257,6 @@ def _cosets(spec: WalkSpec, amps: np.ndarray, steps: int):
     return g, out
 
 
-def _propagator_is_cheaper(spec: WalkSpec, amps: np.ndarray, steps: int, cosets) -> bool:
-    """Flop model for the choice between stepper and propagator.
-
-    The stepper costs steps * (width + b * steps) * n^2 * |terms| (the mean
-    window times the coefficient products); the propagator costs about
-    (bit_length + popcount of steps) * G * n^3 for the squarings and the
-    matrix-vector products, G the total grid of the occupied cosets (the
-    _cosets result), times PROPAGATOR_COST.  Neither counts fixed per-call
-    overhead, so near the crossover (a few dozen steps) either choice is
-    within a factor of two of the other.
-    """
-    if steps <= 0:
-        return False
-    n, b = spec.n, spec.bandwidth
-    stepper = steps * (amps.shape[0] + b * steps) * n * n * len(spec.terms)
-    rounds = steps.bit_length() + bin(steps).count("1")
-    grid = sum(grid for _, _, grid in cosets[1])
-    return PROPAGATOR_COST * rounds * grid * n**3 < stepper
-
-
 def _propagator_bytes(spec: WalkSpec, amps: np.ndarray, steps: int, cosets) -> int:
     """Peak allocation of _propagate, 16 KiB more.
 
@@ -348,7 +288,7 @@ def _propagator_bytes(spec: WalkSpec, amps: np.ndarray, steps: int, cosets) -> i
 
 
 def _propagate(spec: WalkSpec, state: State, steps: int, cosets) -> State:
-    """U^steps applied in momentum space (steps >= 0); _step's window.
+    """U^steps applied in momentum space (steps > 0); evolve's window.
 
     cosets is _cosets(spec, state.amplitudes, steps): the rows amps[c::g]
     of each listed coset are evolved by the walk with shifts
@@ -438,8 +378,8 @@ def _power_on_grid(spec: WalkSpec, rows: np.ndarray, g: int, grid: int, steps: i
 def _reachable(spec: WalkSpec, amps: np.ndarray, steps: int, g: int) -> np.ndarray:
     """Entries of _propagate's span that a path of nonzero coefficients reaches.
 
-    The stepper leaves every other entry at an exact zero, which the
-    propagator's rounding would fill.  Row m holds site x_min + lo + m,
+    Every other entry of U^steps is an exact zero, which the propagator's
+    rounding would fill.  Row m holds site x_min + lo + m,
     lo = shifts[0] * steps.  Every path displacement lies in lo + gZ, so
     the source rows of row m lie in its own coset mod g, and the mask is
     built per coset on its stride-g rows.  Its component r can be reached
@@ -451,8 +391,7 @@ def _reachable(spec: WalkSpec, amps: np.ndarray, steps: int, g: int) -> np.ndarr
     [a + (least - lo) / g, b + (most - lo) / g] of component r; the
     intervals are merged per (coset, component) and written as slices.
     (Rows of unoccupied cosets stay False: _propagate never writes them.)
-    With
-    this cube_root, whose U^3 is a pure shift, keeps its few entries even
+    With this cube_root, whose U^3 is a pure shift, keeps its few entries even
     when evolved in several legs.  Returns a (span, n) bool mask.
     """
     n, shifts = spec.n, spec.shifts()

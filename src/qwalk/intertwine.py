@@ -168,39 +168,26 @@ def intertwiner_space(a, b) -> IntertwinerSpace:
     )
 
 
-def build_intertwiner(
-    match: TranslationMatch,
-    rate: Fraction,
-    window: int,
-    rho: dict[int, complex] | None = None,
-) -> np.ndarray:
+def build_intertwiner(match: TranslationMatch, rate: Fraction, window: int) -> np.ndarray:
     """Dense window of the modulated translation intertwiner.
 
     Positions run over j - window//2.  The generator is the diagonal
-    modulation exp(i j alpha rate); composing with any banded torus
-    function rho (given by its Fourier coefficients, default 1) stays an
-    intertwiner, so V[i, j] = rho_hat[i - j] exp(i c j), c = alpha * rate.
+    modulation exp(i c j), c = alpha * rate.
     """
     c = match.alpha * float(rate)
     positions = np.arange(window) - window // 2
-    v = _toeplitz_window({0: 1.0 + 0.0j} if rho is None else rho, window)
-    v *= np.exp(1j * c * positions)[None, :]
-    return v
+    return np.diag(np.exp(1j * c * positions))
 
 
 def model_walk_matrix(band: Band, window: int) -> np.ndarray:
     """Dense window of the prime model walk in normalized coordinates.
 
     The walk is multiplication by the band on the torus; its position
-    matrix is the Toeplitz array of the normalized Fourier coefficients.
+    matrix is the Toeplitz array whose entry (i, j) is the normalized
+    Fourier coefficient at i - j.
     """
-    return _toeplitz_window(_normalized_coefficients(band), window)
-
-
-def _toeplitz_window(coefs: dict, window: int) -> np.ndarray:
-    """Square window of the Toeplitz matrix whose entry (i, j) is coefs[i - j]."""
     out = np.zeros((window, window), dtype=complex)
-    for off, coef in coefs.items():
+    for off, coef in _normalized_coefficients(band).items():
         if abs(off) < window:
             out += coef * np.eye(window, k=-int(off))
     return out

@@ -314,6 +314,22 @@ def test_seed_flag_is_gone(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_state_and_builtin_are_exclusive(tmp_path, capsys):
+    # each flag names the initial state, so a run given both is refused
+    path = tmp_path / "st.json"
+    path.write_text('{"entries": [{"site": 0, "vector": [[1.0, 0.0], [0.0, 0.0]]}]}')
+    argv = ["simulate", "coined(0.5)", "--steps", "4", "--format", "csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--state", str(path), "--builtin", "e1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--state" in captured.err and "--builtin" in captured.err
+    for flag in (["--state", str(path)], ["--builtin", "e1"]):
+        assert main(argv + flag) == 0
+        assert capsys.readouterr().out.startswith("t,x,x_over_t,mass\n")
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0

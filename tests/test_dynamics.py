@@ -33,8 +33,6 @@ from qwalk.dynamics import (
     _propagate,
     _propagator_bytes,
     _reachable,
-    _step,
-    _stepper_bytes,
     _to_band_coordinates,
 )
 from qwalk.fixtures import (
@@ -87,6 +85,22 @@ def ballistic_bound_check(spec, state, speed, t_max):
         "outside_mass": tuple(outside),
         "passed": bool(valid and outside[-1] < 1e-3),
     }
+
+
+def _step(spec: WalkSpec, state: State, steps: int) -> State:
+    """U^steps applied one step at a time in position space (steps >= 0)."""
+    b = spec.bandwidth
+    amps = np.asarray(state.amplitudes)
+    x_min = state.x_min
+    for _ in range(steps):
+        sites = amps.shape[0]
+        out = np.zeros((sites + 2 * b, spec.n), dtype=complex)
+        for j, mat in spec.terms.items():
+            lo = b + j
+            out[lo : lo + sites] += amps @ mat.T
+        amps = out
+        x_min -= b
+    return State(x_min=x_min, amplitudes=amps)
 
 
 def propagate(spec, state, steps):
@@ -202,6 +216,32 @@ def test_norm_preserved_under_evolution():
     assert abs(st.norm() - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "make_spec", [grover3, grover4, lambda: coined(0.5)], ids=["grover3", "grover4", "coined"]
+)
+def test_evolve_has_one_path(monkeypatch, make_spec):
+    """Every nonzero step count runs the propagator once; zero steps run nothing."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return _propagate(*args)
+
+    monkeypatch.setattr(dynamics, "_propagate", counting)
+    spec = make_spec()
+    st = uniform_coin_state(spec.n)
+    for steps in (1, 2, 37, -5):
+        calls.clear()
+        got = evolve(spec, st, steps)
+        assert calls == [abs(steps)], steps
+        assert got.amplitudes.shape[0] == 1 + 2 * spec.bandwidth * abs(steps)
+    calls.clear()
+    same = evolve(spec, st, 0)
+    assert calls == []
+    assert same.x_min == st.x_min
+    assert same.amplitudes.tobytes() == st.amplitudes.tobytes()
+
+
 def test_memory_cap_param_and_env(monkeypatch):
     st = basis_state(4, 0)
     monkeypatch.setenv(MEM_CAP_ENV, "1")
@@ -217,40 +257,23 @@ def test_memory_cap_param_and_env(monkeypatch):
 @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5", ""])
 def test_memory_cap_env_must_be_a_positive_integer(monkeypatch, value):
     monkeypatch.setenv(MEM_CAP_ENV, value)
-    with pytest.raises(ValueError, match="QWALK_MEM_CAP_MB") as info:
-        evolve(grover4(), basis_state(4, 0), 3)
-    assert repr(value) in str(info.value)
+    # read before the zero-step return, so every step count validates it
+    for steps in (0, 3):
+        with pytest.raises(ValueError, match="QWALK_MEM_CAP_MB") as info:
+            evolve(grover4(), basis_state(4, 0), steps)
+        assert repr(value) in str(info.value)
 
 
 def test_memory_cap_counts_propagator_grids(monkeypatch):
-    # at 20000 steps evolve takes the propagator on grover3: the stepper's
-    # three windows would need 5.5 MB, the propagator's output window, FFT
-    # grids and fiber stacks 8.5 MB
+    # at 20000 steps on grover3 the output window alone, 1.8 MB, fits under
+    # the cap; with the FFT grids and fiber stacks the propagator needs 8.5 MB
     spec = grover3()
-    assert _stepper_bytes(spec, 1, 20000) < 7 * 1024 * 1024
+    assert 16 * (1 + 2 * 20000) * 3 < 7 * 1024 * 1024
     monkeypatch.setenv(MEM_CAP_ENV, "7")
     with pytest.raises(MemoryCapExceeded, match=r"cap is 7 MB") as info:
         evolve(spec, basis_state(3, 0), 20000)
     need = int(re.search(r"needs about (\d+) MB", str(info.value)).group(1))
     assert need > 7
-
-
-@pytest.mark.parametrize(
-    "make_spec", [grover4, lambda: coined(0.5), lambda: random_walk(3)],
-    ids=["grover4", "coined", "walk(3)"],
-)
-def test_stepper_projection_covers_its_peak(make_spec):
-    # amps, out and the amps @ A_j^T product are live together in _step
-    spec = make_spec()
-    state = uniform_coin_state(spec.n)
-    for steps in (10, 400):
-        tracemalloc.start()
-        try:
-            _step(spec, state, steps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert _stepper_bytes(spec, 1, steps) >= peak, (steps, peak)
 
 
 @pytest.mark.parametrize(
@@ -265,7 +288,7 @@ def test_propagator_projection_covers_its_peak(make_spec):
     rng = np.random.default_rng(3)
     wide = rng.normal(size=(200, spec.n)) + 1j * rng.normal(size=(200, spec.n))
     for state in (uniform_coin_state(spec.n), State(x_min=0, amplitudes=wide)):
-        for steps in (100, 1000, 5000):
+        for steps in (1, 37, 100, 1000, 5000):
             tracemalloc.start()
             try:
                 propagate(spec, state, steps)

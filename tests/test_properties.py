@@ -164,7 +164,7 @@ def test_kolmogorov_distance_extrapolates_to_zero():
 
 
 def test_long_horizon_approaches_limit_law():
-    # t = 10^4 is the weak-limit regime; evolve takes the propagator there
+    # t = 10^4 is the weak-limit regime
     spec = coined(0.5)
     st = uniform_coin_state(2)
     law = limit_law(decompose(spec, 512), st)
