@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import Band, BandSet, _finalize_band, sample_bands
+from .spectral import Band, BandSet, sample_bands
 from .walkspec import (
     UnitarityError,
     WalkSpec,
@@ -97,18 +97,19 @@ class Decomposition:
 def _prime_band(band: Band, q: int) -> Band:
     """Restrict a band to one fundamental loop of its prime's cover.
 
-    When q is the band's degree that loop is the whole band, so the prime
-    keeps the band's samples, Fourier coefficients, winding and period and
-    takes the synthetic section, which is already in the gauge of
-    _finalize_band, with multiplicity 1.
+    The band repeats g = degree / q times on its cover.  The prime keeps its
+    first q * grid_size samples and every g-th Fourier coefficient (FFT order
+    carries over), divides winding and minimal period by g, and takes the
+    synthetic section, already in the gauge of _finalize_band.
     """
     G = band.grid_size
+    g = band.degree // q
     length = q * G
     theta = 2.0 * np.pi * q * np.arange(length) / length
     section = np.exp(-1j * np.outer(theta, np.arange(q)) / q) / math.sqrt(q)
-    if q == band.degree:
-        return replace(band, eigvec_samples=section[None], multiplicity=1)
-    return _finalize_band(np.array(band.samples[:length]), [section], q, G)
+    return replace(band, degree=q, samples=band.samples[:length], multiplicity=1,
+                   fourier=band.fourier[::g], eigvec_samples=section[None],
+                   winding=band.winding // g, min_period=band.min_period // g)
 
 
 def decompose(spec: WalkSpec, grid_size: int = 2048) -> Decomposition:
@@ -134,13 +135,12 @@ def decompose(spec: WalkSpec, grid_size: int = 2048) -> Decomposition:
         if m > 1:
             broken = True
         g = math.gcd(m, band.degree)
-        q = band.degree // g
-        prime = _prime_band(band, q)
-        if prime.min_period != m // g or prime.winding * g != band.winding:
+        if band.winding % g:
             raise RuntimeError(
-                "internal error: prime band of rate %d/%d is inconsistent"
-                % (m, band.degree)
+                "internal error: band of rate %d/%d repeats %d times on its "
+                "cover but has winding %d" % (m, band.degree, g, band.winding)
             )
+        prime = _prime_band(band, band.degree // g)
         primes.append(
             PrimeModelWalk(
                 rate=Fraction(m, band.degree),

@@ -410,9 +410,9 @@ def _reachable(spec: WalkSpec, amps: np.ndarray, steps: int, g: int) -> np.ndarr
     last = (-np.where(finite, neg_most, -lo) - lo).astype(int) // g
     # occupied[c, col, 1 + p] is row c + g p of the state, False-padded at both ends
     rows = -(-amps.shape[0] // g)
-    occupied = np.zeros((rows * g, n), dtype=bool)
-    occupied[: amps.shape[0]] = amps != 0
-    occupied = np.pad(occupied.reshape(rows, g, n).transpose(1, 2, 0), ((0, 0), (0, 0), (1, 1)))
+    occupied = np.zeros((rows + 2, g, n), dtype=bool)
+    occupied.reshape(-1, n)[g : g + amps.shape[0]] = amps != 0
+    occupied = occupied.transpose(1, 2, 0)
     edge = np.diff(occupied.view(np.int8), axis=2)
     coset, comp, head = np.nonzero(edge == 1)  # the runs [head, tail] of stride rows
     tail = np.nonzero(edge == -1)[2] - 1

@@ -3,9 +3,11 @@
 Two prime model walks of the same rate intertwine iff their bands differ
 by a torus translation: lambda_2(x) = lambda_1(x + c) on T_2pi in
 normalized coordinates.  On Fourier coefficients that reads
-c2[l] = c1[l] exp(i l c), which is how the translation is found: a phase
-correlation locates c, a bounded polish sharpens it, and the coefficient
-residual decides.  Because a prime band's normalized support has gcd 1,
+c2[l] = c1[l] exp(i l c), which is how the translation is found: each
+band's normalized coefficients form one dense vector over l = -F ... F,
+zero off the support; a phase correlation locates c, a bounded polish
+sharpens it, and the coefficient residual decides, each as one array
+expression over those vectors.  Because a prime band's normalized support has gcd 1,
 the translation is unique mod 2 pi and the intertwiner space is singly
 generated over the torus function algebra.
 
@@ -70,19 +72,22 @@ class IntertwinerSpace:
     match: TranslationMatch | None = None
 
 
-def _normalized_coefficients(band: Band) -> dict[int, complex]:
+def _normalized_coefficients(band: Band, half: int) -> np.ndarray:
     """Fourier coefficients of the band in normalized coordinates.
 
     For a prime band (minimal period 2 pi q / p) the support lies on
     multiples of p; dividing frequencies by p gives the coefficients of
-    lambda as a function on T_2pi with coprime support.
+    lambda as a function on T_2pi with coprime support.  Entry half + ell
+    holds the coefficient at ell, for half >= fourier.size // (2 p).
     """
     p = band.min_period
     freqs, coefs = band.fourier_freqs, band.fourier
     # off-multiple frequencies are leakage from tracking noise; a real
     # coefficient there would contradict the stored minimal period
     keep = (np.abs(coefs) > 1e-13) & (freqs % p == 0)
-    return dict(zip((freqs[keep] // p).tolist(), coefs[keep].tolist()))
+    out = np.zeros(2 * half + 1, dtype=complex)
+    out[freqs[keep] // p + half] = coefs[keep]
+    return out
 
 
 def find_translation(band1: Band, band2: Band) -> TranslationMatch | None:
@@ -90,59 +95,51 @@ def find_translation(band1: Band, band2: Band) -> TranslationMatch | None:
 
     Returns None when no translation aligns the bands within
     RESIDUAL_TOL.  The physical translation is c over the bands' rate
-    min_period / degree.  The search correlates the Fourier phases and
-    polishes the best candidate, so the answer is accurate to rounding
-    when it exists.
+    min_period / degree.  Both bands' normalized coefficients are dense
+    vectors over the same frequencies.  The search correlates the phases
+    at the frequencies both bands carry and polishes the best candidate,
+    so the answer is accurate to rounding when it exists.
     """
     if band1.degree != band2.degree or band1.min_period != band2.min_period:
         return None
-    c1 = _normalized_coefficients(band1)
-    c2 = _normalized_coefficients(band2)
-    support = sorted(set(c1) | set(c2))
-    if not support:
+    half = max(band1.fourier.size, band2.fourier.size) // (2 * band1.min_period)
+    c1 = _normalized_coefficients(band1, half)
+    c2 = _normalized_coefficients(band2, half)
+    mod1, mod2 = np.hypot(c1.real, c1.imag), np.hypot(c2.real, c2.imag)
+    if np.max(np.abs(mod1 - mod2)) > RESIDUAL_TOL:
+        return None  # moduli are translation invariants
+    both = np.flatnonzero((mod1 > 0.0) & (mod2 > 0.0))
+    if both.size == 0:
         return None
-    for ell in support:
-        if abs(abs(c1.get(ell, 0.0)) - abs(c2.get(ell, 0.0))) > RESIDUAL_TOL:
-            return None  # moduli are translation invariants
-    weights = {
-        ell: c2[ell] * np.conj(c1[ell])
-        for ell in support
-        if ell in c1 and ell in c2
-    }
-    if not weights:
-        return None
+    # the weight c2 conj(c1) in polar form: its phase is taken in real
+    # arithmetic, so a self-pair has phase 0 exactly and stays at c = 0
+    ell = both - half
+    weight = mod1[both] * mod2[both]
+    phase = np.angle(c2[both]) - np.angle(c1[both])
 
-    span = max(max(abs(ell) for ell in weights), 1)
+    span = max(int(np.max(np.abs(ell))), 1)
     pad = 1 << max(10, (span * 8).bit_length())
     buf = np.zeros(pad, dtype=complex)
-    for ell, w in weights.items():
-        buf[ell % pad] += w
+    buf[ell % pad] = weight * np.exp(1j * phase)
     corr = np.fft.fft(buf).real
     c = int(np.argmax(corr)) * 2.0 * np.pi / pad
     # Newton polish by weighted phase regression; the correlation value
     # itself is too flat near its maximum to locate c beyond sqrt(eps).
     # The bin is within pi / (4 max|ell|) of the optimum, so no phase wraps.
-    for _ in range(3):
-        num = den = 0.0
-        for ell, w in weights.items():
-            if ell == 0:
-                continue
-            num += abs(w) * ell * np.angle(w * np.exp(-1j * ell * c))
-            den += abs(w) * ell * ell
-        if den == 0.0:
-            break
-        c += num / den
+    den = np.sum(weight * ell * ell)
+    if den != 0.0:
+        for _ in range(3):
+            miss = np.pi - np.remainder(np.pi - (phase - ell * c), 2.0 * np.pi)
+            c += np.sum(weight * ell * miss) / den
     c %= 2.0 * np.pi
     if 2.0 * np.pi - c < 1e-12:
         c = 0.0  # rounding wrapped an identity translation to a full turn
-    residual = max(
-        abs(c2.get(ell, 0.0) - c1.get(ell, 0.0) * np.exp(1j * ell * c))
-        for ell in support
-    )
+    shift = np.exp(1j * np.arange(-half, half + 1) * c)
+    residual = np.max(np.abs(c2 - c1 * shift))
     if residual > RESIDUAL_TOL:
         return None
     rate = Fraction(band1.min_period, band1.degree)
-    return TranslationMatch(alpha=c / float(rate), residual=float(residual))
+    return TranslationMatch(alpha=float(c) / float(rate), residual=float(residual))
 
 
 def intertwiner_space(a, b) -> IntertwinerSpace:
@@ -186,11 +183,9 @@ def model_walk_matrix(band: Band, window: int) -> np.ndarray:
     matrix is the Toeplitz array whose entry (i, j) is the normalized
     Fourier coefficient at i - j.
     """
-    out = np.zeros((window, window), dtype=complex)
-    for off, coef in _normalized_coefficients(band).items():
-        if abs(off) < window:
-            out += coef * np.eye(window, k=-int(off))
-    return out
+    half = max(band.fourier.size // (2 * band.min_period), window)
+    offsets = np.subtract.outer(np.arange(window), np.arange(window))
+    return _normalized_coefficients(band, half)[offsets + half]
 
 
 def intertwiner_residual(u1, u2, v, margin: int) -> float:

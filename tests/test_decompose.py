@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,9 @@ from qwalk import (
     decompose,
     sample_bands,
 )
+from qwalk.decompose import _prime_band
 from qwalk.fixtures import FIXTURES, cube_root, grover3, grover4
+from qwalk.spectral import _finalize_band
 
 from conftest import random_walk
 
@@ -73,6 +76,32 @@ def test_prime_band_shape():
     assert band.degree == dec.primes[0].rate.denominator
     assert band.min_period == dec.primes[0].rate.numerator
     assert band.samples.shape == (band.degree * 256,)
+
+
+def finalized_prime_band(band, q):
+    """The prime band rebuilt from its first q * grid_size samples, the
+    oracle of _prime_band."""
+    G = band.grid_size
+    length = q * G
+    theta = 2.0 * np.pi * q * np.arange(length) / length
+    section = np.exp(-1j * np.outer(theta, np.arange(q)) / q) / math.sqrt(q)
+    return _finalize_band(np.array(band.samples[:length]), [section], q, G)
+
+
+def test_prime_band_of_a_band_that_repeats_on_its_cover():
+    # a degree-2 band that is 2 pi-periodic: lambda(k) = exp(i (k + 0.3 sin k))
+    # on T_4pi, winding twice and with minimal period 2, so g = 2 and q = 1
+    G = 256
+    k = 4.0 * np.pi * np.arange(2 * G) / (2 * G)
+    section = np.stack([np.cos(k / 2), np.sin(k / 2)], axis=1)
+    band = _finalize_band(np.exp(1j * (k + 0.3 * np.sin(k))), [section], 2, G)
+    assert (band.degree, band.winding, band.min_period) == (2, 2, 2)
+    got, want = _prime_band(band, 1), finalized_prime_band(band, 1)
+    assert (got.degree, got.winding, got.min_period) == (want.degree, want.winding, want.min_period) == (1, 1, 1)
+    assert np.array_equal(got.samples, want.samples)
+    assert np.array_equal(got.eigvec_samples, want.eigvec_samples)
+    assert (got.multiplicity, got.is_constant, got.grid_size) == (1, False, G)
+    assert np.max(np.abs(got.fourier - want.fourier)) <= 1e-15
 
 
 def test_cover_walk_reproduces_prime_band():

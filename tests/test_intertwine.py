@@ -1,8 +1,10 @@
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import random_walk
 
 from qwalk import (
     ConstantSummand,
@@ -20,7 +22,13 @@ from qwalk import (
 )
 from qwalk import intertwine
 from qwalk.fixtures import FIXTURES, coined, grover3, grover4
-from qwalk.intertwine import CONST_MATCH_TOL, CommutantReport, ConstantClass, PrimeClass
+from qwalk.intertwine import (
+    CONST_MATCH_TOL,
+    RESIDUAL_TOL,
+    CommutantReport,
+    ConstantClass,
+    PrimeClass,
+)
 
 
 def modulate(spec, alpha):
@@ -197,3 +205,104 @@ def test_commutant_report_matches_pairwise_grouping(monkeypatch, name, make_spec
     calls.clear()
     assert commutant_report(dec).to_dict() == want
     assert len(calls) == want_calls
+
+
+def dict_coefficients(band):
+    """Normalized Fourier coefficients as a dict {ell: coefficient}."""
+    p = band.min_period
+    freqs, coefs = band.fourier_freqs, band.fourier
+    keep = (np.abs(coefs) > 1e-13) & (freqs % p == 0)
+    return dict(zip((freqs[keep] // p).tolist(), coefs[keep].tolist()))
+
+
+def dict_find_translation(band1, band2):
+    """find_translation coefficient by coefficient over dicts: the oracle
+    the dense search is compared against."""
+    if band1.degree != band2.degree or band1.min_period != band2.min_period:
+        return None
+    c1 = dict_coefficients(band1)
+    c2 = dict_coefficients(band2)
+    support = sorted(set(c1) | set(c2))
+    if not support:
+        return None
+    for ell in support:
+        if abs(abs(c1.get(ell, 0.0)) - abs(c2.get(ell, 0.0))) > RESIDUAL_TOL:
+            return None
+    weights = {
+        ell: c2[ell] * np.conj(c1[ell])
+        for ell in support
+        if ell in c1 and ell in c2
+    }
+    if not weights:
+        return None
+    span = max(max(abs(ell) for ell in weights), 1)
+    pad = 1 << max(10, (span * 8).bit_length())
+    buf = np.zeros(pad, dtype=complex)
+    for ell, w in weights.items():
+        buf[ell % pad] += w
+    corr = np.fft.fft(buf).real
+    c = int(np.argmax(corr)) * 2.0 * np.pi / pad
+    for _ in range(3):
+        num = den = 0.0
+        for ell, w in weights.items():
+            if ell == 0:
+                continue
+            num += abs(w) * ell * np.angle(w * np.exp(-1j * ell * c))
+            den += abs(w) * ell * ell
+        if den == 0.0:
+            break
+        c += num / den
+    c %= 2.0 * np.pi
+    if 2.0 * np.pi - c < 1e-12:
+        c = 0.0
+    residual = max(
+        abs(c2.get(ell, 0.0) - c1.get(ell, 0.0) * np.exp(1j * ell * c))
+        for ell in support
+    )
+    if residual > RESIDUAL_TOL:
+        return None
+    rate = Fraction(band1.min_period, band1.degree)
+    return intertwine.TranslationMatch(alpha=c / float(rate), residual=float(residual))
+
+
+def eye_sum_model_walk_matrix(band, window):
+    """The Toeplitz window as a sum of shifted identities."""
+    out = np.zeros((window, window), dtype=complex)
+    for off, coef in dict_coefficients(band).items():
+        if abs(off) < window:
+            out += coef * np.eye(window, k=-int(off))
+    return out
+
+
+ORACLE_WALKS = [FIXTURES[name]() for name in sorted(FIXTURES)] + [
+    random_walk(seed) for seed in range(10)
+]
+
+
+def test_dense_translation_search_matches_dict_oracle():
+    # every ordered prime pair of each walk U and of U + U_0.7, grid 256
+    translated = 0
+    for spec in ORACLE_WALKS:
+        for walk in (spec, direct_sum(spec, modulate(spec, 0.7))):
+            primes = decompose(walk, 256).primes
+            for i, p1 in enumerate(primes):
+                for j, p2 in enumerate(primes):
+                    got = find_translation(p1.band, p2.band)
+                    want = dict_find_translation(p1.band, p2.band)
+                    where = (walk, i, j, got, want)
+                    assert (got is None) == (want is None), where
+                    if i == j:
+                        assert (got.alpha, got.residual) == (0.0, 0.0), where
+                    elif got is not None:
+                        translated += 1
+                        assert abs(got.alpha - want.alpha) <= 1e-14, where
+                        assert abs(got.residual - want.residual) <= 1e-14, where
+                for window in (8, 64):
+                    assert np.array_equal(
+                        model_walk_matrix(p1.band, window),
+                        eye_sum_model_walk_matrix(p1.band, window),
+                    ), (walk, i, window)
+    # 104 pairs here: each prime meets its 0.7-translate in U + U_0.7,
+    # except walk 5's, whose coefficients near the top frequency of grid
+    # 256 exceed RESIDUAL_TOL (it matches at grid 2048)
+    assert translated > 100
