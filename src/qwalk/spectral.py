@@ -31,9 +31,8 @@ smallest pairwise distance on one end fiber of a step exceeds 2hL, the
 hL-discs around its values are disjoint, and the nearest value across
 the step is the branch's continuation: the step is proven.  Proven
 steps between fibers without a pair within MERGE_TOL are matched by that
-history-free nearest choice, composed by a prefix scan and phase-aligned
-in one batch.  Every other step, and a proven one where a section's
-overlap with its predecessor vanishes, takes the scalar step: the same
+history-free nearest choice and composed by a prefix scan.  Every other
+step takes the scalar step: the same
 nearest-value rule on linearly extrapolated values, sheets nearest a
 MERGE_TOL cluster taking its columns in index order, then the
 AMBIG_FACTOR rule on the residual of each pair against its gap; an
@@ -49,6 +48,12 @@ the solver's basis of a degenerate cluster, carry the walk's permutation;
 a map that is not a permutation refuses the seam step.  Scalar steps are
 not proven, so a walk whose avoided crossing is narrower than the grid
 can still be answered wrongly there.
+
+Tracking only permutes the solver's columns (and rotates a degenerate
+cluster onto its predecessor as a block); no invariant depends on a
+section's phase, so phases are set once, in _assemble_bands: each
+cycle's joined section is turned sample by sample so that consecutive
+overlaps are real and positive, before copies are folded and merged.
 
 A walk whose constant commutant (the X with X A_j = A_j X for every j)
 holds more than the scalars is a direct sum of smaller walks, and each
@@ -157,7 +162,9 @@ class Band:
 
     samples holds lambda on the uniform covering grid (length
     degree * grid_size); eigvec_samples holds one orthonormal section per
-    coincident copy, shape (multiplicity, len(samples), n).  fourier are
+    coincident copy, shape (multiplicity, len(samples), n), phase-continuous
+    along the cover: consecutive samples have a real positive overlap
+    wherever it does not vanish.  fourier are
     the coefficients of lambda in the basis e^{i ell k / degree}, numpy FFT
     ordering.
     """
@@ -348,23 +355,17 @@ def _match_step(pred, w):
 
 
 def _align_frame(prev, cur, vals):
-    """Phase-fix sections, rotating degenerate clusters as a block."""
-    z = np.einsum("is,is->s", prev.conj(), cur)
-    mag = np.abs(z)
-    # a section with |vdot| <= 1e-12 keeps its phase
-    keep = mag <= 1e-12
-    cur = cur * np.where(keep, 1.0, z.conj() / np.where(keep, 1.0, mag))
+    """Rotate each degenerate cluster of cur, in place, by the unitary that
+    brings it closest to prev's columns (orthogonal Procrustes).
+
+    Phases are set once, in _assemble_bands.
+    """
     if (_pair_gaps(vals) < MERGE_TOL).any():
         for idx in _clusters(vals, MERGE_TOL):
             if len(idx) > 1:
-                cur[:, idx] = _rotate_onto(cur[:, idx], prev[:, idx])
+                u, _, vh = np.linalg.svd(cur[:, idx].conj().T @ prev[:, idx])
+                cur[:, idx] = cur[:, idx] @ (u @ vh)
     return cur
-
-
-def _rotate_onto(b, a):
-    """b times the unitary that brings it closest to a (orthogonal Procrustes)."""
-    u, _, vh = np.linalg.svd(b.conj().T @ a)
-    return b @ (u @ vh)
 
 
 def _chain_match(spec, k_start, k_end, start_vals, end_vals, slope=None):
@@ -488,10 +489,9 @@ def _sweep(spec, ks, vals, vecs, tv, tw, gap, bound):
     and gap[t] is the smallest distance between two values of fiber t.  A
     step is proven when either end's gap exceeds 2 h bound and neither end
     holds a pair within MERGE_TOL (module docstring); runs of proven steps
-    are matched by nearest value, composed by _compose_prefix and
-    phase-aligned by one batched vdot and a cumulative product.  Every
+    are matched by nearest value and composed by _compose_prefix.  Every
     other step takes the scalar step with the real tracked history, in
-    order.
+    order.  Neither sets phases; _assemble_bands does.
     """
     L, n = vals.shape
     if L < 2:
@@ -511,20 +511,7 @@ def _sweep(spec, ks, vals, vecs, tv, tw, gap, bound):
             perms = _compose_prefix(q[t - 1 : f - 1])[:, perm]
             tv[t:f] = np.take_along_axis(vals[t:f], perms, axis=1)
             tw[t:f] = np.take_along_axis(vecs[t:f], perms[:, None, :], axis=2)
-            z = np.einsum("tis,tis->ts", tw[t - 1 : f - 1].conj(), tw[t:f])
-            mag = np.abs(z)
-            # _align_frame leaves a section with |vdot| <= 1e-12 as it is;
-            # the margin keeps rounding from deciding that, and the scalar
-            # step takes that fiber
-            weak = np.flatnonzero((mag <= 2e-12).any(axis=1))
-            if weak.size:
-                f = t + int(weak[0])
-            phase = np.cumprod(z[: f - t].conj() / mag[: f - t], axis=0)
-            # rounding drifts the product's modulus, and the section
-            # norms would drift with it
-            tw[t:f] *= (phase / np.abs(phase))[:, None, :]
-            if f > t:
-                perm = perms[f - t - 1]
+            perm = perms[-1]
             t = f
         if t < L:
             perm = _scalar_step(spec, ks, vals, vecs, tv, tw, t, bound)
@@ -557,10 +544,7 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
     )
     # the start frame of a degenerate cluster is an arbitrary basis; rotate
     # it toward its neighbour so the section is continuous there too
-    for idx in _clusters(tv[g0], MERGE_TOL):
-        if len(idx) > 1 and G > 1:
-            nb = g0 + 1 if g0 + 1 < G else g0 - 1
-            tw[g0][:, idx] = _rotate_onto(tw[g0][:, idx], tw[nb][:, idx])
+    _align_frame(tw[g0 + 1 if g0 + 1 < G else g0 - 1], tw[g0], tv[g0])
     sigma = np.abs(tw[G].conj().T @ tw[0]).argmax(axis=1)
     if np.bincount(sigma, minlength=n).max() > 1:
         raise UnresolvedCrossing(ks[G - 1], ks[G], _min_gap(vals[G - 1], vals[G]), bound)
@@ -644,14 +628,16 @@ def _assemble_bands(tv, tw, sigma, grid_size):
             seen.add(nxt)
             nxt = int(sigma[nxt])
         samples = np.concatenate([tv[:, s] for s in cycle])
-        secs = [tw[:, :, s].copy() for s in cycle]
-        # phase-align each sheet's section to the end of the previous one
-        for i in range(1, len(secs)):
-            z = np.vdot(secs[i - 1][-1], secs[i][0])
-            if abs(z) > 1e-6:
-                secs[i] *= np.conj(z) / abs(z)
-        section = np.concatenate(secs, axis=0)
         d = len(cycle)
+        section = tw[:, :, cycle].transpose(2, 0, 1).reshape(d * G, n)
+        # the one phase rule: turn each sample so that its overlap with the
+        # previous one is real and positive; a step with |vdot| <= 1e-12
+        # keeps its phase, and the running product is held to modulus 1
+        z = np.einsum("ti,ti->t", section[:-1].conj(), section[1:])
+        mag = np.abs(z)
+        keep = mag <= 1e-12
+        turn = np.cumprod(np.where(keep, 1.0, z.conj() / np.where(keep, 1.0, mag)))
+        section[1:] *= (turn / np.abs(turn))[:, None]
         # fold: a cycle weaving identical copies is 2pi d'-periodic
         for dp in _divisors(d):
             if dp == d or np.max(

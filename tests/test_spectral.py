@@ -967,23 +967,57 @@ def test_batched_tracking_matches_scalar_tracker(monkeypatch, name, make_spec, g
     assert_tracks_like_scalar(monkeypatch, make_spec, grid)
 
 
-def test_vanishing_overlap_takes_the_scalar_step():
+def test_vanishing_overlap_is_tracked_by_value_and_keeps_its_phase(monkeypatch):
     # synthetic fibers with fixed, separated values; the columns swap their
     # vectors on fibers 20 to 23, so consecutive sections there are
-    # orthogonal and _align_frame leaves them unphased.  Nothing refines,
-    # so no walk is needed, and the speed bound is passed in
+    # orthogonal.  Nothing refines, so no walk is needed, and the speed
+    # bound is passed in
     rng = np.random.default_rng(1)
     G = 64
     ks = 2.0 * np.pi * np.arange(G) / G
     vals = np.tile(np.exp(2j * np.pi * np.arange(3) / 3), (G, 1))
     vecs = np.eye(3) * np.exp(2j * np.pi * rng.random((G, 1, 3)))
     vecs[20:24] = vecs[20:24][:, :, [1, 2, 0]]
-    # bound 0 proves every other step
-    got = qwalk.spectral._track(None, ks, vals, vecs, 0.0)
+    calls = []
+    real = qwalk.spectral._match_step
+    monkeypatch.setattr(
+        qwalk.spectral, "_match_step", lambda *args: calls.append(1) or real(*args)
+    )
+    # bound 0 proves every step, and a section's overlap plays no part in it
+    tv, tw, sigma = qwalk.spectral._track(None, ks, vals, vecs, 0.0)
+    assert not calls
+    monkeypatch.undo()
     want = scalar_track(None, ks, vals, vecs, 0.0)
-    assert np.array_equal(got[0], want[0])
-    assert np.max(np.abs(got[1] - want[1])) <= 1e-12
-    assert np.array_equal(got[2], want[2])
+    assert np.array_equal(tv, want[0])
+    assert np.array_equal(tw, want[1])
+    assert np.array_equal(sigma, want[2])
+    for band in qwalk.spectral._assemble_bands(tv, tw, sigma, G):
+        (s,) = np.flatnonzero(tv[0] == band.samples[0])
+        (out,) = band.eigvec_samples
+        turn = np.einsum("ti,ti->t", tw[:, :, s].conj(), out)
+        # the steps into and out of the swap are orthogonal and turn nothing
+        assert abs(turn[20] - turn[19]) <= 1e-15
+        assert abs(turn[24] - turn[23]) <= 1e-15
+        z = np.einsum("ti,ti->t", out[:-1].conj(), out[1:])
+        z = np.delete(z, [19, 23])
+        assert np.abs(np.angle(z)).max() <= 1e-12 and np.abs(np.abs(z) - 1).max() <= 1e-15
+
+
+PHASE_WALKS = EIG_ORACLE_WALKS + [("grover3 x2", lambda: amplify(grover3(), 2))]
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("name,make_spec", PHASE_WALKS, ids=[w[0] for w in PHASE_WALKS])
+def test_sections_are_phase_continuous_on_the_cover(name, make_spec, grid):
+    # consecutive samples of every copy overlap with a real positive vdot,
+    # wherever the overlap does not vanish
+    got = extract_or_refusal(make_spec(), grid)
+    if isinstance(got, UnresolvedCrossing):
+        return
+    for band in got.bands:
+        for copy in band.eigvec_samples:
+            z = np.einsum("ti,ti->t", copy[:-1].conj(), copy[1:])
+            assert np.abs(np.angle(z[np.abs(z) > 1e-12])).max(initial=0.0) <= 1e-12
 
 
 def test_separated_fibers_skip_the_scalar_matcher(monkeypatch):
@@ -1159,11 +1193,15 @@ UNCERTIFIED = (
     "uncertified step at the avoided crossing takes the heuristic; "
     "needs certified subdivision"
 )
-COINED_SWEEP_M = [4 + 0.25 * i for i in range(17)]
+COINED_SWEEP_M = [2 + 0.25 * i for i in range(49)]
 # the gap 2 sqrt(1 - r^2) at k = 0 and pi is too small for a refined step
 # to prove, and too small for the scalar step to separate
-COINED_SWEEP_REFUSED = {(m, 256) for m in COINED_SWEEP_M if m >= 6.25} | {(8.0, 2048)}
-COINED_SWEEP_WRONG = {(5.75, 256), (6.0, 256), (7.75, 2048)}
+COINED_SWEEP_REFUSED = {
+    (m, 256) for m in COINED_SWEEP_M if 6.25 <= m <= 11.25 or 12.25 <= m <= 13 or m == 14
+} | {(m, 2048) for m in COINED_SWEEP_M if m >= 8}
+COINED_SWEEP_WRONG = {
+    (m, 256) for m in (5.75, 6, 11.5, 11.75, 12, 13.25, 13.5, 13.75)
+} | {(7.75, 2048)}
 
 
 def coined_sweep_case(m, grid):
@@ -1256,11 +1294,12 @@ def test_half_solved_grids_keep_signatures_and_refusals(monkeypatch, name, make_
     if isinstance(want, UnresolvedCrossing):
         # the start fiber is the best-separated one; on a mirrored grid its
         # mirror ties with it exactly, where on the all-fiber path rounding
-        # picks one, so coined(1 - 10^-8) at 256 meets its crossing at pi
-        # before the one at 2 pi: the same gap, so the same next grid
+        # picks one, so coined(1 - 10^-8) and coined(1 - 10^-10.75) at 256
+        # meet their crossing at pi before the one at 2 pi: the same gap,
+        # so the same next grid
         assert isinstance(got, UnresolvedCrossing)
         if (got.k_lo, got.k_hi) != (want.k_lo, want.k_hi):
-            assert name == "coined(1 - 10^-8)" and grid == 256
+            assert name in ("coined(1 - 10^-8)", "coined(1 - 10^-10.75)") and grid == 256
             assert (got.k_hi, want.k_hi) == (np.pi, 2 * np.pi)
         assert got.min_gap == pytest.approx(want.min_gap, rel=1e-9)
         assert (got.bound, got.next_grid) == (want.bound, want.next_grid)
