@@ -1,6 +1,6 @@
 """Band structure of the walk symbol on the torus.
 
-Eigenvalues of U_hat(k) are tracked around k in [0, 2pi) into continuous
+Eigenvalues of U_hat(k) are followed around k in [0, 2pi) into continuous
 sheets.  The permutation the sheets undergo at the seam k = 2pi groups them
 into cycles; each cycle is one analytic band living on the covering torus
 T_{2pi d}, d the cycle length.  Cycles whose concatenated values are
@@ -20,6 +20,22 @@ solver's column order, so each cycle starts at a canonical sheet: least
 argument in [0, 2pi) at k = 0, ties within MERGE_TOL ordered where the
 sheets separate.  Band samples, order and values at k = 0 then depend on
 the walk alone.
+
+Each block (below) is first offered to the certificate, _certify, which
+needs only the solved eigenvalues.  P(k) = prod_{i<j} |lambda_i -
+lambda_j|^2 is a real trigonometric polynomial of degree at most D =
+n (n - 1) (max shift - min shift) / 2; when G > 2D its coefficients come
+from one FFT of the grid's samples.  Newton's method from the samples'
+local minima refuses quickly where P has a zero; otherwise a Taylor bound
+on every grid cell, refined on the cells where it fails, proves
+P > CERT_TOL on the whole torus.  Then no two eigenvalues ever meet, so
+their cyclic order is fixed and their lifted arguments sum to
+arg det U_hat(k) = arg det U_hat(0) + w k, w = det_winding: each fiber's
+sorted arguments are labelled by the one rotation that gives that sum,
+and the seam permutation is i -> i + w (mod n) (_label).  A block that
+does not certify (a pair within MERGE_TOL, a coefficient tail above
+CERT_TOL, G <= 2D, or P at most CERT_TOL somewhere), or whose rotation
+does not round cleanly, is tracked as follows.
 
 Tracking starts at the grid point with the best-separated spectrum and
 sweeps both ways.  Each branch moves at most hL over a grid step h, where
@@ -46,28 +62,30 @@ sheet whose section at k = 0 overlaps its own the most.  Eigenprojections
 continue analytically through a touching point, so the sections, unlike
 the solver's basis of a degenerate cluster, carry the walk's permutation;
 a map that is not a permutation refuses the seam step.  Scalar steps are
-not proven, so a walk whose avoided crossing is narrower than the grid
-can still be answered wrongly there.
+not proven, so a tracked walk whose avoided crossing is narrower than
+the grid can still be answered wrongly there.
 
-Tracking only permutes the solver's columns (and rotates a degenerate
-cluster onto its predecessor as a block); no invariant depends on a
-section's phase, so phases are set once, in _assemble_bands: each
-cycle's joined section is turned sample by sample so that consecutive
-overlaps are real and positive, before copies are folded and merged.
+Labelling and tracking only permute the solver's columns (tracking also
+rotates a degenerate cluster onto its predecessor as a block); no
+invariant depends on a section's phase, so phases are set once, in
+_assemble_bands, for both paths: each cycle's joined section is turned
+sample by sample so that consecutive overlaps are real and positive,
+before copies are folded and merged.
 
 A walk whose constant commutant (the X with X A_j = A_j X for every j)
 holds more than the scalars is a direct sum of smaller walks, and each
-is solved and tracked alone, with its own speed bound.  The eigenspaces
-of a generic Hermitian X in the commutant (null space at COMMUTANT_TOL =
-1e-9, eigenvalues grouped at BLOCK_TOL = 1e-6) give orthonormal bases
-V_b, and the block walk has coefficients V_b^* A_j V_b; the split is
-made only when every block is invariant to COUPLING_TOL = 1e-12 and
-passes WalkSpec validation (walkspec._invariant_blocks).  A fiber then
-costs sum_b n_b^3 instead of n^3, and crossings between blocks never
-reach the tracker.  The blocks' tracked values, their sections mapped
-back by V_b and their seam permutations are assembled together, so bands
-that coincide across blocks still merge.  An irreducible walk is one
-block in the identity basis.
+is solved, then labelled or tracked, alone, a tracked one with its own
+speed bound.  The eigenspaces of a generic Hermitian X in the commutant
+(null space at COMMUTANT_TOL = 1e-9, eigenvalues grouped at BLOCK_TOL =
+1e-6) give orthonormal bases V_b, and the block walk has coefficients
+V_b^* A_j V_b; the split is made only when every block is invariant to
+COUPLING_TOL = 1e-12 and passes WalkSpec validation
+(walkspec._invariant_blocks).  A fiber then costs sum_b n_b^3 instead of
+n^3, and crossings between blocks never reach the certificate or the
+tracker.  The blocks' sheet values, their sections mapped back by V_b
+and their seam permutations are assembled together, so bands that
+coincide across blocks still merge.  An irreducible walk is one block
+in the identity basis.
 
 A band's winding is the sum of the principal arguments of the ratios of
 consecutive samples, a whole number of turns up to rounding.  Those are
@@ -111,6 +129,11 @@ CONST_TOL = 1e-9       # constant-band detection threshold
 COEF_TOL = 1e-9        # Fourier support floor for period detection
 AMBIG_FACTOR = 0.2     # prediction residual vs gap ratio that triggers refinement
 MAX_HALVINGS = 4
+# rounding allowance on P = prod |lambda_i - lambda_j|^2 (_certify): its
+# coefficients past the degree bound, zero in exact arithmetic, measure at
+# most 4.3e-14 on walks with n <= 4 and shift spans up to 12, where P
+# reaches 256
+CERT_TOL = 1e-11
 
 
 def _first_grid(bound: float, gap: float = 2.0 * np.pi) -> int:
@@ -551,6 +574,105 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
     return tv[:G], tw[:G], sigma
 
 
+def _certify(vals: np.ndarray, span: int) -> bool:
+    """True when P(k) = prod_{i<j} |lambda_i - lambda_j|^2 is proven above CERT_TOL on the torus.
+
+    vals are a block's eigenvalues on the base grid and span its max shift
+    minus its min shift.  P = +-Delta / det U_hat^{n-1}, Delta the
+    discriminant, is a real trigonometric polynomial of degree at most
+    D = n (n - 1) span / 2, so G > 2D samples give its coefficients by
+    one FFT; the ones past D must be rounding, at most CERT_TOL.  On a
+    cell of half-width w around a point c, P >= P(c) - |P'(c)| w -
+    sum_m m^2 |p_m| w^2 / 2.  When that bound fails on a grid cell,
+    Newton's method on P', from each such cell that holds a local minimum
+    of the samples, looks for a point where P is at most CERT_TOL: a
+    crossing is a double zero of P, and finding it disproves the
+    certificate at once.  Otherwise cells whose bound fails are halved and
+    evaluated from the coefficients, with no eigensolve; the certificate
+    fails once P itself is at most CERT_TOL at a point, once more cells
+    fail than the grid has, or once a cell reaches rounding width.  It
+    fails closed: a pair within MERGE_TOL, a NaN or an inf in vals, or
+    G <= 2D, gives False.  A 1 x 1 block has nothing to collide.
+    """
+    G, n = vals.shape
+    if n == 1:
+        return True
+    degree = n * (n - 1) * span // 2
+    if G <= 2 * degree:
+        return False
+    gaps = _pair_gaps(vals)
+    if not (np.isfinite(gaps).all() and gaps.min() > MERGE_TOL):
+        return False
+    p = np.prod(gaps * gaps, axis=1)
+    coef = np.fft.fft(p) / G
+    freqs = np.rint(np.fft.fftfreq(G) * G)
+    low = np.abs(freqs) <= degree
+    if not np.abs(coef[~low]).max(initial=0.0) <= CERT_TOL:
+        return False
+    coef[~low] = 0.0
+    curvature = float(np.sum(freqs * freqs * np.abs(coef)))
+    centers = 2.0 * np.pi * np.arange(G) / G
+    slopes = (np.fft.ifft(1j * freqs * coef) * G).real
+    coef, freqs = coef[low], freqs[low]
+    derivs = coef * (1j * freqs) ** np.arange(3)[:, None]
+    # rows of the (points, 2D + 1) phase matrix evaluated at once: 1 MB
+    rows = max(1, 2**16 // freqs.size)
+
+    def evaluate(ks, order):
+        """P and its first order - 1 derivatives at ks, from the coefficients."""
+        out = np.empty((order, ks.size))
+        for s in range(0, ks.size, rows):
+            phases = np.exp(1j * np.multiply.outer(ks[s : s + rows], freqs))
+            out[:, s : s + rows] = (phases @ derivs[:order].T).real.T
+        return out
+
+    width, values, searched = np.pi / G, p, False
+    while True:
+        fails = ~(values - np.abs(slopes) * width - curvature * width * width / 2 > CERT_TOL)
+        if not fails.any():
+            return True
+        if not (values[fails] > CERT_TOL).all() or fails.sum() > G or width < 1e-15:
+            return False
+        if not searched:
+            ks = centers[fails & (p <= np.roll(p, 1)) & (p <= np.roll(p, -1))]
+            for _ in range(8):
+                _, slope, bend = evaluate(ks, 3)
+                ks = ks - np.where(bend > 0, slope / np.where(bend > 0, bend, 1.0), 0.0)
+            if not (evaluate(ks, 1)[0] > CERT_TOL).all():
+                return False
+            searched = True
+        width /= 2
+        centers = np.concatenate([centers[fails] - width, centers[fails] + width])
+        values, slopes = evaluate(centers, 2)
+
+
+def _label(vals: np.ndarray, vecs: np.ndarray, winding: int):
+    """Sheet values, sections and seam permutation of a certified block, or None.
+
+    With no collision the eigenphases keep their cyclic order, and their
+    lifted sum is arg det U_hat(k) = arg det U_hat(0) + winding k.  Each
+    fiber's arguments phi, in (-pi, pi] and sorted, are that order turned
+    by R(k) = round((sum phi(0) + winding k - sum phi(k)) / 2pi) places,
+    so sheet i takes sorted column (i + R(k)) mod n, and at k = 2pi sheet
+    i meets sheet (i + winding) mod n.  None when a residue of that
+    rounding reaches 1/4, where rounding could have picked the wrong turn.
+    """
+    G, n = vals.shape
+    phi = np.angle(vals)
+    order = np.argsort(phi, axis=1, kind="stable")
+    total = phi.sum(axis=1)
+    turns = (total[0] + winding * 2.0 * np.pi * np.arange(G) / G - total) / (2.0 * np.pi)
+    rot = np.rint(turns)
+    if not np.abs(turns - rot).max() < 0.25:
+        return None
+    cols = np.take_along_axis(order, (np.arange(n) + rot.astype(int)[:, None]) % n, axis=1)
+    return (
+        np.take_along_axis(vals, cols, axis=1),
+        np.take_along_axis(vecs, cols[:, None, :], axis=2),
+        (np.arange(n) + winding) % n,
+    )
+
+
 def _divisors(d: int):
     return [k for k in range(1, d + 1) if d % k == 0]
 
@@ -720,8 +842,13 @@ def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
     tv, tw, sigma = [], [], []
     for block, basis in _invariant_blocks(spec) or [(spec, None)]:
         vals, vecs = _solve_grid(block, ks)
-        block_bound = bound if basis is None else _speed_bound(block)
-        values, sections, seam = _track(block, ks, vals, vecs, block_bound)
+        labels = None
+        if _certify(vals, max(block.terms) - min(block.terms)):
+            labels = _label(vals, vecs, det_winding(block))
+        if labels is None:
+            block_bound = bound if basis is None else _speed_bound(block)
+            labels = _track(block, ks, vals, vecs, block_bound)
+        values, sections, seam = labels
         tv.append(values)
         tw.append(sections if basis is None else basis @ sections)
         sigma.append(seam + sum(map(len, sigma)))

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import io
+import math
 import pickle
 import weakref
 
@@ -494,8 +495,25 @@ def test_bands_are_extracted_once_per_spec_and_grid(tracks):
     assert ref() is None
 
 
+@pytest.fixture
+def certificates(monkeypatch):
+    """The result of every _certify call made while the test runs."""
+    results = []
+    real = qwalk.spectral._certify
+    monkeypatch.setattr(
+        qwalk.spectral, "_certify", lambda *args: results.append(real(*args)) or results[-1]
+    )
+    return results
+
+
+def force_tracker(patch):
+    """Make every block fail its certificate, so each one is tracked."""
+    patch.setattr(qwalk.spectral, "_certify", lambda vals, span: False)
+
+
 def test_unresolved_crossing_is_not_memoized(tracks):
-    spec = coined(1 - 1e-9)
+    # P has real zeros here, so every attempt reaches the tracker
+    spec = walk_power(random_walk(3, shift_max=2), 3)
     for attempt in (1, 2):
         with pytest.raises(UnresolvedCrossing):
             sample_bands(spec, 256)
@@ -782,14 +800,20 @@ def test_commutant_is_computed_once_per_spec(monkeypatch):
 
 
 def test_sum_with_a_modulated_copy_is_answered_at_both_grids(monkeypatch, tracks):
-    # each summand is tracked alone, so the crossings between them never
-    # reach the tracker; the whole walk tracked as one is refused at 256
-    spec = sum_with_modulated(4, 0.5)
-    coarse, fine = sample_bands(spec, 256), sample_bands(spec, 2048)
-    assert len(tracks) == 4
-    assert signature(coarse) == signature(fine) == [(1, 2, 1, 1)] * 6
-    for band_set in (coarse, fine):
-        assert_bands_are_fiber_eigenvalues(band_set, spec, 1e-12)
+    # each summand is labelled, or with the certificate off tracked, alone,
+    # so the crossings between them never reach either; the whole walk
+    # tracked as one is refused at 256
+    for certify in (True, False):
+        with monkeypatch.context() as patch:
+            if not certify:
+                force_tracker(patch)
+            tracks.clear()
+            spec = sum_with_modulated(4, 0.5)
+            coarse, fine = sample_bands(spec, 256), sample_bands(spec, 2048)
+            assert len(tracks) == (0 if certify else 4)
+            assert signature(coarse) == signature(fine) == [(1, 2, 1, 1)] * 6
+            for band_set in (coarse, fine):
+                assert_bands_are_fiber_eigenvalues(band_set, spec, 1e-12)
     monkeypatch.setattr(qwalk.spectral, "_invariant_blocks", lambda spec: ())
     with pytest.raises(UnresolvedCrossing):
         sample_bands(sum_with_modulated(4, 0.5), 256)
@@ -1063,7 +1087,9 @@ def assert_refusal_advice(exc, spec):
     assert str(clone) == text
 
 
-def test_unresolved_crossing_reports_gap_and_next_grid():
+def test_unresolved_crossing_reports_gap_and_next_grid(monkeypatch):
+    # the certificate answers this walk; the tracker alone refuses it
+    force_tracker(monkeypatch)
     spec = coined(1 - 1e-9)
     with pytest.raises(UnresolvedCrossing) as info:
         sample_bands(spec, 256)
@@ -1080,7 +1106,7 @@ def test_kept_refusal_holds_no_tracking_arrays():
     # a caller may keep the exception, and with it every frame of its
     # traceback; none of them may still hold the grid-sized arrays
     try:
-        sample_bands(coined(1 - 1e-9), 2048)
+        sample_bands(walk_power(random_walk(3, shift_max=2), 3), 2048)
     except UnresolvedCrossing as exc:
         kept = exc
     tb, big = kept.__traceback__, []
@@ -1095,9 +1121,9 @@ def test_kept_refusal_holds_no_tracking_arrays():
 
 def test_seam_refusal_reports_gap_and_next_grid(monkeypatch):
     # the seam is the forward sweep's last step, onto fiber 0 at k = 2pi.
-    # coined(1 - 1e-6) at 256 is the one walk found whose seam step is
-    # unproven and fails the scalar match, so it reaches the refined chain;
-    # make that chain fail to reach the refusal
+    # Tracked, coined(1 - 1e-6) at 256 is the one walk found whose seam
+    # step is unproven and fails the scalar match, so it reaches the
+    # refined chain; make that chain fail to reach the refusal
     real = qwalk.spectral._chain_match
 
     def seam_fails(spec, k_start, k_end, *args, **kwargs):
@@ -1106,6 +1132,7 @@ def test_seam_refusal_reports_gap_and_next_grid(monkeypatch):
         return real(spec, k_start, k_end, *args, **kwargs)
 
     monkeypatch.setattr(qwalk.spectral, "_chain_match", seam_fails)
+    force_tracker(monkeypatch)
     spec = coined(1 - 1e-6)
     with pytest.raises(UnresolvedCrossing) as info:
         sample_bands(spec, 256)
@@ -1194,14 +1221,15 @@ UNCERTIFIED = (
     "needs certified subdivision"
 )
 COINED_SWEEP_M = [2 + 0.25 * i for i in range(49)]
-# the gap 2 sqrt(1 - r^2) at k = 0 and pi is too small for a refined step
-# to prove, and too small for the scalar step to separate
+# up to m = 11.75 the smallest P = 4 (1 - r^2), about 8 10^-m, is certified
+# above CERT_TOL and the bands are labelled in closed form; from m = 12 the
+# block is tracked, and the gap 2 sqrt(1 - r^2) at k = 0 and pi is too
+# small for a refined step to prove, and too small for the scalar step to
+# separate
 COINED_SWEEP_REFUSED = {
-    (m, 256) for m in COINED_SWEEP_M if 6.25 <= m <= 11.25 or 12.25 <= m <= 13 or m == 14
-} | {(m, 2048) for m in COINED_SWEEP_M if m >= 8}
-COINED_SWEEP_WRONG = {
-    (m, 256) for m in (5.75, 6, 11.5, 11.75, 12, 13.25, 13.5, 13.75)
-} | {(7.75, 2048)}
+    (m, 256) for m in COINED_SWEEP_M if 12.25 <= m <= 13 or m == 14
+} | {(m, 2048) for m in COINED_SWEEP_M if m >= 12}
+COINED_SWEEP_WRONG = {(m, 256) for m in (12, 13.25, 13.5, 13.75)}
 
 
 def coined_sweep_case(m, grid):
@@ -1230,22 +1258,149 @@ def test_coined_sweep_gives_closed_form_or_refuses(m, grid):
         assert min(np.max(np.abs(band.samples - (c + s * root))) for s in (1, -1)) < 1e-10
 
 
+# the two random walks certify at both grids; P of the power has real
+# zeros, so it is tracked, and an unproven step goes wrong at one grid
 GRID_DEPENDENT_WALKS = [
     ("walk(2054020785)", lambda: random_walk(2054020785)),
     ("walk(1514645085)", lambda: random_walk(1514645085)),
-    ("walk(959707297, shift<=2)^2", lambda: walk_power(random_walk(959707297, shift_max=2), 2)),
+    pytest.param(
+        "walk(959707297, shift<=2)^2",
+        lambda: walk_power(random_walk(959707297, shift_max=2), 2),
+        marks=pytest.mark.xfail(strict=True, reason=UNCERTIFIED),
+    ),
 ]
 
 
-@pytest.mark.xfail(strict=True, reason=UNCERTIFIED)
 @pytest.mark.parametrize(
-    "name,make_spec", GRID_DEPENDENT_WALKS, ids=[w[0] for w in GRID_DEPENDENT_WALKS]
+    "name,make_spec", GRID_DEPENDENT_WALKS,
+    ids=["walk(2054020785)", "walk(1514645085)", "walk(959707297, shift<=2)^2"],
 )
 def test_invariants_agree_at_256_and_2048(name, make_spec):
     spec = make_spec()
     key = lambda b: (b.degree, b.winding, b.min_period, b.multiplicity)
     coarse, fine = (sorted(map(key, sample_bands(spec, g).bands)) for g in (256, 2048))
     assert coarse == fine
+
+
+# walk families whose every block certifies at grids 256 and 2048
+# (n <= 4 and |shift| <= 3, so D <= 36 and G > 2D)
+CERT_FAMILIES = {
+    "walk(shift<=%d)" % shift_max: [
+        lambda seed=seed, shift_max=shift_max: random_walk(seed, shift_max=shift_max)
+        for seed in range(40)
+    ]
+    for shift_max in (1, 2, 3)
+}
+CERT_FAMILIES["real_walk"] = [lambda seed=seed: real_random_walk(seed) for seed in range(20)]
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("family", list(CERT_FAMILIES))
+def test_certified_blocks_follow_the_gcd_rule(certificates, family, grid):
+    # sheet i meets sheet i + w at the seam, w the det winding: gcd(n, w)
+    # cycles of n / gcd(n, w) sheets, and each band winds w / gcd(n, w) times
+    for make_spec in CERT_FAMILIES[family]:
+        spec = make_spec()
+        for block in [block for block, _ in _invariant_blocks(spec)] or [spec]:
+            certificates.clear()
+            band_set = sample_bands(block, grid)
+            assert certificates == [True]
+            n, w = block.n, det_winding(block)
+            g = math.gcd(n, w)
+            assert [(b.degree, b.winding, b.multiplicity) for b in band_set.bands] == [
+                (n // g, w // g, 1)
+            ] * g
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("family", list(CERT_FAMILIES))
+def test_certified_labels_match_the_tracker(monkeypatch, certificates, family, grid):
+    # oracle: the tracker, forced on every block, gives the same integers
+    # and the same band samples and sections, bit for bit
+    for make_spec in CERT_FAMILIES[family]:
+        certificates.clear()
+        got = sample_bands(make_spec(), grid)
+        assert certificates and all(certificates)
+        with monkeypatch.context() as patch:
+            force_tracker(patch)
+            want = sample_bands(make_spec(), grid)
+        key = lambda b: (b.degree, b.multiplicity, b.winding, b.min_period, b.is_constant)
+        assert [key(b) for b in got.bands] == [key(b) for b in want.bands]
+        for bg, bw in zip(got.bands, want.bands):
+            assert np.array_equal(bg.samples, bw.samples)
+            assert np.array_equal(bg.eigvec_samples, bw.eigvec_samples)
+
+
+# P has a real zero on each: touching bands, or crossings of the power
+TOUCHING_WALKS = [
+    ("grover3", grover3),
+    ("grover4", grover4),
+    ("grover4_subwalk", FIXTURES["grover4_subwalk"]),
+    ("walk(959707297, shift<=2)^2", lambda: walk_power(random_walk(959707297, shift_max=2), 2)),
+]
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("name,make_spec", TOUCHING_WALKS, ids=[w[0] for w in TOUCHING_WALKS])
+def test_walks_whose_bands_meet_are_tracked(tracks, certificates, name, make_spec, grid):
+    extract_or_refusal(make_spec(), grid)
+    assert certificates and not any(certificates)
+    assert len(tracks) == len(certificates)
+
+
+def test_certificate_fails_closed():
+    G = 256
+    ks = 2.0 * np.pi * np.arange(G) / G
+    vals = qwalk.spectral._solve_grid(coined(0.5), ks)[0]
+    # shifts +-1: D = 2, and its coefficients past 0 are far above CERT_TOL
+    assert qwalk.spectral._certify(vals, 2)
+    assert not qwalk.spectral._certify(vals, 0)
+    spread = np.tile(np.exp(2j * np.pi * np.arange(3) / 3), (G, 1))
+    assert qwalk.spectral._certify(spread, 42)
+    # D = 3 * 2 * 43 / 2 = 129: the grid cannot sample P
+    assert not qwalk.spectral._certify(spread, 43)
+    repeated = spread.copy()
+    repeated[:, 1] = repeated[:, 0]
+    assert not qwalk.spectral._certify(repeated, 1)
+    # a pair within MERGE_TOL is refused even where P clears CERT_TOL
+    close = np.exp(2j * np.pi * np.arange(10) / 10)
+    close[1] = close[0] * np.exp(5e-10j)
+    assert np.prod(_pair_gaps(close) ** 2) > qwalk.spectral.CERT_TOL
+    assert not qwalk.spectral._certify(np.tile(close, (G, 1)), 1)
+    for bad in (np.nan, np.inf):
+        broken = spread.copy()
+        broken[17, 2] = bad
+        assert not qwalk.spectral._certify(broken, 1)
+
+
+def test_labels_need_the_det_phase_to_round_cleanly():
+    # fixed, separated values, their arguments ascending: winding 0 labels
+    # every fiber alike, and winding 1 puts the rounding residue at 1/2 at
+    # k = pi
+    G = 64
+    vals = np.tile(np.exp(1j * np.array([-2.0, 0.5, 2.0])), (G, 1))
+    vecs = np.tile(np.eye(3, dtype=complex), (G, 1, 1))
+    tv, tw, sigma = qwalk.spectral._label(vals, vecs, 0)
+    assert np.array_equal(tv, vals) and np.array_equal(tw, vecs)
+    assert np.array_equal(sigma, np.arange(3))
+    assert qwalk.spectral._label(vals, vecs, 1) is None
+
+
+def test_speed_bound_is_taken_only_for_tracked_blocks(monkeypatch):
+    # the grid rule needs the whole walk's bound; a certified block needs none
+    calls = []
+    real = qwalk.spectral._speed_bound
+    monkeypatch.setattr(
+        qwalk.spectral, "_speed_bound", lambda spec: calls.append(spec) or real(spec)
+    )
+    spec = sum_with_modulated(4, 0.5)
+    sample_bands(spec, 256)
+    assert calls == [spec]
+    force_tracker(monkeypatch)
+    calls.clear()
+    spec = sum_with_modulated(4, 0.5)
+    sample_bands(spec, 256)
+    assert calls[0] is spec and len(calls) == 3
 
 
 def test_mirrored_fibers_are_the_symbols_eigenvalues():
