@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .decompose import ConstantSummand, Decomposition, PrimeModelWalk
-from .spectral import Band
+from .spectral import Band, _noise_floor
 
 __all__ = [
     "TranslationMatch",
@@ -82,9 +82,9 @@ def _normalized_coefficients(band: Band, half: int) -> np.ndarray:
     """
     p = band.min_period
     freqs, coefs = band.fourier_freqs, band.fourier
-    # off-multiple frequencies are leakage from tracking noise; a real
-    # coefficient there would contradict the stored minimal period
-    keep = (np.abs(coefs) > 1e-13) & (freqs % p == 0)
+    # below the noise floor is aliasing, and off-multiple frequencies are
+    # leakage; a real coefficient there would contradict the minimal period
+    keep = (np.abs(coefs) > _noise_floor(coefs, freqs)) & (freqs % p == 0)
     out = np.zeros(2 * half + 1, dtype=complex)
     out[freqs[keep] // p + half] = coefs[keep]
     return out

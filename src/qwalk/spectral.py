@@ -40,8 +40,9 @@ does not round cleanly, is tracked as follows.
 Tracking starts at the grid point with the best-separated spectrum and
 sweeps both ways.  Each branch moves at most hL over a grid step h, where
 L, the speed bound, is commutator_norm (exact up to rounding when the
-Gram symbol of [D, U] does not depend on k, a grid maximum otherwise)
-plus the sampling slack of a NORM_GRID-point grid: by Hellmann-Feynman
+Gram symbol of [D, U] does not depend on k, otherwise a NORM_GRID-point
+grid maximum widened by Bernstein's inequality) with a rounding
+allowance added in quadrature: by Hellmann-Feynman
 |dlambda/dk| = |<v, dU_hat/dk v>| <= ||dU_hat/dk||.  So when the
 smallest pairwise distance on one end fiber of a step exceeds 2hL, the
 hL-discs around its values are disjoint, and the nearest value across
@@ -677,6 +678,18 @@ def _divisors(d: int):
     return [k for k in range(1, d + 1) if d % k == 0]
 
 
+def _noise_floor(fourier: np.ndarray, freqs: np.ndarray) -> float:
+    """Noise floor of a band's Fourier coefficients: max(COEF_TOL, 20 x the top bins).
+
+    A finite grid aliases the high-frequency part of an analytic band into
+    every bin; read off the top bins, that floor cannot poison the support
+    gcd, the periodicity check or intertwine's normalized coefficients.
+    """
+    length = fourier.size
+    cut = length // 2 - max(4, length // 8)
+    return max(COEF_TOL, 20.0 * float(np.abs(fourier[np.abs(freqs) >= cut]).max()))
+
+
 def _finalize_band(samples, sections, degree, grid_size) -> Band:
     length = samples.size
     fourier = np.fft.fft(samples) / length
@@ -687,16 +700,10 @@ def _finalize_band(samples, sections, degree, grid_size) -> Band:
     min_period = None
     if not is_constant:
         freqs = np.rint(np.fft.fftfreq(length) * length).astype(int)
-        mags = np.abs(fourier)
-        # a finite grid aliases the high-frequency part of an analytic band
-        # into every bin; read that floor off the top bins so leakage there
-        # cannot poison the support gcd or the periodicity check
-        cut = length // 2 - max(4, length // 8)
-        alias_floor = float(mags[np.abs(freqs) >= cut].max())
-        thresh = max(COEF_TOL, 20.0 * alias_floor)
-        support = freqs[(mags > thresh) & (freqs != 0)]
+        thresh = _noise_floor(fourier, freqs)
+        support = freqs[(np.abs(fourier) > thresh) & (freqs != 0)]
         m = int(np.gcd.reduce(np.abs(support))) if support.size else 1
-        tol = max(1e-8, 100.0 * alias_floor)
+        tol = max(1e-8, 5.0 * thresh)
         # the candidate 1 is the default, so it needs no inverse FFT
         min_period = 1
         for cand in reversed(_divisors(m)[1:]):

@@ -46,8 +46,6 @@ __all__ = [
 UNITARITY_TOL = 1e-12
 # grid points on which commutator_norm samples the top singular value
 NORM_GRID = 2048
-# points per level of the zoom that polishes the grid maximum
-ZOOM_POINTS = 33
 # singular values of X -> (A_j X - X A_j)_j at or below this span the
 # constant commutant
 COMMUTANT_TOL = 1e-9
@@ -92,8 +90,7 @@ class WalkSpec:
     across threads; every operation on them is pure.  A spec also carries a
     memo of results derived from it: the BandSet of each grid size that
     some caller still holds (weakly referenced, so the memo keeps nothing
-    alive), the commutator norm, the speed bound and the split into
-    invariant blocks.
+    alive), the commutator norm and the split into invariant blocks.
     Concurrent callers may compute the same result twice, but a result is
     stored only once complete, so none sees a partial one.  Copies and
     unpickled specs start with an empty memo.  Two specs are equal when
@@ -108,7 +105,6 @@ class WalkSpec:
         init=False, repr=False, default_factory=weakref.WeakValueDictionary
     )
     _commutator_norm: float | None = field(init=False, repr=False, default=None)
-    _speed_bound: float | None = field(init=False, repr=False, default=None)
     _blocks: tuple | None = field(init=False, repr=False, default=None)
     # True only for the exact image of a validated walk (dynamics.adjoint_walk),
     # which satisfies the unitarity identities without a second check
@@ -317,70 +313,64 @@ def _weighted_symbol(spec: WalkSpec, ks: np.ndarray, p: int) -> np.ndarray:
 
 
 def commutator_norm(spec: WalkSpec) -> float:
-    """Operator norm of [D (x) id, U].
+    """Operator norm of [D (x) id, U], or an upper bound on it (below).
 
     [D, S^j] = j S^j, so the commutator is the banded operator with symbol
     W(k) = sum_j j e^{ijk} A_j and its norm is the maximum largest singular
     value sigma(k) of W over the torus.  First the Gram symbol W(k) W(k)^* =
     sum_m e^{imk} B_m is formed from its Fourier coefficients B_m = sum_j
     j (j - m) A_j A_{j-m}^*, taken over the shift differences m that occur:
-    |terms|^2 products whatever the span.  When sum_{m != 0} ||B_m||_F is within the
-    rounding bound 4 n eps (sum_j |j| ||A_j||_F)^2 of those products, the
-    Gram symbol is constant (every shift-coin walk diag(S^{a_i}) C, whose
-    W(k) W(k)^* = diag(a_i^2)), and by Weyl's inequality sigma(k)^2 is
-    within that bound of the top eigenvalue of B_0 at every k: its square
-    root is the norm, and no grid is built.  Otherwise sigma is evaluated
-    once on a NORM_GRID-point grid, and the grid argmax is polished by a
-    zoom inside one grid step either side: each level evaluates sigma at
-    ZOOM_POINTS equally spaced points of the bracket with one batched SVD
-    and keeps the two samples beside their argmax, until the bracket is
-    narrower than 1e-12 (nine levels).  The result is then the larger of
-    the grid maximum and sigma at the final bracket's ends; _speed_bound
-    covers what the grid can still miss.  It is computed once per spec
-    object and memoized on it.
+    |terms|^2 products whatever the span.  When sum_{m != 0} ||B_m||_F is
+    within _rounding_allowance of those products, the Gram symbol is
+    constant (every shift-coin walk diag(S^{a_i}) C, whose W(k) W(k)^* =
+    diag(a_i^2)), and by Weyl's inequality sigma(k)^2 is within that
+    allowance of the top eigenvalue of B_0 at every k: its square root is
+    the norm, and no grid is built.
+
+    Otherwise the result is the maximum of sigma on the M = NORM_GRID-point
+    grid over sqrt(1 - pi^2 D^2 / (2 M^2)), D the largest |m| with B_m != 0
+    (at most max shift - min shift).  Proof: let S = sigma(k*)^2 be the
+    supremum and v a unit top left singular vector of W(k*).  q(k) =
+    v^* W(k) W(k)^* v is a real trigonometric polynomial of degree <= D,
+    0 <= q <= sigma^2 <= S = q(k*), so q'(k*) = 0 and, by Bernstein's
+    inequality twice, |q''| <= D^2 S; at the grid point within pi / M of
+    k*, sigma^2 >= q >= S (1 - pi^2 D^2 / (2 M^2)).  When pi D >= M the
+    triangle bound sum_j |j| ||A_j||_2 is returned, with no grid.  The
+    result is computed once per spec object and memoized on it.
     """
     if spec._commutator_norm is None:
         object.__setattr__(spec, "_commutator_norm", _max_derivative_sigma(spec))
     return spec._commutator_norm
 
 
+def _rounding_allowance(spec: WalkSpec) -> float:
+    """4 n eps (sum_j |j| ||A_j||_F)^2: the rounding in forming the Gram coefficients B_m."""
+    scale = sum(abs(j) * np.linalg.norm(a) for j, a in spec.terms.items())
+    return 4 * spec.n * np.finfo(float).eps * scale**2
+
+
 def _max_derivative_sigma(spec: WalkSpec) -> float:
     # B_m gathers the products (j A_j)(l A_l)^* with j - l = m
     ms, gram = _pair_sums(spec, spec.shifts())
     drift = np.linalg.norm(gram[ms != 0], axis=(1, 2)).sum()
-    scale = sum(abs(j) * np.linalg.norm(a) for j, a in spec.terms.items())
-    if drift <= 4 * spec.n * np.finfo(float).eps * scale**2:
+    if drift <= _rounding_allowance(spec):
         return math.sqrt(np.linalg.eigvalsh(gram[ms == 0][0])[-1])
+    degree = np.abs(ms[np.abs(gram).max(axis=(1, 2)) > 0]).max()
+    ratio = np.pi * degree / NORM_GRID
+    if ratio >= 1:
+        return float(sum(abs(j) * np.linalg.norm(a, 2) for j, a in spec.terms.items()))
     ks = 2 * np.pi * np.arange(NORM_GRID) / NORM_GRID
     sig = np.linalg.svd(derivative_symbol_on_grid(spec, ks), compute_uv=False)[:, 0]
-    best = int(np.argmax(sig))
-    h = 2 * np.pi / NORM_GRID
-    a, b = ks[best] - h, ks[best] + h
-    while b - a > 1e-12:
-        pts = np.linspace(a, b, ZOOM_POINTS)
-        zoom = np.linalg.svd(_weighted_symbol(spec, pts, 1), compute_uv=False)[:, 0]
-        i = int(np.argmax(zoom))
-        lo, hi = max(i - 1, 0), min(i + 1, ZOOM_POINTS - 1)
-        a, b, ends = pts[lo], pts[hi], zoom[[lo, hi]]
-    return max(float(sig[best]), float(ends.max()))
+    return float(sig.max()) / math.sqrt(1 - ratio**2 / 2)
 
 
 def _speed_bound(spec: WalkSpec) -> float:
     """Upper bound on |dlambda/dk| for every band: sup_k ||d/dk U_hat(k)||.
 
-    On a constant Gram symbol commutator_norm is the supremum up to
-    rounding.  Otherwise it is at least the maximum over the
-    NORM_GRID-point grid, so the supremum exceeds it by at most
-    pi / NORM_GRID times the Lipschitz constant of the top singular value,
-    which is at most sum_j j^2 ||A_j||.  That term is added on both paths;
-    on the first it covers the rounding many times over.  Computed once
-    per spec object and memoized on it.
+    sqrt(commutator_norm^2 + _rounding_allowance): the allowance covers the
+    rounding of either path (commutator_norm(coined(0.5)) is one ulp under 1).
     """
-    if spec._speed_bound is None:
-        slack = sum(j * j * np.linalg.norm(a, 2) for j, a in spec.terms.items())
-        bound = commutator_norm(spec) + np.pi / NORM_GRID * slack
-        object.__setattr__(spec, "_speed_bound", bound)
-    return spec._speed_bound
+    return math.sqrt(commutator_norm(spec) ** 2 + _rounding_allowance(spec))
 
 
 def _is_real(spec: WalkSpec) -> bool:

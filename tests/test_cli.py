@@ -239,15 +239,15 @@ def test_grid_is_checked_before_any_work(capsys, argv):
 
 
 def test_grid_that_can_alias_a_winding_exits_2(tmp_path, capsys):
-    # S^200 has speed bound L = 261, so grids up to 512 are at most 2L
+    # S^200 has speed bound L = 200 (up to rounding), so grids up to 256 are at most 2L
     path = tmp_path / "shift200.json"
     path.write_text('{"n": 1, "terms": [{"shift": 200, "matrix": [[[1.0, 0.0]]]}]}')
     assert main(["analyze", str(path), "--grid", "256"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: grid 256 does not exceed twice the speed bound")
-    assert captured.err.endswith("first valid grid 1024\n")
-    assert main(["analyze", str(path), "--grid", "1024"]) == 0
+    assert captured.err.endswith("first valid grid 512\n")
+    assert main(["analyze", str(path), "--grid", "512"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["det_winding"] == 200
     assert [b["winding"] for b in doc["bands"]] == [200]
@@ -266,7 +266,8 @@ def test_wide_shifts_are_refused_by_the_grid_rule(tmp_path, capsys):
     assert main(["analyze", str(path), "--grid", "256"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "first valid grid" in captured.err
+    # L = 10^7 up to rounding, and 2^25 is the first power of two above 2L
+    assert captured.err.endswith("first valid grid 33554432\n")
 
 
 @pytest.mark.parametrize("window", ["-3", "0"])

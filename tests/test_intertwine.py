@@ -29,6 +29,7 @@ from qwalk.intertwine import (
     ConstantClass,
     PrimeClass,
 )
+from qwalk.spectral import _noise_floor
 
 
 def modulate(spec, alpha):
@@ -211,7 +212,7 @@ def dict_coefficients(band):
     """Normalized Fourier coefficients as a dict {ell: coefficient}."""
     p = band.min_period
     freqs, coefs = band.fourier_freqs, band.fourier
-    keep = (np.abs(coefs) > 1e-13) & (freqs % p == 0)
+    keep = (np.abs(coefs) > _noise_floor(coefs, freqs)) & (freqs % p == 0)
     return dict(zip((freqs[keep] // p).tolist(), coefs[keep].tolist()))
 
 
@@ -302,7 +303,20 @@ def test_dense_translation_search_matches_dict_oracle():
                         model_walk_matrix(p1.band, window),
                         eye_sum_model_walk_matrix(p1.band, window),
                     ), (walk, i, window)
-    # 104 pairs here: each prime meets its 0.7-translate in U + U_0.7,
-    # except walk 5's, whose coefficients near the top frequency of grid
-    # 256 exceed RESIDUAL_TOL (it matches at grid 2048)
+    # 106 pairs here: each prime meets its 0.7-translate in U + U_0.7
     assert translated > 100
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+def test_aliasing_does_not_split_a_translate_class(grid):
+    # random_walk(5) + its 0.7-modulation: at grid 256 the top bins of its
+    # degree-3 bands alias at 2e-6, so the noise floor is 4.3e-5.  Kept
+    # down to 1e-13, those bins left a residual above RESIDUAL_TOL, and the
+    # two primes fell into two classes there but one at grid 2048
+    u = random_walk(5)
+    report = commutant_report(decompose(direct_sum(u, modulate(u, 0.7)), grid))
+    (cls,) = report.prime_classes
+    assert (cls.rate, cls.size) == (Fraction(1, 3), 2)
+    assert cls.alphas[0] == 0.0
+    # 0.7 plus two turns of the base torus; at rate 1/3, alpha is read modulo 6 pi
+    assert cls.alphas[1] == pytest.approx(4 * np.pi + 0.7, abs=1e-12)

@@ -219,7 +219,7 @@ def test_every_extraction_is_checked_against_the_det_winding(monkeypatch):
 
 
 ALIASING_WALKS = [
-    (lambda: WalkSpec(n=1, terms={200: np.eye(1)}), 1024, 200),
+    (lambda: WalkSpec(n=1, terms={200: np.eye(1)}), 512, 200),
     (lambda: shift_coin_walk((40, -1), np.array([[1, 1], [1, -1]]) / np.sqrt(2)), 128, 39),
 ]
 ALIASING_IDS = ["S^200", "hadamard(40,-1)"]
@@ -1121,9 +1121,9 @@ def test_kept_refusal_holds_no_tracking_arrays():
 
 def test_seam_refusal_reports_gap_and_next_grid(monkeypatch):
     # the seam is the forward sweep's last step, onto fiber 0 at k = 2pi.
-    # Tracked, coined(1 - 1e-6) at 256 is the one walk found whose seam
-    # step is unproven and fails the scalar match, so it reaches the
-    # refined chain; make that chain fail to reach the refusal
+    # Tracked, coined(1 - 1e-10) at 128 has a seam step that is unproven
+    # and fails the scalar match, so it reaches the refined chain; make
+    # that chain fail to reach the refusal
     real = qwalk.spectral._chain_match
 
     def seam_fails(spec, k_start, k_end, *args, **kwargs):
@@ -1133,11 +1133,11 @@ def test_seam_refusal_reports_gap_and_next_grid(monkeypatch):
 
     monkeypatch.setattr(qwalk.spectral, "_chain_match", seam_fails)
     force_tracker(monkeypatch)
-    spec = coined(1 - 1e-6)
+    spec = coined(1 - 1e-10)
     with pytest.raises(UnresolvedCrossing) as info:
-        sample_bands(spec, 256)
+        sample_bands(spec, 128)
     assert info.value.k_hi == 2 * np.pi
-    assert info.value.k_lo == 2 * np.pi * 255 / 256
+    assert info.value.k_lo == 2 * np.pi * 127 / 128
     assert_refusal_advice(info.value, spec)
 
 
@@ -1465,14 +1465,15 @@ def test_half_solved_grids_keep_signatures_and_refusals(monkeypatch, name, make_
 
 
 def test_speed_bound_computed_once_per_spec(monkeypatch):
+    # the bound is not memoized, but the commutator norm under it is
     calls = []
-    real = qwalk.walkspec.commutator_norm
+    real = qwalk.walkspec._max_derivative_sigma
 
     def counting(spec):
         calls.append(spec)
         return real(spec)
 
-    monkeypatch.setattr(qwalk.walkspec, "commutator_norm", counting)
+    monkeypatch.setattr(qwalk.walkspec, "_max_derivative_sigma", counting)
     spec = grover4()
     first = qwalk.walkspec._speed_bound(spec)
     sample_bands(spec, 256)
