@@ -12,9 +12,11 @@ The symbol grid is solved by one batched eigh of the Cayley transform of
 U_hat(k), which gives orthonormal frames, degenerate clusters included.
 Each fiber first tries the Cayley phase farthest from the spectrum that
 one batched eigvals of every 16th fiber predicts for it, so almost every
-fiber is solved once.  When every coefficient of a walk (or of a block,
-below) is real, an exact test, U_hat(-k) is the conjugate of U_hat(k):
-only the fibers 0 ... G/2 are solved, and fiber G - m takes the
+fiber is solved once.  That first trial covers the whole grid and its
+arrays are kept as the result; only the fibers it fails are gathered for
+the next phases and written back.  When every coefficient of a walk (or
+of a block, below) is real, an exact test, U_hat(-k) is the conjugate of
+U_hat(k): only the fibers 0 ... G/2 are solved, and fiber G - m takes the
 conjugates of fiber m's values and sections.  Sheet labels follow the
 solver's column order, so each cycle starts at a canonical sheet: least
 argument in [0, 2pi) at k = 0, ties within MERGE_TOL ordered where the
@@ -279,43 +281,52 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
     eigenvalue, twice what the bound asks.  The phases are tried in cyclic
     order from a predicted one: the phase farthest from the eigenvalues of
     the nearest of every 16th fiber, estimated by one batched eigvals, so
-    that almost every fiber is solved once.  A phase where I - z U is
-    exactly singular is skipped for that fiber; only a trial whose batched
-    solve fails looks for such fibers, by their determinant.  H is not
-    symmetrized, and eigh reads only its lower triangle and the real part
-    of its diagonal, so near a pole mu can miss the blow-up: a 1 x 1
-    symbol within rounding of the trial phase gives a huge imaginary H
-    and mu = 0.  So a fiber is also refused when an entry of H exceeds
-    the bound, which no entry of a Hermitian H with max|mu| within it does.
+    that almost every fiber is solved once.  The first trial runs on the
+    whole grid, and its arrays are the result; only the fibers it fails are
+    gathered for the next phase, and only their passes are written back.
+    A phase where I - z U is exactly singular is skipped for that fiber;
+    only a trial whose batched solve fails looks for such fibers, by their
+    determinant.  H is not symmetrized, and eigh reads only its lower
+    triangle and the real part of its diagonal, so near a pole mu can miss
+    the blow-up: a 1 x 1 symbol within rounding of the trial phase gives a
+    huge imaginary H and mu = 0.  So a fiber is also refused when an entry
+    of H exceeds the bound, which no entry of a Hermitian H with max|mu|
+    within it does.
     """
     mats = symbol_on_grid(spec, ks)
     n = spec.n
     eye = np.eye(n)
-    vals = np.empty(mats.shape[:2], dtype=complex)
-    vecs = np.empty_like(mats)
     trial = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     est = np.linalg.eigvals(mats[::16])
     far = np.abs(est[:, :, None] - trial).min(axis=1).argmax(axis=1)
     first = far[np.minimum((np.arange(ks.size) + 8) // 16, far.size - 1)]
-    todo = np.arange(ks.size)
-    for t in range(n + 1):
-        if not todo.size:
-            break
-        phi = 2.0 * np.pi * ((first[todo] + t) % (n + 1)) / (n + 1)
-        zu = np.exp(-1j * phi)[:, None, None] * mats[todo]
+    # e^{i phi} per trial, phi = 2 pi r / (n + 1); at n = 5, 8, 10 and
+    # others some entries of trial round otherwise
+    ephi = np.exp(1j * (2.0 * np.pi * np.arange(n + 1) / (n + 1)))
+    cap = 1.0 / np.tan(np.pi / (4 * n + 4))
+
+    def attempt(m, r):
+        """Values, vectors and pass mask of the fibers m at the trials r."""
+        zu = ephi[r].conj()[:, None, None] * m
         a = eye - zu
-        singular = np.zeros(todo.size, dtype=bool)
+        singular = np.zeros(r.size, dtype=bool)
         try:
-            cay = np.linalg.solve(a, eye + zu)
+            h = 1j * np.linalg.solve(a, eye + zu)
         except np.linalg.LinAlgError:
             singular = np.linalg.det(a) == 0
             a[singular] = eye
-            cay = np.linalg.solve(a, eye + zu)
-        h = 1j * cay
+            h = 1j * np.linalg.solve(a, eye + zu)
         mu, v = np.linalg.eigh(h)
-        cap = 1.0 / np.tan(np.pi / (4 * n + 4))
         ok = ~singular & (np.abs(mu).max(axis=1) <= cap) & (np.abs(h).max(axis=(1, 2)) <= cap)
-        vals[todo[ok]] = np.exp(1j * phi[ok])[:, None] * (mu[ok] - 1j) / (mu[ok] + 1j)
+        return ephi[r][:, None] * (mu - 1j) / (mu + 1j), v, ok
+
+    vals, vecs, ok = attempt(mats, first)
+    todo = np.flatnonzero(~ok)
+    for t in range(1, n + 1):
+        if not todo.size:
+            break
+        w, v, ok = attempt(mats[todo], (first[todo] + t) % (n + 1))
+        vals[todo[ok]] = w[ok]
         vecs[todo[ok]] = v[ok]
         todo = todo[~ok]
     return vals, vecs
@@ -712,7 +723,7 @@ def _finalize_band(samples, sections, degree, grid_size) -> Band:
             if np.max(np.abs(shifted - samples)) <= tol:
                 min_period = cand
                 break
-    secs = np.array(sections)
+    secs = sections[0][None] if len(sections) == 1 else np.array(sections)
     # gauge: at ktilde = 0, the largest component (first of ties) real positive
     for c in range(secs.shape[0]):
         v0 = secs[c, 0]
@@ -758,7 +769,7 @@ def _assemble_bands(tv, tw, sigma, grid_size):
             nxt = int(sigma[nxt])
         samples = np.concatenate([tv[:, s] for s in cycle])
         d = len(cycle)
-        section = tw[:, :, cycle].transpose(2, 0, 1).reshape(d * G, n)
+        section = np.moveaxis(tw, 2, 0)[cycle].reshape(d * G, n)
         # the one phase rule: turn each sample so that its overlap with the
         # previous one is real and positive; a step with |vdot| <= 1e-12
         # keeps its phase, and the running product is held to modulus 1
@@ -821,18 +832,21 @@ def _solve_grid(spec: WalkSpec, ks: np.ndarray):
     When every coefficient is real (an exact test, no tolerance), U_hat(-k)
     is the conjugate of U_hat(k), and k_{G - m} = 2 pi - k_m, so only the
     fibers 0 ... G / 2 are solved and fiber G - m takes the conjugates of
-    fiber m's values and sections.
+    fiber m's values and sections, each array written once at full size.
     """
     if not _is_real(spec):
         return _eig_grid(spec, ks)
     half = ks.size // 2
-    vals, vecs = _eig_grid(spec, ks[: half + 1])
-    mirror = np.arange(half - 1, 0, -1)
+    out = []
+    for solved in _eig_grid(spec, ks[: half + 1]):
+        full = np.empty((ks.size,) + solved.shape[1:], dtype=complex)
+        full[: half + 1] = solved
+        np.conj(solved[half - 1 : 0 : -1], out=full[half + 1 :])
+        out.append(full)
+    vals, vecs = out
     # + 0.0 turns the -0.0 that conj gives a real value back into 0.0
-    return (
-        np.concatenate([vals, vals[mirror].conj() + 0.0]),
-        np.concatenate([vecs, vecs[mirror].conj()]),
-    )
+    vals[half + 1 :] += 0.0
+    return vals, vecs
 
 
 def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
@@ -859,10 +873,12 @@ def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
         tv.append(values)
         tw.append(sections if basis is None else basis @ sections)
         sigma.append(seam + sum(map(len, sigma)))
-    return _assemble_bands(
-        np.concatenate(tv, axis=1), np.concatenate(tw, axis=2),
-        np.concatenate(sigma), grid_size,
+    # a lone block goes on as it is, with no concatenating copy
+    tv, tw, sigma = (
+        parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+        for parts, axis in ((tv, 1), (tw, 2), (sigma, 0))
     )
+    return _assemble_bands(tv, tw, sigma, grid_size)
 
 
 def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:

@@ -3,6 +3,7 @@ import gc
 import io
 import math
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -676,6 +677,104 @@ def test_a_predicted_pole_falls_back_to_the_next_phase(monkeypatch, eigh_rows, n
     for bg, bw in zip(got.bands, want.bands):
         assert np.max(np.abs(bg.samples - bw.samples)) <= 1e-14
         assert np.max(np.abs(band_projectors(bg) - band_projectors(bw))) <= 1e-12
+
+
+def reference_eig_grid(spec, ks):
+    """_eig_grid as one loop over the trials: each gathers every unsolved
+    fiber, takes e^{i phi} fiber by fiber and scatters its passes."""
+    mats = symbol_on_grid(spec, ks)
+    n = spec.n
+    eye = np.eye(n)
+    vals = np.empty(mats.shape[:2], dtype=complex)
+    vecs = np.empty_like(mats)
+    trial = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    est = np.linalg.eigvals(mats[::16])
+    far = np.abs(est[:, :, None] - trial).min(axis=1).argmax(axis=1)
+    first = far[np.minimum((np.arange(ks.size) + 8) // 16, far.size - 1)]
+    todo = np.arange(ks.size)
+    for t in range(n + 1):
+        if not todo.size:
+            break
+        phi = 2.0 * np.pi * ((first[todo] + t) % (n + 1)) / (n + 1)
+        zu = np.exp(-1j * phi)[:, None, None] * mats[todo]
+        a = eye - zu
+        singular = np.zeros(todo.size, dtype=bool)
+        try:
+            cay = np.linalg.solve(a, eye + zu)
+        except np.linalg.LinAlgError:
+            singular = np.linalg.det(a) == 0
+            a[singular] = eye
+            cay = np.linalg.solve(a, eye + zu)
+        h = 1j * cay
+        mu, v = np.linalg.eigh(h)
+        cap = 1.0 / np.tan(np.pi / (4 * n + 4))
+        ok = ~singular & (np.abs(mu).max(axis=1) <= cap) & (np.abs(h).max(axis=(1, 2)) <= cap)
+        vals[todo[ok]] = np.exp(1j * phi[ok])[:, None] * (mu[ok] - 1j) / (mu[ok] + 1j)
+        vecs[todo[ok]] = v[ok]
+        todo = todo[~ok]
+    return vals, vecs
+
+
+BIT_ORACLE_WALKS = {
+    "fixtures": [FIXTURES[name] for name in fixture_names()],
+    **{
+        "walk(0-39, %d)" % m: [lambda seed=seed, m=m: random_walk(seed, shift_max=m) for seed in range(40)]
+        for m in (1, 2, 3)
+    },
+    "forced poles": [make_spec for _, make_spec in forced_pole_cases()],
+    # n = 5: the predictor's e^{2 pi i r / 6} and e^{i phi} differ in the last bit at r = 5
+    "n = 5": [lambda seed=seed: random_walk(seed, n_max=8) for seed in (5, 12)],
+}
+
+
+def assert_eig_grid_matches_the_trial_loop(spec, grid):
+    # the whole grid, then the 3, 7, 15 and 31 points _chain_match solves across two steps
+    ks = 2.0 * np.pi * np.arange(grid) / grid
+    for pts in [ks] + [np.linspace(ks[5], ks[7], steps + 1)[1:-1] for steps in (4, 8, 16, 32)]:
+        for got, want in zip(_eig_grid(spec, pts), reference_eig_grid(spec, pts)):
+            assert np.array_equal(got, want)
+            # the signs of zeros too
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("family", list(BIT_ORACLE_WALKS))
+def test_eig_grid_matches_the_trial_loop_bit_for_bit(family, grid):
+    for make_spec in BIT_ORACLE_WALKS[family]:
+        assert_eig_grid_matches_the_trial_loop(make_spec(), grid)
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+def test_eig_grid_matches_the_trial_loop_after_a_predicted_pole(monkeypatch, eigh_rows, grid):
+    # the negated estimate sends fiber 0 of each walk to its exact pole first
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: -real(a))
+    for name, make_spec in forced_pole_cases():
+        eigh_rows[0] = 0
+        _eig_grid(make_spec(), 2.0 * np.pi * np.arange(grid) / grid)
+        assert eigh_rows[0] > grid, name
+        assert_eig_grid_matches_the_trial_loop(make_spec(), grid)
+
+
+def test_extraction_peak_memory():
+    # traced peak of one extraction at grid 2048 on two complex 4 x 4 walks,
+    # one tracked (grover4 conjugated by a diagonal unitary) and one
+    # certified, in units of one (G, n, n) complex array: 8.6 on both when
+    # the eigensolve gathered and scattered every fiber and the mirror,
+    # section and stacking steps copied, 6.0 with each such array written once
+    d = np.exp(1j * np.array([0.3, 1.1, 2.0, 4.2]))
+    turned = WalkSpec(n=4, terms={j: d[:, None] * a * d.conj() for j, a in grover4().terms.items()})
+    unit = 2048 * 4 * 4 * 16
+    for spec in (turned, random_walk(0)):
+        assert spec.n == 4 and not _is_real(spec)
+        qwalk.spectral._extract_bands(spec, 2048)
+        tracemalloc.start()
+        try:
+            qwalk.spectral._extract_bands(spec, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.0 * unit
 
 
 def test_commutator_norm_computed_once_per_spec(monkeypatch):

@@ -153,13 +153,19 @@ def power(spec, p):
     return out
 
 
+def gram_coefficients(spec):
+    """{m: B_m} with W(k) W(k)^* = sum_m e^{imk} B_m, W(k) = sum_j j e^{ijk} A_j,
+    so B_m = sum_j j (j - m) A_j A_{j-m}^*, formed one m at a time."""
+    terms = spec.terms
+    return {
+        m: sum((j * terms[j]) @ ((j - m) * terms[j - m]).conj().T for j in terms if j - m in terms)
+        for m in {j - l for j in terms for l in terms}
+    }
+
+
 def gram_varies(spec):
-    """True when W(k) W(k)^*, W(k) = sum_j j e^{ijk} A_j, is not constant in k."""
-    grams = []
-    for k in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
-        w = sum(j * np.exp(1j * j * k) * a for j, a in spec.terms.items())
-        grams.append(w @ w.conj().T)
-    return max(np.abs(g - grams[0]).max() for g in grams) > 1e-9
+    """True when W(k) W(k)^* is not constant in k: some B_m with m != 0 is not rounding."""
+    return any(m != 0 and np.abs(b).max() > 1e-9 for m, b in gram_coefficients(spec).items())
 
 
 def split_step_walks():
@@ -184,8 +190,16 @@ def split_step_walks():
 
 
 SPLIT_STEP_WALKS = split_step_walks()
-# walks whose Gram symbol W(k) W(k)^* depends on k: commutator_norm samples a grid
-GRID_NORM_WALKS = [("grover4_subwalk", FIXTURES["grover4_subwalk"])] + SPLIT_STEP_WALKS
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+# walks whose Gram symbol W(k) W(k)^* depends on k: commutator_norm samples a
+# grid; the Hadamard walk with shifts (400, 0) times coined(0.3) has B_m of
+# rounding size but at m = 0 and +-400, so its Gram symbol takes one value
+# at any 16 equally spaced k
+GRID_NORM_WALKS = (
+    [("grover4_subwalk", FIXTURES["grover4_subwalk"])]
+    + [("(400, 0) hadamard coined(0.3)", lambda: split_step(shift_coin_walk((400, 0), HADAMARD), coined(0.3)))]
+    + SPLIT_STEP_WALKS
+)
 # constant Gram symbol: the shift-coin walks and grover3_subwalk, every fixture but grover4_subwalk
 CONSTANT_GRAM_WALKS = [w for w in NORM_ORACLE_WALKS if w[0] != "grover4_subwalk"]
 
@@ -251,14 +265,8 @@ def test_commutator_norm_solves_one_grid(monkeypatch):
 
 
 def gram_degree(spec):
-    """Largest |m| with B_m = sum_{j - l = m} j l A_j A_l^* != 0, one m at a time."""
-    terms = spec.terms
-    return max(
-        abs(m)
-        for m in {j - l for j in terms for l in terms}
-        if np.any(sum((j * terms[j]) @ ((j - m) * terms[j - m]).conj().T
-                      for j in terms if j - m in terms))
-    )
+    """Largest |m| with B_m != 0 (gram_coefficients)."""
+    return max(abs(m) for m, b in gram_coefficients(spec).items() if np.any(b))
 
 
 def bernstein_grid_norm(spec):
