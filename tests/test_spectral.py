@@ -1319,16 +1319,16 @@ UNCERTIFIED = (
     "uncertified step at the avoided crossing takes the heuristic; "
     "needs certified subdivision"
 )
-COINED_SWEEP_M = [2 + 0.25 * i for i in range(49)]
+COINED_SWEEP_M = [2 + 0.25 * i for i in range(56)]
 # up to m = 11.75 the smallest P = 4 (1 - r^2), about 8 10^-m, is certified
 # above CERT_TOL and the bands are labelled in closed form; from m = 12 the
 # block is tracked, and the gap 2 sqrt(1 - r^2) at k = 0 and pi is too
 # small for a refined step to prove, and too small for the scalar step to
 # separate
 COINED_SWEEP_REFUSED = {
-    (m, 256) for m in COINED_SWEEP_M if 12.25 <= m <= 13 or m == 14
+    (m, 256) for m in COINED_SWEEP_M if 12.25 <= m <= 13 or 14 <= m <= 14.75
 } | {(m, 2048) for m in COINED_SWEEP_M if m >= 12}
-COINED_SWEEP_WRONG = {(m, 256) for m in (12, 13.25, 13.5, 13.75)}
+COINED_SWEEP_WRONG = {(m, 256) for m in (12, 13.25, 13.5, 13.75, 15, 15.25, 15.5, 15.75)}
 
 
 def coined_sweep_case(m, grid):
