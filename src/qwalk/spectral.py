@@ -27,17 +27,21 @@ Each block (below) is first offered to the certificate, _certify, which
 needs only the solved eigenvalues.  P(k) = prod_{i<j} |lambda_i -
 lambda_j|^2 is a real trigonometric polynomial of degree at most D =
 n (n - 1) (max shift - min shift) / 2; when G > 2D its coefficients come
-from one FFT of the grid's samples.  Newton's method from the samples'
-local minima refuses quickly where P has a zero; otherwise a Taylor bound
-on every grid cell, refined on the cells where it fails, proves
-P > CERT_TOL on the whole torus.  Then no two eigenvalues ever meet, so
-their cyclic order is fixed and their lifted arguments sum to
-arg det U_hat(k) = arg det U_hat(0) + w k, w = det_winding: each fiber's
-sorted arguments are labelled by the one rotation that gives that sum,
-and the seam permutation is i -> i + w (mod n) (_label).  A block that
-does not certify (a pair within MERGE_TOL, a coefficient tail above
-CERT_TOL, G <= 2D, or P at most CERT_TOL somewhere), or whose rotation
-does not round cleanly, is tracked as follows.
+from one FFT of the grid's samples.  The samples are rounded, so the
+certificate carries an allowance A >= |P - (its series up to D)|,
+derived from the block's n, D, shifts and samples by bounding the
+eigensolver's error, its effect on each factor of P and the FFT's
+rounding (_certify).  Newton's method from the samples' local minima
+refuses quickly where P has a zero; otherwise a Taylor bound on every
+grid cell, refined on the cells where it fails, proves the series above
+A on the whole torus.  Then no two eigenvalues ever meet, so their
+cyclic order is fixed and their lifted arguments sum to arg det U_hat(k)
+= arg det U_hat(0) + w k, w = det_winding: each fiber's sorted arguments
+are labelled by the one rotation that gives that sum, and the seam
+permutation is i -> i + w (mod n) (_label).  A block that does not
+certify (a pair within MERGE_TOL, a coefficient past D above A, G <= 2D,
+or the series at most A somewhere), or whose rotation does not round
+cleanly, is tracked as follows.
 
 Tracking starts at the grid point with the best-separated spectrum and
 sweeps both ways.  Each branch moves at most hL over a grid step h, where
@@ -132,11 +136,6 @@ CONST_TOL = 1e-9       # constant-band detection threshold
 COEF_TOL = 1e-9        # Fourier support floor for period detection
 AMBIG_FACTOR = 0.2     # prediction residual vs gap ratio that triggers refinement
 MAX_HALVINGS = 4
-# rounding allowance on P = prod |lambda_i - lambda_j|^2 (_certify): its
-# coefficients past the degree bound, zero in exact arithmetic, measure at
-# most 4.3e-14 on walks with n <= 4 and shift spans up to 12, where P
-# reaches 256
-CERT_TOL = 1e-11
 
 
 def _first_grid(bound: float, gap: float = 2.0 * np.pi) -> int:
@@ -231,13 +230,6 @@ class Band:
         )
         return phases @ self.fourier
 
-    def derivative_at(self, ktilde) -> np.ndarray:
-        """d lambda / d ktilde from the Fourier series (spectral accuracy)."""
-        ktilde = np.asarray(ktilde, dtype=float)
-        freqs = self.fourier_freqs
-        phases = np.exp(1j * np.multiply.outer(ktilde, freqs) / self.degree)
-        return phases @ (1j * freqs / self.degree * self.fourier)
-
 
 @dataclass(frozen=True)
 class BandSet:
@@ -268,6 +260,11 @@ class BandSet:
 def _validate_grid(grid_size: int) -> None:
     if grid_size < 64 or grid_size & (grid_size - 1) != 0:
         raise ValueError("grid_size must be a power of two and at least 64")
+
+
+def _trial_cap(n: int) -> float:
+    """cot(pi / (4 (n + 1))): the largest |mu| and |H| entry _eig_grid accepts."""
+    return 1.0 / np.tan(np.pi / (4 * n + 4))
 
 
 def _eig_grid(spec: WalkSpec, ks: np.ndarray):
@@ -303,7 +300,7 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
     # e^{i phi} per trial, phi = 2 pi r / (n + 1); at n = 5, 8, 10 and
     # others some entries of trial round otherwise
     ephi = np.exp(1j * (2.0 * np.pi * np.arange(n + 1) / (n + 1)))
-    cap = 1.0 / np.tan(np.pi / (4 * n + 4))
+    cap = _trial_cap(n)
 
     def attempt(m, r):
         """Values, vectors and pass mask of the fibers m at the trials r."""
@@ -586,76 +583,125 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
     return tv[:G], tw[:G], sigma
 
 
-def _certify(vals: np.ndarray, span: int) -> bool:
-    """True when P(k) = prod_{i<j} |lambda_i - lambda_j|^2 is proven above CERT_TOL on the torus.
+def _certify(vals: np.ndarray, shifts) -> bool:
+    """True when P(k) = prod_{i<j} |lambda_i - lambda_j|^2 is proven positive on the torus.
 
-    vals are a block's eigenvalues on the base grid and span its max shift
-    minus its min shift.  P = +-Delta / det U_hat^{n-1}, Delta the
-    discriminant, is a real trigonometric polynomial of degree at most
-    D = n (n - 1) span / 2, so G > 2D samples give its coefficients by
-    one FFT; the ones past D must be rounding, at most CERT_TOL.  On a
-    cell of half-width w around a point c, P >= P(c) - |P'(c)| w -
-    sum_m m^2 |p_m| w^2 / 2.  When that bound fails on a grid cell,
-    Newton's method on P', from each such cell that holds a local minimum
-    of the samples, looks for a point where P is at most CERT_TOL: a
-    crossing is a double zero of P, and finding it disproves the
+    vals are a block's eigenvalues on the base grid and shifts its J shift
+    exponents j.  P = +-Delta / det U_hat^{n-1}, Delta the discriminant, is
+    a real trigonometric polynomial of degree at most D = n (n - 1) span /
+    2, span = max j - min j, so G > 2D samples give its coefficients p_m
+    by one FFT.  The samples are rounded, so what is proven is that the
+    low series P_low (the p_m with |m| <= D) exceeds an allowance A >=
+    |P - P_low| everywhere.  A is a rounding bound, derived to first order
+    with unit constants (the convention of LAPACK's error bounds) from n,
+    D, G, the shifts, eps = 2^-52 and the samples:
+
+    - eigenvalues.  k = 2 pi g / G rounds to eps relative and jk by eps / 2
+      more, so each e^{ijk} is off by eps (1 + 3 pi |j|), and each entry
+      of U_hat sums J terms; as sum_j ||A_j||_F^2 = n, the formed symbol
+      is off by s = eps (1 + J + 3 pi max|j|) sqrt(J n).  _eig_grid keeps
+      a trial only when every |mu| <= c = cot(pi / (4 (n + 1))), so
+      ||(I - zU)^{-1}|| <= sqrt(1 + c^2) / 2.  That carries s to H as
+      2i z (I - zU)^{-1} dU (I - zU)^{-1}, at most (1 + c^2) s / 2 (eigh
+      reads H's lower triangle, so mu moves by that much whether or not dU
+      kept U unitary); the solve gives H within eps (1 + c)^2, and eigh
+      adds eps ||H|| <= eps c.  lambda = e^{i phi} (mu - i) / (mu + i)
+      moves by 2 / (1 + mu^2) <= 2 times mu's error, so each eigenvalue is
+      within eta = (1 + c^2) s + 2 eps ((1 + c)^2 + c), 423 eps for the
+      coined walk.  Against 40-digit eigenvalues at 6 fibers of each of
+      134 blocks of the ledger corpus (tests/ledger.py) the largest error
+      measured is 19 eps.
+    - the factors.  Each distance d = |lambda_i - lambda_j| is then within
+      2 eta, so d^2 within 4 eta d, and P within 4 eta P / d per factor;
+      the 2N - 1 products and squares of N pairs round by 2N eps P <=
+      4 eps sum P / d, since d <= 2.  So sample g is within e_g = 4 (eta +
+      eps) sum_{i<j} P_g / d_ij.
+    - the FFT.  A radix-2 FFT is within 7 log2(G) eps of the exact DFT in
+      the 2-norm (Higham, Accuracy and Stability of Numerical Algorithms,
+      ch. 24), so by Parseval the computed p_m are off by at most rms(e) +
+      7 log2(G) eps rms(P) in the 2-norm, and by Cauchy-Schwarz
+      |P - P_low| <= sum_{|m|<=D} |dp_m| is at most sqrt(2D + 1) times
+      that, which is at most (2D + 1) times the largest error of one
+      sample.  Evaluating P_low, by inverse FFT or from its 2D + 1 phases,
+      rounds by at most (7 log2(G) + 9D + 2) eps sum |p_m|, and sum |p_m|
+      <= sqrt(2D + 1) rms(P).
+
+    So A = sqrt(2D + 1) (rms(e) + (14 log2(G) + 9D + 2) eps rms(P)).  A p_m
+    past D, zero in exact arithmetic, above A refuses the certificate.  On
+    a cell of half-width w around a point x, P_low >= P_low(x) -
+    |P_low'(x)| w - sum_m m^2 |p_m| w^2 / 2.  When that bound fails on a
+    grid cell, Newton's method on P', from each such cell that holds a
+    local minimum of the samples, looks for a point where P_low is at
+    most A: a crossing is a double zero of P, and finding it disproves the
     certificate at once.  Otherwise cells whose bound fails are halved and
     evaluated from the coefficients, with no eigensolve; the certificate
-    fails once P itself is at most CERT_TOL at a point, once more cells
-    fail than the grid has, or once a cell reaches rounding width.  It
-    fails closed: a pair within MERGE_TOL, a NaN or an inf in vals, or
-    G <= 2D, gives False.  A 1 x 1 block has nothing to collide.
+    fails once P_low itself is at most A at a point, once more cells fail
+    than the grid has, or once a cell reaches rounding width.  It fails
+    closed: a pair within MERGE_TOL, a NaN or an inf in vals, or G <= 2D,
+    gives False.  A 1 x 1 block has nothing to collide.
     """
     G, n = vals.shape
     if n == 1:
         return True
-    degree = n * (n - 1) * span // 2
+    degree = n * (n - 1) * (max(shifts) - min(shifts)) // 2
     if G <= 2 * degree:
         return False
     gaps = _pair_gaps(vals)
     if not (np.isfinite(gaps).all() and gaps.min() > MERGE_TOL):
         return False
     p = np.prod(gaps * gaps, axis=1)
+    allowance = _allowance(p, gaps, n, shifts, degree)
     coef = np.fft.fft(p) / G
     freqs = np.rint(np.fft.fftfreq(G) * G)
     low = np.abs(freqs) <= degree
-    if not np.abs(coef[~low]).max(initial=0.0) <= CERT_TOL:
+    if not np.abs(coef[~low]).max(initial=0.0) <= allowance:
         return False
     coef[~low] = 0.0
     curvature = float(np.sum(freqs * freqs * np.abs(coef)))
     centers = 2.0 * np.pi * np.arange(G) / G
-    slopes = (np.fft.ifft(1j * freqs * coef) * G).real
+    values, slopes = (np.fft.ifft([coef, 1j * freqs * coef]) * G).real
     coef, freqs = coef[low], freqs[low]
     derivs = coef * (1j * freqs) ** np.arange(3)[:, None]
     # rows of the (points, 2D + 1) phase matrix evaluated at once: 1 MB
     rows = max(1, 2**16 // freqs.size)
 
     def evaluate(ks, order):
-        """P and its first order - 1 derivatives at ks, from the coefficients."""
+        """P_low and its first order - 1 derivatives at ks, from the coefficients."""
         out = np.empty((order, ks.size))
         for s in range(0, ks.size, rows):
             phases = np.exp(1j * np.multiply.outer(ks[s : s + rows], freqs))
             out[:, s : s + rows] = (phases @ derivs[:order].T).real.T
         return out
 
-    width, values, searched = np.pi / G, p, False
+    width, searched = np.pi / G, False
     while True:
-        fails = ~(values - np.abs(slopes) * width - curvature * width * width / 2 > CERT_TOL)
+        fails = ~(values - np.abs(slopes) * width - curvature * width * width / 2 > allowance)
         if not fails.any():
             return True
-        if not (values[fails] > CERT_TOL).all() or fails.sum() > G or width < 1e-15:
+        if not (values[fails] > allowance).all() or fails.sum() > G or width < 1e-15:
             return False
         if not searched:
             ks = centers[fails & (p <= np.roll(p, 1)) & (p <= np.roll(p, -1))]
             for _ in range(8):
                 _, slope, bend = evaluate(ks, 3)
                 ks = ks - np.where(bend > 0, slope / np.where(bend > 0, bend, 1.0), 0.0)
-            if not (evaluate(ks, 1)[0] > CERT_TOL).all():
+            if not (evaluate(ks, 1)[0] > allowance).all():
                 return False
             searched = True
         width /= 2
         centers = np.concatenate([centers[fails] - width, centers[fails] + width])
         values, slopes = evaluate(centers, 2)
+
+
+def _allowance(p, gaps, n, shifts, degree) -> float:
+    """_certify's bound A >= |P - P_low|, from P's samples p and their pair gaps."""
+    G = p.size
+    eps, c, J = np.finfo(float).eps, _trial_cap(n), len(shifts)
+    s = eps * (1 + J + 3.0 * np.pi * max(abs(j) for j in shifts)) * np.sqrt(J * n)
+    eta = (1 + c * c) * s + 2.0 * eps * ((1 + c) ** 2 + c)
+    err = 4.0 * (eta + eps) * (p[:, None] / gaps).sum(axis=1)
+    rounding = (14.0 * np.log2(G) + 9.0 * degree + 2.0) * eps * p
+    return float(np.sqrt((2 * degree + 1) / G) * (np.linalg.norm(err) + np.linalg.norm(rounding)))
 
 
 def _label(vals: np.ndarray, vecs: np.ndarray, winding: int):
@@ -864,7 +910,7 @@ def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
     for block, basis in _invariant_blocks(spec) or [(spec, None)]:
         vals, vecs = _solve_grid(block, ks)
         labels = None
-        if _certify(vals, max(block.terms) - min(block.terms)):
+        if _certify(vals, tuple(block.terms)):
             labels = _label(vals, vecs, det_winding(block))
         if labels is None:
             block_bound = bound if basis is None else _speed_bound(block)
