@@ -1451,6 +1451,25 @@ def test_certificate_fails_closed():
         assert not qwalk.spectral._certify(broken, (0, 1))
 
 
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("m", [0.3, 4, 9, 12.75, 15])
+def test_allowance_bounds_the_low_series_error(m, grid):
+    # oracle: the coined walk's P = 4 (1 - r^2 cos^2 k) in closed form,
+    # against the series the certificate builds from the solved samples,
+    # at four points per grid cell
+    r = 1 - 10.0**-m
+    ks = 2.0 * np.pi * np.arange(grid) / grid
+    gaps = _pair_gaps(qwalk.spectral._solve_grid(coined(r), ks)[0])
+    p = np.prod(gaps**2, axis=1)
+    coef = np.fft.fft(p) / grid
+    freqs = np.rint(np.fft.fftfreq(grid) * grid)
+    low = np.abs(freqs) <= 2
+    fine = 2.0 * np.pi * np.arange(4 * grid) / (4 * grid)
+    series = (np.exp(1j * np.multiply.outer(fine, freqs[low])) @ coef[low]).real
+    error = np.abs(series - 4 * (1 - (r * np.cos(fine)) ** 2)).max()
+    assert error <= qwalk.spectral._allowance(p, gaps, 2, (-1, 1), 2)
+
+
 def test_labels_need_the_det_phase_to_round_cleanly():
     # fixed, separated values, their arguments ascending: winding 0 labels
     # every fiber alike, and winding 1 puts the rounding residue at 1/2 at
