@@ -172,8 +172,8 @@ def cover_walk(band: Band) -> WalkSpec:
     The walk acts on ell_2(Z) tensor C^d; entry (s', s) of coefficient A_j
     is the band's Fourier coefficient at frequency d j + s' - s, kept when
     its modulus exceeds COEF_KEEP.  A band whose coefficients the grid has
-    not resolved renders a non-unitary walk; that raises a ValueError
-    naming the grid, the worst identity and a finer grid to decompose on.
+    not resolved renders a non-unitary walk; that raises the ValueError of
+    _unresolved, naming the grid, the worst identity and its residual.
     """
     d = band.degree
     terms: dict[int, np.ndarray] = {}
@@ -186,12 +186,16 @@ def cover_walk(band: Band) -> WalkSpec:
     try:
         return WalkSpec(n=d, terms=terms)
     except UnitarityError as exc:
-        G = band.grid_size
-        raise ValueError(
-            "band sampled on grid %d is not resolved: its cover walk violates "
-            "unitarity identity m=%d by %.3e; decompose on a finer grid, such as %d"
-            % (G, exc.m, exc.residual, 2 * G)
-        ) from exc
+        reason = "its cover walk violates unitarity identity m=%d by %.3e"
+        raise _unresolved(band, reason % (exc.m, exc.residual)) from exc
+
+
+def _unresolved(band: Band, reason: str) -> ValueError:
+    """The refusal of a band its grid has not resolved (cover_walk, limit_law)."""
+    return ValueError(
+        "band sampled on grid %d is not resolved: %s; decompose on a finer grid, such as %d"
+        % (band.grid_size, reason, 2 * band.grid_size)
+    )
 
 
 def assemble(dec: Decomposition) -> WalkSpec:

@@ -24,8 +24,8 @@ underflow; there the propagator leaves rounding-level mass (below 1e-28).
 The rescaled position x/t converges weakly; limit_law computes the limit
 measure from the band data: each band contributes its group velocity
 Re(lambda' / (i lambda)) distributed according to the overlap of the
-initial state with the band's eigenvector section.  Constant bands (and
-bands of constant velocity) contribute atoms.
+initial state with the band's eigenvector section.  A band of one Fourier
+frequency (a flat band or a pure drift) contributes an atom.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Decomposition
-from .spectral import BandSet
+from .decompose import Decomposition, _unresolved
+from .spectral import BandSet, _noise_floor
 from .walkspec import WalkSpec, _complex_cell, _is_real, symbol_on_grid
 
 __all__ = [
@@ -516,8 +516,10 @@ class LimitLaw:
 def limit_law(dec: Decomposition, state: State) -> LimitLaw:
     """Limit distribution of x/t for the walk started in the given state.
 
-    Band velocities live inside [-L, L], L the commutator norm bound; the
-    histogram range is padded slightly beyond it.
+    A band whose Fourier support above _noise_floor is one frequency ell
+    is an atom at ell / degree; every other band adds its FFT-derivative
+    velocities, which lie in [-L, L], L the commutator norm bound.  A
+    velocity past L + 1e-6 refuses the band (decompose._unresolved).
     """
     band_set = dec.band_set
     G = band_set.grid_size
@@ -535,24 +537,19 @@ def limit_law(dec: Decomposition, state: State) -> LimitLaw:
     for band, co in zip(band_set.bands, coords):
         w = (np.abs(co) ** 2).sum(axis=0) / G
         mass = float(w.sum())
-        if band.is_constant:
-            if mass > 0:
-                atoms.append((0.0, mass))
-            continue
-        length = band.samples.size
         freqs = band.fourier_freqs
-        dsamples = np.fft.ifft(
-            band.fourier * (1j * freqs / band.degree) * length
-        )
-        vel = (dsamples / (1j * band.samples)).real
-        if np.max(np.abs(vel)) > dec.commutator_bound + 1e-6:
-            raise RuntimeError(
-                "internal error: band velocity exceeds the commutator bound"
-            )
-        if np.max(np.abs(vel - vel.mean())) < ATOM_VELOCITY_TOL:
+        support = freqs[np.abs(band.fourier) > _noise_floor(band.fourier, freqs)]
+        if support.size == 1:
+            # lambda = c e^{i ell k / degree}: a flat band or a pure drift
             if mass > 0:
-                atoms.append((float(vel.mean()), mass))
+                atoms.append((int(support[0]) / band.degree, mass))
             continue
+        dsamples = np.fft.ifft(band.fourier * (1j * freqs / band.degree) * freqs.size)
+        vel = (dsamples / (1j * band.samples)).real
+        peak = np.max(np.abs(vel))
+        if peak > dec.commutator_bound + 1e-6:
+            reason = "its velocity reaches %.9g, past the commutator bound %.9g"
+            raise _unresolved(band, reason % (peak, dec.commutator_bound))
         vel_parts.append(vel)
         w_parts.append(w)
     velocities = np.concatenate(vel_parts) if vel_parts else np.empty(0)
@@ -582,17 +579,15 @@ def limit_law(dec: Decomposition, state: State) -> LimitLaw:
     )
 
 
-def kolmogorov_distance(
-    law: LimitLaw, snapshot: DistributionSnapshot, atom_window: float | None = None
-) -> float:
+def kolmogorov_distance(law: LimitLaw, snapshot: DistributionSnapshot) -> float:
     """sup_x |F_law(x) - F_snapshot(x)| over rescaled positions x/t.
 
     An atom of the law is a jump the snapshot can only approximate by mass
     spread over nearby sites (the localized component keeps a fixed
     physical width, which shrinks like 1/t in x/t but never to a point).
-    Snapshot mass within atom_window of an atom is therefore attributed
-    to the atom and the jumps compared cumulatively; the default window
-    is one histogram bin, the law's own resolution.
+    Snapshot mass within one histogram bin of an atom, the law's own
+    resolution, is therefore attributed to the atom and the jumps compared
+    cumulatively.
 
     Tie rule: a cloud velocity within ATOM_VELOCITY_TOL of a rescaled
     site x/t (x an integer) counts at that site.  The snapshot jumps
@@ -602,8 +597,6 @@ def kolmogorov_distance(
     """
     if snapshot.t <= 0:
         raise ValueError("snapshot needs a positive time")
-    if atom_window is None:
-        atom_window = float(law.bin_edges[1] - law.bin_edges[0])
     t = snapshot.t
     site = np.rint(law.velocities * t) / t
     velocities = np.where(np.abs(law.velocities - site) <= ATOM_VELOCITY_TOL, site, law.velocities)
@@ -614,7 +607,7 @@ def kolmogorov_distance(
     xs2 = np.asarray(snapshot.sites / t, dtype=float)
     ws2 = np.array(snapshot.masses, dtype=float)
     for v, _ in law.atoms:
-        near = np.abs(xs2 - v) <= atom_window
+        near = np.abs(xs2 - v) <= law.bin_edges[1] - law.bin_edges[0]
         moved = float(ws2[near].sum())
         if moved > 0.0:
             ws2 = np.concatenate([ws2[~near], [moved]])

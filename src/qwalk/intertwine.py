@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .decompose import ConstantSummand, Decomposition, PrimeModelWalk
-from .spectral import Band, _noise_floor
+from .spectral import MERGE_TOL, Band, _noise_floor
 
 __all__ = [
     "TranslationMatch",
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-7    # max coefficient mismatch for an accepted translation
-CONST_MATCH_TOL = 1e-9
 CSV_ZERO_TOL = 1e-12   # window entries at or below this magnitude are not dumped
 
 
@@ -145,7 +144,7 @@ def find_translation(band1: Band, band2: Band) -> TranslationMatch | None:
 def intertwiner_space(a, b) -> IntertwinerSpace:
     """Classify the intertwiners from summand a to summand b."""
     if isinstance(a, ConstantSummand) and isinstance(b, ConstantSummand):
-        if abs(a.alpha - b.alpha) <= CONST_MATCH_TOL:
+        if abs(a.alpha - b.alpha) <= MERGE_TOL:
             return IntertwinerSpace(
                 kind="band_algebra",
                 generator_count=a.multiplicity * b.multiplicity,

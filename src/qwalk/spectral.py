@@ -132,8 +132,7 @@ __all__ = [
 ]
 
 MERGE_TOL = 1e-9       # values closer than this are numerically one point
-CONST_TOL = 1e-9       # constant-band detection threshold
-COEF_TOL = 1e-9        # Fourier support floor for period detection
+COEF_TOL = 1e-9        # Fourier support floor: constancy, period detection, atoms
 AMBIG_FACTOR = 0.2     # prediction residual vs gap ratio that triggers refinement
 MAX_HALVINGS = 4
 
@@ -740,7 +739,8 @@ def _noise_floor(fourier: np.ndarray, freqs: np.ndarray) -> float:
 
     A finite grid aliases the high-frequency part of an analytic band into
     every bin; read off the top bins, that floor cannot poison the support
-    gcd, the periodicity check or intertwine's normalized coefficients.
+    above it: the constancy test, the support gcd, the periodicity check,
+    limit_law's atoms or intertwine's normalized coefficients.
     """
     length = fourier.size
     cut = length // 2 - max(4, length // 8)
@@ -750,16 +750,17 @@ def _noise_floor(fourier: np.ndarray, freqs: np.ndarray) -> float:
 def _finalize_band(samples, sections, degree, grid_size) -> Band:
     length = samples.size
     fourier = np.fft.fft(samples) / length
-    is_constant = bool(np.max(np.abs(samples - samples[0])) < CONST_TOL)
     # every step moves the band by an arc below pi (_extract_bands refuses
     # coarser grids), so the principal increments are the true ones
     winding = round(float(np.angle(np.roll(samples, -1) / samples).sum()) / (2.0 * np.pi))
+    freqs = np.rint(np.fft.fftfreq(length) * length).astype(int)
+    thresh = _noise_floor(fourier, freqs)
+    # constant: no nonzero frequency above the noise floor
+    support = freqs[(np.abs(fourier) > thresh) & (freqs != 0)]
+    is_constant = not support.size
     min_period = None
     if not is_constant:
-        freqs = np.rint(np.fft.fftfreq(length) * length).astype(int)
-        thresh = _noise_floor(fourier, freqs)
-        support = freqs[(np.abs(fourier) > thresh) & (freqs != 0)]
-        m = int(np.gcd.reduce(np.abs(support))) if support.size else 1
+        m = int(np.gcd.reduce(np.abs(support)))
         tol = max(1e-8, 5.0 * thresh)
         # the candidate 1 is the default, so it needs no inverse FFT
         min_period = 1

@@ -23,13 +23,12 @@ from qwalk import (
 from qwalk import intertwine
 from qwalk.fixtures import FIXTURES, coined, grover3, grover4
 from qwalk.intertwine import (
-    CONST_MATCH_TOL,
     RESIDUAL_TOL,
     CommutantReport,
     ConstantClass,
     PrimeClass,
 )
-from qwalk.spectral import _noise_floor
+from qwalk.spectral import MERGE_TOL, _noise_floor
 
 
 def modulate(spec, alpha):
@@ -158,7 +157,7 @@ def pairwise_commutant_report(dec):
             continue
         size = ci.multiplicity
         for j in range(i + 1, len(dec.constants)):
-            if not taken[j] and abs(ci.alpha - dec.constants[j].alpha) <= CONST_MATCH_TOL:
+            if not taken[j] and abs(ci.alpha - dec.constants[j].alpha) <= MERGE_TOL:
                 size += dec.constants[j].multiplicity
                 taken[j] = True
         cclasses.append(ConstantClass(alpha=ci.alpha, size=size))
