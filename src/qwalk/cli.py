@@ -160,8 +160,7 @@ def _cmd_intertwine(args) -> int:
     )
 
     spec1 = _load_walk(args.spec)
-    # the band memo is per spec object: one object for one walk argument
-    spec2 = spec1 if args.spec2 == args.spec else _load_walk(args.spec2)
+    spec2 = _load_walk(args.spec2)
     dec1 = decompose(spec1, args.grid)
     dec2 = decompose(spec2, args.grid)
     pairs = []

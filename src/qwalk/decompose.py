@@ -99,8 +99,8 @@ def _prime_band(band: Band, q: int) -> Band:
 
     The band repeats g = degree / q times on its cover.  The prime keeps its
     first q * grid_size samples and every g-th Fourier coefficient (FFT order
-    carries over), divides winding and minimal period by g, and takes the
-    synthetic section, already in the gauge of _finalize_band.
+    carries over, support included), divides winding and minimal period by
+    g, and takes the synthetic section, already in the gauge of _finalize_band.
     """
     G = band.grid_size
     g = band.degree // q
@@ -109,6 +109,7 @@ def _prime_band(band: Band, q: int) -> Band:
     section = np.exp(-1j * np.outer(theta, np.arange(q)) / q) / math.sqrt(q)
     return replace(band, degree=q, samples=band.samples[:length], multiplicity=1,
                    fourier=band.fourier[::g], eigvec_samples=section[None],
+                   support=band.support[band.support % g == 0] // g,
                    winding=band.winding // g, min_period=band.min_period // g)
 
 
@@ -192,10 +193,9 @@ def cover_walk(band: Band) -> WalkSpec:
 
 def _unresolved(band: Band, reason: str) -> ValueError:
     """The refusal of a band its grid has not resolved (cover_walk, limit_law)."""
-    return ValueError(
-        "band sampled on grid %d is not resolved: %s; decompose on a finer grid, such as %d"
-        % (band.grid_size, reason, 2 * band.grid_size)
-    )
+    G = band.grid_size
+    msg = "band sampled on grid %d is not resolved: %s; decompose on a finer grid, such as %d"
+    return ValueError(msg % (G, reason, 2 * G))
 
 
 def assemble(dec: Decomposition) -> WalkSpec:

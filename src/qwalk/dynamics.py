@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import Decomposition, _unresolved
-from .spectral import BandSet, _noise_floor
+from .spectral import BandSet
 from .walkspec import WalkSpec, _complex_cell, _is_real, symbol_on_grid
 
 __all__ = [
@@ -516,10 +516,9 @@ class LimitLaw:
 def limit_law(dec: Decomposition, state: State) -> LimitLaw:
     """Limit distribution of x/t for the walk started in the given state.
 
-    A band whose Fourier support above _noise_floor is one frequency ell
-    is an atom at ell / degree; every other band adds its FFT-derivative
-    velocities, which lie in [-L, L], L the commutator norm bound.  A
-    velocity past L + 1e-6 refuses the band (decompose._unresolved).
+    A band whose Band.support is one frequency ell is an atom at ell / degree;
+    every other band adds its FFT-derivative velocities, within the commutator
+    bound L; a velocity past L + 1e-6 refuses the band (decompose._unresolved).
     """
     band_set = dec.band_set
     G = band_set.grid_size
@@ -537,13 +536,12 @@ def limit_law(dec: Decomposition, state: State) -> LimitLaw:
     for band, co in zip(band_set.bands, coords):
         w = (np.abs(co) ** 2).sum(axis=0) / G
         mass = float(w.sum())
-        freqs = band.fourier_freqs
-        support = freqs[np.abs(band.fourier) > _noise_floor(band.fourier, freqs)]
-        if support.size == 1:
+        if band.support.size == 1:
             # lambda = c e^{i ell k / degree}: a flat band or a pure drift
             if mass > 0:
-                atoms.append((int(support[0]) / band.degree, mass))
+                atoms.append((int(band.support[0]) / band.degree, mass))
             continue
+        freqs = band.fourier_freqs
         dsamples = np.fft.ifft(band.fourier * (1j * freqs / band.degree) * freqs.size)
         vel = (dsamples / (1j * band.samples)).real
         peak = np.max(np.abs(vel))

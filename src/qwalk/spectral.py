@@ -190,24 +190,30 @@ class Band:
     along the cover: consecutive samples have a real positive overlap
     wherever it does not vanish.  fourier are
     the coefficients of lambda in the basis e^{i ell k / degree}, numpy FFT
-    ordering.
+    ordering; support, the frequencies whose coefficient clears _noise_floor,
+    decides constancy, the minimal period and limit_law's atoms.
     """
 
     degree: int
     samples: np.ndarray
     eigvec_samples: np.ndarray
     fourier: np.ndarray
+    support: np.ndarray
     multiplicity: int
     winding: int
     min_period: int | None
-    is_constant: bool
     grid_size: int
 
     def __post_init__(self):
-        for name in ("samples", "eigvec_samples", "fourier"):
+        for name in ("samples", "eigvec_samples", "fourier", "support"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def is_constant(self) -> bool:
+        """No nonzero frequency clears the noise floor."""
+        return not self.support.any()
 
     @property
     def kgrid(self) -> np.ndarray:
@@ -738,9 +744,8 @@ def _noise_floor(fourier: np.ndarray, freqs: np.ndarray) -> float:
     """Noise floor of a band's Fourier coefficients: max(COEF_TOL, 20 x the top bins).
 
     A finite grid aliases the high-frequency part of an analytic band into
-    every bin; read off the top bins, that floor cannot poison the support
-    above it: the constancy test, the support gcd, the periodicity check,
-    limit_law's atoms or intertwine's normalized coefficients.
+    every bin; read off the top bins, that floor cannot poison Band.support,
+    the periodicity check or intertwine's normalized coefficients.
     """
     length = fourier.size
     cut = length // 2 - max(4, length // 8)
@@ -755,11 +760,9 @@ def _finalize_band(samples, sections, degree, grid_size) -> Band:
     winding = round(float(np.angle(np.roll(samples, -1) / samples).sum()) / (2.0 * np.pi))
     freqs = np.rint(np.fft.fftfreq(length) * length).astype(int)
     thresh = _noise_floor(fourier, freqs)
-    # constant: no nonzero frequency above the noise floor
-    support = freqs[(np.abs(fourier) > thresh) & (freqs != 0)]
-    is_constant = not support.size
+    support = freqs[np.abs(fourier) > thresh]
     min_period = None
-    if not is_constant:
+    if support.any():
         m = int(np.gcd.reduce(np.abs(support)))
         tol = max(1e-8, 5.0 * thresh)
         # the candidate 1 is the default, so it needs no inverse FFT
@@ -783,10 +786,10 @@ def _finalize_band(samples, sections, degree, grid_size) -> Band:
         samples=samples,
         eigvec_samples=secs,
         fourier=fourier,
+        support=support,
         multiplicity=secs.shape[0],
         winding=winding,
         min_period=min_period,
-        is_constant=is_constant,
         grid_size=grid_size,
     )
 

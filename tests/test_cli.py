@@ -7,7 +7,6 @@ import sys
 import pytest
 
 import qwalk
-from qwalk import spectral
 from qwalk.cli import main
 from qwalk.fixtures import coined
 from qwalk.walkspec import serialize_walk_spec
@@ -261,24 +260,6 @@ def test_simulate_refuses_an_unresolved_band(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: band sampled on grid 256 is not resolved: its velocity")
     assert captured.err.endswith("such as 512\n")
-
-
-def test_intertwine_extracts_once_for_equal_walk_arguments(monkeypatch, capsys):
-    calls = []
-    extract = spectral._extract_bands
-
-    def counted(spec, grid):
-        calls.append(grid)
-        return extract(spec, grid)
-
-    monkeypatch.setattr(spectral, "_extract_bands", counted)
-    assert main(["intertwine", "coined(0.5)", "coined(0.5)", "--grid", "256"]) == 0
-    once = capsys.readouterr().out
-    assert calls == [256]
-    # two spellings of the walk load two spec objects, each extracted once
-    assert main(["intertwine", "coined(0.5)", "coined(0.50)", "--grid", "256"]) == 0
-    assert calls == [256] * 3
-    assert capsys.readouterr().out == once
 
 
 def test_wide_shifts_are_refused_by_the_grid_rule(tmp_path, capsys):

@@ -648,14 +648,6 @@ def test_fourier_support_agrees_with_the_sample_and_derivative_rules(grid):
             assert np.array_equal(law.weights, want[2])
 
 
-def test_pure_drift_is_one_exact_atom():
-    # cube_root's band e^{2ik/3} has one frequency on its degree-3 cover
-    law = limit_law(decompose(cube_root(), 256), uniform_coin_state(3))
-    assert [v for v, _ in law.atoms] == [round(2 / 3, 12)]
-    assert law.atoms[0][1] == pytest.approx(1.0, abs=1e-12)
-    assert law.velocities.size == 0
-
-
 def test_unresolved_band_is_refused_with_a_finer_grid():
     # coined(1 - 10^-3.5) at grid 256: near the avoided crossing the band's
     # FFT derivative passes the commutator bound 1; grid 512 resolves it
