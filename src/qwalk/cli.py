@@ -233,6 +233,10 @@ def _cmd_simulate(args) -> int:
 
     spec = _load_walk(args.spec)
     state = _initial_state(args, spec.n)
+    if args.format == "json":
+        # an unresolved band is refused before any step is taken
+        dec = decompose(spec, args.grid)
+        law = limit_law(dec, state)
     checkpoints = sorted({max(args.steps // 4, 1), max(args.steps // 2, 1), args.steps})
     try:
         snaps = [position_distribution(evolve(spec, state, t), t) for t in checkpoints]
@@ -252,8 +256,6 @@ def _cmd_simulate(args) -> int:
         write_distribution_csv(snap, buf)
         _emit(buf.getvalue(), args.out)
         return 0
-    dec = decompose(spec, args.grid)
-    law = limit_law(dec, state)
     doc = _report_header("simulate", spec, args)
     doc.update(
         {

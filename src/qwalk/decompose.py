@@ -109,7 +109,7 @@ def _prime_band(band: Band, q: int) -> Band:
     section = np.exp(-1j * np.outer(theta, np.arange(q)) / q) / math.sqrt(q)
     return replace(band, degree=q, samples=band.samples[:length], multiplicity=1,
                    fourier=band.fourier[::g], eigvec_samples=section[None],
-                   support=band.support[band.support % g == 0] // g,
+                   support=band.support // g,
                    winding=band.winding // g, min_period=band.min_period // g)
 
 

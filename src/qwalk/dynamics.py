@@ -164,6 +164,11 @@ def parse_state(text: str) -> State:
     return State(x_min=x_min, amplitudes=amps)
 
 
+def _check_components(state: State, n: int) -> None:
+    if state.n != n:
+        raise ValueError("state has %d components per site, walk needs %d" % (state.n, n))
+
+
 def adjoint_walk(spec: WalkSpec) -> WalkSpec:
     """The inverse walk U^*; term at shift j becomes A_{-j}^* at -j.
 
@@ -199,10 +204,7 @@ def evolve(spec: WalkSpec, state: State, steps: int) -> State:
     is checked up front against QWALK_MEM_CAP_MB, the one cap setting,
     which is read and validated at every step count.
     """
-    if state.n != spec.n:
-        raise ValueError(
-            "state has %d components per site, walk needs %d" % (state.n, spec.n)
-        )
+    _check_components(state, spec.n)
     steps = operator.index(steps)
     if steps < 0:
         return evolve(adjoint_walk(spec), state, -steps)
@@ -521,6 +523,7 @@ def limit_law(dec: Decomposition, state: State) -> LimitLaw:
     bound L; a velocity past L + 1e-6 refuses the band (decompose._unresolved).
     """
     band_set = dec.band_set
+    _check_components(state, band_set.n)
     G = band_set.grid_size
     if state.amplitudes.shape[0] > G:
         raise ValueError(

@@ -4,7 +4,8 @@ Two prime model walks of the same rate intertwine iff their bands differ
 by a torus translation: lambda_2(x) = lambda_1(x + c) on T_2pi in
 normalized coordinates.  On Fourier coefficients that reads
 c2[l] = c1[l] exp(i l c), which is how the translation is found: each
-band's normalized coefficients form one dense vector over l = -F ... F,
+band's normalized coefficients, its Band.support divided by the minimal
+period p, form one dense vector over l = -F ... F with F = max|support| / p,
 zero off the support; a phase correlation locates c, a bounded polish
 sharpens it, and the coefficient residual decides, each as one array
 expression over those vectors.  Because a prime band's normalized support has gcd 1,
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .decompose import ConstantSummand, Decomposition, PrimeModelWalk
-from .spectral import MERGE_TOL, Band, _noise_floor
+from .spectral import MERGE_TOL, Band
 
 __all__ = [
     "TranslationMatch",
@@ -74,18 +75,13 @@ class IntertwinerSpace:
 def _normalized_coefficients(band: Band, half: int) -> np.ndarray:
     """Fourier coefficients of the band in normalized coordinates.
 
-    For a prime band (minimal period 2 pi q / p) the support lies on
-    multiples of p; dividing frequencies by p gives the coefficients of
-    lambda as a function on T_2pi with coprime support.  Entry half + ell
-    holds the coefficient at ell, for half >= fourier.size // (2 p).
+    The band's support lies on multiples of its minimal period p (their
+    gcd); dividing them by p gives the coefficients of lambda as a function
+    on T_2pi with coprime support.  Entry half + ell holds the coefficient
+    at ell, for half >= F = max|support| / p.
     """
-    p = band.min_period
-    freqs, coefs = band.fourier_freqs, band.fourier
-    # below the noise floor is aliasing, and off-multiple frequencies are
-    # leakage; a real coefficient there would contradict the minimal period
-    keep = (np.abs(coefs) > _noise_floor(coefs, freqs)) & (freqs % p == 0)
     out = np.zeros(2 * half + 1, dtype=complex)
-    out[freqs[keep] // p + half] = coefs[keep]
+    out[band.support // band.min_period + half] = band.fourier[band.support]
     return out
 
 
@@ -95,13 +91,15 @@ def find_translation(band1: Band, band2: Band) -> TranslationMatch | None:
     Returns None when no translation aligns the bands within
     RESIDUAL_TOL.  The physical translation is c over the bands' rate
     min_period / degree.  Both bands' normalized coefficients are dense
-    vectors over the same frequencies.  The search correlates the phases
+    vectors over the same frequencies, -F ... F with F the larger
+    max|support| / p.  The search correlates the phases
     at the frequencies both bands carry and polishes the best candidate,
     so the answer is accurate to rounding when it exists.
     """
     if band1.degree != band2.degree or band1.min_period != band2.min_period:
         return None
-    half = max(band1.fourier.size, band2.fourier.size) // (2 * band1.min_period)
+    top = max(np.abs(band1.support).max(), np.abs(band2.support).max())
+    half = int(top) // band1.min_period
     c1 = _normalized_coefficients(band1, half)
     c2 = _normalized_coefficients(band2, half)
     mod1, mod2 = np.hypot(c1.real, c1.imag), np.hypot(c2.real, c2.imag)
@@ -182,7 +180,7 @@ def model_walk_matrix(band: Band, window: int) -> np.ndarray:
     matrix is the Toeplitz array whose entry (i, j) is the normalized
     Fourier coefficient at i - j.
     """
-    half = max(band.fourier.size // (2 * band.min_period), window)
+    half = max(int(np.abs(band.support).max()) // band.min_period, window)
     offsets = np.subtract.outer(np.arange(window), np.arange(window))
     return _normalized_coefficients(band, half)[offsets + half]
 

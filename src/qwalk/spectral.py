@@ -132,7 +132,7 @@ __all__ = [
 ]
 
 MERGE_TOL = 1e-9       # values closer than this are numerically one point
-COEF_TOL = 1e-9        # Fourier support floor: constancy, period detection, atoms
+COEF_TOL = 1e-9        # least noise floor of Band.support
 AMBIG_FACTOR = 0.2     # prediction residual vs gap ratio that triggers refinement
 MAX_HALVINGS = 4
 
@@ -191,7 +191,8 @@ class Band:
     wherever it does not vanish.  fourier are
     the coefficients of lambda in the basis e^{i ell k / degree}, numpy FFT
     ordering; support, the frequencies whose coefficient clears _noise_floor,
-    decides constancy, the minimal period and limit_law's atoms.
+    decides constancy, the minimal period (the gcd of |support|),
+    limit_law's atoms and intertwine's normalized coefficients.
     """
 
     degree: int
@@ -744,8 +745,7 @@ def _noise_floor(fourier: np.ndarray, freqs: np.ndarray) -> float:
     """Noise floor of a band's Fourier coefficients: max(COEF_TOL, 20 x the top bins).
 
     A finite grid aliases the high-frequency part of an analytic band into
-    every bin; read off the top bins, that floor cannot poison Band.support,
-    the periodicity check or intertwine's normalized coefficients.
+    every bin; read off the top bins, that floor cannot poison Band.support.
     """
     length = fourier.size
     cut = length // 2 - max(4, length // 8)
@@ -759,20 +759,10 @@ def _finalize_band(samples, sections, degree, grid_size) -> Band:
     # coarser grids), so the principal increments are the true ones
     winding = round(float(np.angle(np.roll(samples, -1) / samples).sum()) / (2.0 * np.pi))
     freqs = np.rint(np.fft.fftfreq(length) * length).astype(int)
-    thresh = _noise_floor(fourier, freqs)
-    support = freqs[np.abs(fourier) > thresh]
-    min_period = None
-    if support.any():
-        m = int(np.gcd.reduce(np.abs(support)))
-        tol = max(1e-8, 5.0 * thresh)
-        # the candidate 1 is the default, so it needs no inverse FFT
-        min_period = 1
-        for cand in reversed(_divisors(m)[1:]):
-            shifted = (np.exp(2j * np.pi * freqs / cand) * fourier * length)
-            shifted = np.fft.ifft(shifted)
-            if np.max(np.abs(shifted - samples)) <= tol:
-                min_period = cand
-                break
+    support = freqs[np.abs(fourier) > _noise_floor(fourier, freqs)]
+    # lambda(k + 2 pi degree / m) = lambda(k) exactly when every supported
+    # frequency is a multiple of m
+    min_period = int(np.gcd.reduce(np.abs(support))) if support.any() else None
     secs = sections[0][None] if len(sections) == 1 else np.array(sections)
     # gauge: at ktilde = 0, the largest component (first of ties) real positive
     for c in range(secs.shape[0]):

@@ -216,6 +216,18 @@ def test_rejected_state_files_exit_2(tmp_path, capsys, name):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_state_of_the_wrong_width_exits_2(tmp_path, capsys, fmt):
+    # the json report reads the limit law before it evolves, the csv one only evolves
+    path = tmp_path / "state.json"
+    path.write_text('{"entries": [{"site": 0, "vector": [[0.6, 0.0], [0.8, 0.0]]}]}')
+    argv = ["simulate", "grover3", "--steps", "4", "--grid", "64", "--state", str(path), "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state has 2 components per site, walk needs 3\n"
+
+
 @pytest.mark.parametrize("steps", ["0", "-4"])
 def test_simulate_rejects_non_positive_steps(capsys, steps):
     assert main(["simulate", "free", "--steps", steps, "--format", "csv"]) == 2
@@ -253,9 +265,17 @@ def test_grid_that_can_alias_a_winding_exits_2(tmp_path, capsys):
     assert [b["winding"] for b in doc["bands"]] == [200]
 
 
-def test_simulate_refuses_an_unresolved_band(capsys):
-    # coined(1 - 10^-6): at grid 256 a band velocity passes the commutator bound
-    assert main(["simulate", "coined(0.999999)", "--steps", "200", "--grid", "256"]) == 2
+def test_simulate_refuses_an_unresolved_band(tmp_path, monkeypatch, capsys):
+    # coined(1 - 10^-6): at grid 256 a band velocity passes the commutator
+    # bound; the band is refused before the walk takes a step
+    def no_evolve(*args):
+        raise AssertionError("evolve called before the band was refused")
+
+    monkeypatch.setattr(qwalk.dynamics, "evolve", no_evolve)
+    dump = tmp_path / "dist.csv"
+    argv = ["simulate", "coined(0.999999)", "--steps", "200", "--grid", "256", "--csv", str(dump)]
+    assert main(argv) == 2
+    assert not dump.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: band sampled on grid 256 is not resolved: its velocity")

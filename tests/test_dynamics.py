@@ -47,6 +47,7 @@ from qwalk.fixtures import (
     grover4,
     shift_coin_walk,
 )
+from qwalk.spectral import _noise_floor
 from qwalk.walkspec import symbol_on_grid
 
 from conftest import BAD_STATE_DOCUMENTS, random_walk
@@ -618,10 +619,29 @@ def _sample_and_derivative_law(dec, state):
     return tuple(sorted(atoms.items())), flat(vel_parts), flat(w_parts)
 
 
+def _translation_period(band):
+    """Minimal period by translating the samples: the largest divisor p of
+    the support's gcd with lambda(k + 2 pi degree / p) = lambda(k) on every
+    sample, within max(1e-8, 5 x the noise floor); None for a constant band."""
+    freqs, coefs, samples = band.fourier_freqs, band.fourier, band.samples
+    thresh = _noise_floor(coefs, freqs)
+    support = freqs[np.abs(coefs) > thresh]
+    if not support.any():
+        return None
+    m = int(np.gcd.reduce(np.abs(support)))
+    for cand in range(m, 1, -1):
+        if m % cand == 0:
+            shifted = np.fft.ifft(np.exp(2j * np.pi * freqs / cand) * coefs * freqs.size)
+            if np.max(np.abs(shifted - samples)) <= max(1e-8, 5.0 * thresh):
+                return cand
+    return 1
+
+
 @pytest.mark.parametrize("grid", [256, 2048])
 def test_fourier_support_agrees_with_the_sample_and_derivative_rules(grid):
-    # constancy and atoms are read off the Fourier support above the noise
-    # floor; on these walks that gives what the sample rules give, bit for bit
+    # constancy, minimal periods and atoms are read off the Fourier support
+    # above the noise floor; on these walks that gives what the sample and
+    # translation rules give, bit for bit
     makers = [FIXTURES[name] for name in fixture_names()] + [
         lambda seed=seed, s=s: random_walk(seed, shift_max=s)
         for s in (1, 2, 3)
@@ -635,6 +655,7 @@ def test_fourier_support_agrees_with_the_sample_and_derivative_rules(grid):
             continue
         for band in dec.band_set.bands:
             assert band.is_constant == bool(np.max(np.abs(band.samples - band.samples[0])) < 1e-9)
+            assert band.min_period == _translation_period(band)
         states = [uniform_coin_state(spec.n)] + [basis_state(spec.n, c) for c in range(spec.n)]
         for st in states:
             want = _sample_and_derivative_law(dec, st)

@@ -279,12 +279,13 @@ ORACLE_WALKS = [FIXTURES[name]() for name in sorted(FIXTURES)] + [
 ]
 
 
-def test_dense_translation_search_matches_dict_oracle():
-    # every ordered prime pair of each walk U and of U + U_0.7, grid 256
+@pytest.mark.parametrize("grid", [256, 2048])
+def test_dense_translation_search_matches_dict_oracle(grid):
+    # every ordered prime pair of each walk U and of U + U_0.7
     translated = 0
     for spec in ORACLE_WALKS:
         for walk in (spec, direct_sum(spec, modulate(spec, 0.7))):
-            primes = decompose(walk, 256).primes
+            primes = decompose(walk, grid).primes
             for i, p1 in enumerate(primes):
                 for j, p2 in enumerate(primes):
                     got = find_translation(p1.band, p2.band)
@@ -302,7 +303,7 @@ def test_dense_translation_search_matches_dict_oracle():
                         model_walk_matrix(p1.band, window),
                         eye_sum_model_walk_matrix(p1.band, window),
                     ), (walk, i, window)
-    # 106 pairs here: each prime meets its 0.7-translate in U + U_0.7
+    # 106 pairs on either grid: each prime meets its 0.7-translate in U + U_0.7
     assert translated > 100
 
 
