@@ -3,9 +3,12 @@
 Every band contributes one summand.  A constant band with value alpha and
 multiplicity nu contributes alpha * identity on nu internal levels.  A
 non-constant band of covering degree d, minimal period 2 pi d / m and
-multiplicity mu contributes the prime model walk of rate m/d (reduced to
-p/q) with multiplicity mu * m: the q-dimensional walk whose single band is
-the same analytic function on T_{2 pi q}.  Rates, multiplicities and
+multiplicity mu contributes the prime model walk of rate m/d with
+multiplicity mu * m: the d-dimensional walk whose single band is the same
+analytic function on T_{2 pi d}.  sample_bands folds every cycle by its
+Fourier support, so gcd(m, d) = 1 and m/d is already in lowest terms.  A
+band with an empty support, where no coefficient clears the noise floor,
+is refused with the ValueError of _unresolved.  Rates, multiplicities and
 windings classify the walk up to the natural equivalence, and assemble()
 renders the canonical representative back as a banded walk.
 """
@@ -52,7 +55,8 @@ class PrimeModelWalk:
     """One prime summand: rate p/q, counted with multiplicity.
 
     band is the prime's own band on T_{2 pi q} (degree q, minimal period
-    2 pi q / p, multiplicity 1) carrying the canonical eigenvector section.
+    2 pi q / p, multiplicity 1) carrying the canonical eigenvector section;
+    p/q is the band's min_period/degree, already reduced.
     """
 
     rate: Fraction
@@ -94,36 +98,34 @@ class Decomposition:
         }
 
 
-def _prime_band(band: Band, q: int) -> Band:
-    """Restrict a band to one fundamental loop of its prime's cover.
+def _prime_band(band: Band) -> Band:
+    """The band with multiplicity 1 and the section e^{-i theta s / q} / sqrt(q), q = degree.
 
-    The band repeats g = degree / q times on its cover.  The prime keeps its
-    first q * grid_size samples and every g-th Fourier coefficient (FFT order
-    carries over, support included), divides winding and minimal period by
-    g, and takes the synthetic section, already in the gauge of _finalize_band.
+    sample_bands folds every cycle by its support, so no band repeats on its
+    cover: the band is its prime's own band.  The section is in the gauge of
+    _finalize_band.
     """
-    G = band.grid_size
-    g = band.degree // q
-    length = q * G
+    q = band.degree
+    length = band.samples.size
     theta = 2.0 * np.pi * q * np.arange(length) / length
     section = np.exp(-1j * np.outer(theta, np.arange(q)) / q) / math.sqrt(q)
-    return replace(band, degree=q, samples=band.samples[:length], multiplicity=1,
-                   fourier=band.fourier[::g], eigvec_samples=section[None],
-                   support=band.support // g,
-                   winding=band.winding // g, min_period=band.min_period // g)
+    return replace(band, multiplicity=1, eigvec_samples=section[None])
 
 
 def decompose(spec: WalkSpec, grid_size: int = 2048) -> Decomposition:
     """Split the walk into constant and prime model summands.
 
     Raises UnresolvedCrossing if the band structure cannot be resolved at
-    this grid size.
+    this grid size, and the ValueError of _unresolved for a band with an
+    empty support.
     """
     band_set = sample_bands(spec, grid_size)
     constants = []
     primes = []
     broken = False
     for band in band_set.bands:
+        if not band.support.size:
+            raise _unresolved(band, "no Fourier coefficient clears its noise floor")
         if band.is_constant:
             constants.append(
                 ConstantSummand(
@@ -135,19 +137,12 @@ def decompose(spec: WalkSpec, grid_size: int = 2048) -> Decomposition:
         m = band.min_period
         if m > 1:
             broken = True
-        g = math.gcd(m, band.degree)
-        if band.winding % g:
-            raise RuntimeError(
-                "internal error: band of rate %d/%d repeats %d times on its "
-                "cover but has winding %d" % (m, band.degree, g, band.winding)
-            )
-        prime = _prime_band(band, band.degree // g)
         primes.append(
             PrimeModelWalk(
                 rate=Fraction(m, band.degree),
                 multiplicity=band.multiplicity * m,
-                winding=prime.winding,
-                band=prime,
+                winding=band.winding,
+                band=_prime_band(band),
             )
         )
     total = sum(Fraction(c.multiplicity) for c in constants) + sum(
@@ -192,7 +187,7 @@ def cover_walk(band: Band) -> WalkSpec:
 
 
 def _unresolved(band: Band, reason: str) -> ValueError:
-    """The refusal of a band its grid has not resolved (cover_walk, limit_law)."""
+    """The refusal of a band its grid has not resolved (decompose, cover_walk, limit_law)."""
     G = band.grid_size
     msg = "band sampled on grid %d is not resolved: %s; decompose on a finer grid, such as %d"
     return ValueError(msg % (G, reason, 2 * G))

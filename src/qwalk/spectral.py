@@ -2,11 +2,15 @@
 
 Eigenvalues of U_hat(k) are followed around k in [0, 2pi) into continuous
 sheets.  The permutation the sheets undergo at the seam k = 2pi groups them
-into cycles; each cycle is one analytic band living on the covering torus
-T_{2pi d}, d the cycle length.  Cycles whose concatenated values are
-2pi d'-periodic for a divisor d' < d are folded (they weave numerically
-identical copies), and bands that coincide pointwise are merged into one
-band with a multiplicity.
+into cycles; each cycle of length d joins its sheets' values into a
+function on the covering torus T_{2pi d}.  Its Fourier coefficients above
+the noise floor are its support, and that support is the one periodicity
+rule: when every supported frequency is a multiple of g, g = gcd(d,
+gcd(support)), the cycle weaves g copies of one analytic band of degree
+d / g and is folded into them (an empty support folds nothing).  Bands
+that coincide pointwise are then merged into one band with a
+multiplicity.  So no band repeats on its cover: a non-constant band has
+gcd(min_period, degree) = 1.
 
 The symbol grid is solved by one batched eigh of the Cayley transform of
 U_hat(k), which gives orthonormal frames, degenerate clusters included.
@@ -77,7 +81,7 @@ rotates a degenerate cluster onto its predecessor as a block); no
 invariant depends on a section's phase, so phases are set once, in
 _assemble_bands, for both paths: each cycle's joined section is turned
 sample by sample so that consecutive overlaps are real and positive,
-before copies are folded and merged.
+before the cycle is folded and copies are merged.
 
 A walk whose constant commutant (the X with X A_j = A_j X for every j)
 holds more than the scalars is a direct sum of smaller walks, and each
@@ -191,8 +195,11 @@ class Band:
     wherever it does not vanish.  fourier are
     the coefficients of lambda in the basis e^{i ell k / degree}, numpy FFT
     ordering; support, the frequencies whose coefficient clears _noise_floor,
-    decides constancy, the minimal period (the gcd of |support|),
-    limit_law's atoms and intertwine's normalized coefficients.
+    decides the fold of its cycle (_assemble_bands), constancy, the minimal
+    period (the gcd of |support|, coprime to degree), limit_law's atoms and
+    intertwine's normalized coefficients.  Both are read once, on the
+    cycle, and a folded band keeps every g-th coefficient: an empty support
+    means the grid resolved no coefficient, and decompose refuses the band.
     """
 
     degree: int
@@ -737,10 +744,6 @@ def _label(vals: np.ndarray, vecs: np.ndarray, winding: int):
     )
 
 
-def _divisors(d: int):
-    return [k for k in range(1, d + 1) if d % k == 0]
-
-
 def _noise_floor(fourier: np.ndarray, freqs: np.ndarray) -> float:
     """Noise floor of a band's Fourier coefficients: max(COEF_TOL, 20 x the top bins).
 
@@ -752,14 +755,10 @@ def _noise_floor(fourier: np.ndarray, freqs: np.ndarray) -> float:
     return max(COEF_TOL, 20.0 * float(np.abs(fourier[np.abs(freqs) >= cut]).max()))
 
 
-def _finalize_band(samples, sections, degree, grid_size) -> Band:
-    length = samples.size
-    fourier = np.fft.fft(samples) / length
+def _finalize_band(degree, samples, fourier, support, sections, grid_size) -> Band:
     # every step moves the band by an arc below pi (_extract_bands refuses
     # coarser grids), so the principal increments are the true ones
     winding = round(float(np.angle(np.roll(samples, -1) / samples).sum()) / (2.0 * np.pi))
-    freqs = np.rint(np.fft.fftfreq(length) * length).astype(int)
-    support = freqs[np.abs(fourier) > _noise_floor(fourier, freqs)]
     # lambda(k + 2 pi degree / m) = lambda(k) exactly when every supported
     # frequency is a multiple of m
     min_period = int(np.gcd.reduce(np.abs(support))) if support.any() else None
@@ -796,7 +795,7 @@ def _assemble_bands(tv, tw, sigma, grid_size):
         return np.sign(args[g, s] - args[g, t])
 
     seen = set()
-    raw = []  # (degree, samples, [section copies])
+    raw = []  # (degree, samples, fourier, support, [section copies])
     for s0 in sorted(range(n), key=functools.cmp_to_key(compare)):
         if s0 in seen:
             continue
@@ -818,19 +817,18 @@ def _assemble_bands(tv, tw, sigma, grid_size):
         keep = mag <= 1e-12
         turn = np.cumprod(np.where(keep, 1.0, z.conj() / np.where(keep, 1.0, mag)))
         section[1:] *= (turn / np.abs(turn))[:, None]
-        # fold: a cycle weaving identical copies is 2pi d'-periodic
-        for dp in _divisors(d):
-            if dp == d or np.max(
-                np.abs(samples - np.roll(samples, dp * G))
-            ) < MERGE_TOL:
-                copies = [
-                    section[c * dp * G : (c + 1) * dp * G] for c in range(d // dp)
-                ]
-                raw.append([dp, samples[: dp * G], copies])
-                break
+        fourier = np.fft.fft(samples) / samples.size
+        freqs = np.rint(np.fft.fftfreq(samples.size) * samples.size).astype(int)
+        support = freqs[np.abs(fourier) > _noise_floor(fourier, freqs)]
+        # fold: a cycle whose support lies on multiples of g | d weaves g
+        # copies of a band of degree d / g; an empty support folds nothing
+        g = int(np.gcd(d, np.gcd.reduce(support))) if support.size else 1
+        length = d // g * G
+        copies = [section[c * length : (c + 1) * length] for c in range(g)]
+        raw.append([d // g, samples[:length], fourier[::g], support // g, copies])
     # merge bands that coincide pointwise (up to a deck shift of the cover)
     merged = []
-    for d, samples, copies in raw:
+    for d, samples, fourier, support, copies in raw:
         placed = False
         for entry in merged:
             if entry[0] != d:
@@ -838,17 +836,14 @@ def _assemble_bands(tv, tw, sigma, grid_size):
             for r in range(d):
                 rolled = np.roll(samples, r * G)
                 if np.max(np.abs(entry[1] - rolled)) < MERGE_TOL:
-                    entry[2].extend(np.roll(c, r * G, axis=0) for c in copies)
+                    entry[4].extend(np.roll(c, r * G, axis=0) for c in copies)
                     placed = True
                     break
             if placed:
                 break
         if not placed:
-            merged.append([d, samples, list(copies)])
-    bands = [
-        _finalize_band(samples, copies, d, grid_size) for d, samples, copies in merged
-    ]
-    return sorted(bands, key=_band_sort_key)
+            merged.append([d, samples, fourier, support, list(copies)])
+    return sorted((_finalize_band(*entry, grid_size) for entry in merged), key=_band_sort_key)
 
 
 def _band_sort_key(band: Band):

@@ -4,11 +4,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qwalk
 from qwalk.cli import main
-from qwalk.fixtures import coined
+from qwalk.fixtures import coined, shift_coin_walk
 from qwalk.walkspec import serialize_walk_spec
 
 from conftest import BAD_STATE_DOCUMENTS, BAD_WALK_DOCUMENTS
@@ -259,10 +260,42 @@ def test_grid_that_can_alias_a_winding_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: grid 256 does not exceed twice the speed bound")
     assert captured.err.endswith("first valid grid 512\n")
-    assert main(["analyze", str(path), "--grid", "512"]) == 0
+    # at 512 the windings are exact, but the band's one coefficient, at
+    # frequency 200, sits in the top bins that set the noise floor
+    assert main(["realizable", str(path), "--grid", "512"]) == 0
+    assert json.loads(capsys.readouterr().out)["det_winding"] == 200
+    assert main(["analyze", str(path), "--grid", "512"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: band sampled on grid 512 is not resolved: no Fourier")
+    assert captured.err.endswith("such as 1024\n")
+    assert main(["analyze", str(path), "--grid", "1024"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["det_winding"] == 200
     assert [b["winding"] for b in doc["bands"]] == [200]
+    assert main(["decompose", str(path), "--grid", "1024"]) == 0
+    (prime,) = json.loads(capsys.readouterr().out)["primes"]
+    assert prime == {"rate": {"num": 200, "den": 1}, "mult": 200, "winding": 200}
+
+
+def test_band_with_an_empty_support_exits_2(tmp_path, capsys):
+    # the Hadamard walk with shifts (40, -1) at grid 128: no coefficient of
+    # its one band of degree 2 clears the noise floor; at 256 it is a prime
+    # of rate 1/2
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    path = tmp_path / "hadamard.json"
+    path.write_text(serialize_walk_spec(shift_coin_walk((40, -1), hadamard)))
+    for argv in (["decompose"], ["analyze"], ["simulate", "--steps", "20"]):
+        assert main(argv[:1] + [str(path)] + argv[1:] + ["--grid", "128"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: band sampled on grid 128 is not resolved: no Fourier")
+        assert captured.err.endswith("such as 256\n")
+    assert main(["realizable", str(path), "--grid", "128"]) == 0
+    assert json.loads(capsys.readouterr().out)["det_winding"] == 39
+    assert main(["decompose", str(path), "--grid", "256"]) == 0
+    (prime,) = json.loads(capsys.readouterr().out)["primes"]
+    assert prime == {"rate": {"num": 1, "den": 2}, "mult": 1, "winding": 39}
 
 
 def test_simulate_refuses_an_unresolved_band(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,9 @@
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import qr
 
 from qwalk import (
     amplify,
@@ -12,11 +12,14 @@ from qwalk import (
     decompose,
     sample_bands,
 )
-from qwalk.decompose import _prime_band
-from qwalk.fixtures import FIXTURES, cube_root, grover3, grover4
-from qwalk.spectral import _finalize_band
+import qwalk.spectral
+from qwalk.dynamics import adjoint_walk
+from qwalk.fixtures import FIXTURES, coined, cube_root, grover3, grover4, shift_coin_walk
+from qwalk.walkspec import _invariant_blocks
 
 from conftest import random_walk
+from test_spectral import signature
+from test_walkspec import split_step
 
 
 def dec_signature(dec):
@@ -78,30 +81,56 @@ def test_prime_band_shape():
     assert band.samples.shape == (band.degree * 256,)
 
 
-def finalized_prime_band(band, q):
-    """The prime band rebuilt from its first q * grid_size samples, the
-    oracle of _prime_band."""
-    G = band.grid_size
-    length = q * G
-    theta = 2.0 * np.pi * q * np.arange(length) / length
-    section = np.exp(-1j * np.outer(theta, np.arange(q)) / q) / math.sqrt(q)
-    return _finalize_band(np.array(band.samples[:length]), [section], q, G)
+def scrambled_double(v, rng):
+    """U = W (V (x) I_2) W^*, W a shift-coin walk with a seeded unitary coin
+    and shifts in {-1, 0, 1}: the bands of V twice over, with no constant
+    commutant to split them apart."""
+    n = 2 * v.n
+    shifts = tuple(int(s) for s in rng.integers(-1, 2, n))
+    q, r = qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = shift_coin_walk(shifts, q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+    return split_step(split_step(w, amplify(v, 2)), adjoint_walk(w))
 
 
-def test_prime_band_of_a_band_that_repeats_on_its_cover():
-    # a degree-2 band that is 2 pi-periodic: lambda(k) = exp(i (k + 0.3 sin k))
-    # on T_4pi, winding twice and with minimal period 2, so g = 2 and q = 1
-    G = 256
-    k = 4.0 * np.pi * np.arange(2 * G) / (2 * G)
-    section = np.stack([np.cos(k / 2), np.sin(k / 2)], axis=1)
-    band = _finalize_band(np.exp(1j * (k + 0.3 * np.sin(k))), [section], 2, G)
-    assert (band.degree, band.winding, band.min_period) == (2, 2, 2)
-    got, want = _prime_band(band, 1), finalized_prime_band(band, 1)
-    assert (got.degree, got.winding, got.min_period) == (want.degree, want.winding, want.min_period) == (1, 1, 1)
-    assert np.array_equal(got.samples, want.samples)
-    assert np.array_equal(got.eigvec_samples, want.eigvec_samples)
-    assert (got.multiplicity, got.is_constant, got.grid_size) == (1, False, G)
-    assert np.max(np.abs(got.fourier - want.fourier)) <= 1e-15
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("make_v", [lambda: coined(0.5), grover3], ids=["coined", "grover3"])
+def test_a_cycle_that_weaves_copies_is_folded(make_v, grid, monkeypatch):
+    # the seam joins the two copies of a band of V into one cycle, which
+    # sample_bands folds by its Fourier support into two copies again
+    v = make_v()
+    spec = scrambled_double(v, np.random.default_rng(0))
+    assert _invariant_blocks(spec) == ()
+    seams = []
+    real = qwalk.spectral._track
+
+    def tracked(*args):
+        out = real(*args)
+        seams.append(out[2])
+        return out
+
+    monkeypatch.setattr(qwalk.spectral, "_track", tracked)
+    bands = sample_bands(spec, grid)
+    (sigma,) = seams
+    cycles, seen = 0, set()
+    for s in range(spec.n):
+        if s not in seen:
+            cycles += 1
+            while s not in seen:
+                seen.add(s)
+                s = int(sigma[s])
+    # the cycle lengths and the bands' degree x multiplicity both add up to
+    # n, so more band copies than cycles means some cycle is longer than its
+    # band's degree
+    assert sum(b.multiplicity for b in bands.bands) > cycles
+    want = sample_bands(amplify(v, 2), grid)
+    assert signature(bands) == signature(want)
+    assert decompose(spec, grid).to_dict()["primes"] == decompose(amplify(v, 2), grid).to_dict()["primes"]
+    for band in bands.bands:
+        # a folded band keeps every g-th coefficient of its cycle: those of its own samples
+        assert np.max(np.abs(band.fourier - np.fft.fft(band.samples) / band.samples.size)) < 1e-12
+        stack = np.asarray(band.eigvec_samples)  # (copies, dG, n)
+        gram = np.einsum("agi,bgi->gab", stack.conj(), stack)
+        assert np.max(np.abs(gram - np.eye(band.multiplicity))) < 1e-8
 
 
 def test_cover_walk_reproduces_prime_band():

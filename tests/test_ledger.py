@@ -1,4 +1,5 @@
 import json
+import math
 
 import ledger
 
@@ -33,3 +34,13 @@ def test_strict_xfails_pin_the_ledgers_wrong_answers():
         if any(mark.kwargs.get("strict") for mark in getattr(param, "marks", ()))
     }
     assert wrong == pinned
+
+
+def test_every_prime_rate_of_the_ledger_is_reduced():
+    # sample_bands folds each cycle by its Fourier support, so a
+    # non-constant band never repeats on its cover: min_period / degree is
+    # the prime's rate in lowest terms
+    entries = json.loads("\n".join(ledger.read()))
+    bands = [band for e in entries for band in e.get("bands", ())]
+    primes = [(degree, period) for degree, _, period, _, constant in bands if not constant]
+    assert primes and all(math.gcd(period, degree) == 1 for degree, period in primes)

@@ -313,8 +313,9 @@ def test_section_gauge_ignores_rounding_in_tied_components():
     section, turned = base.copy(), base * np.exp(0.7j)
     section[:, 0] *= 1 + 4 * np.finfo(float).eps
     turned[:, 1] *= 1 + 4 * np.finfo(float).eps
+    fourier = np.fft.fft(samples) / G
     a, b = (
-        qwalk.spectral._finalize_band(samples, [s], 1, G).eigvec_samples
+        qwalk.spectral._finalize_band(1, samples, fourier, np.array([1]), [s], G).eigvec_samples
         for s in (section, turned)
     )
     assert np.max(np.abs(a - b)) <= 1e-12
