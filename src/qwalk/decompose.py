@@ -5,18 +5,19 @@ multiplicity nu contributes alpha * identity on nu internal levels.  A
 non-constant band of covering degree d, minimal period 2 pi d / m and
 multiplicity mu contributes the prime model walk of rate m/d with
 multiplicity mu * m: the d-dimensional walk whose single band is the same
-analytic function on T_{2 pi d}.  sample_bands folds every cycle by its
-Fourier support, so gcd(m, d) = 1 and m/d is already in lowest terms.  A
-band with an empty support, where no coefficient clears the noise floor,
-is refused with the ValueError of _unresolved.  Rates, multiplicities and
-windings classify the walk up to the natural equivalence, and assemble()
-renders the canonical representative back as a banded walk.
+analytic function on T_{2 pi d}.  The prime keeps that band as it is, so
+decompose builds no band and no section of its own.  sample_bands folds
+every cycle by its Fourier support, so gcd(m, d) = 1 and m/d is already
+in lowest terms.  A band with an empty support, where no coefficient
+clears the noise floor, is refused with the ValueError of _unresolved.
+Rates, multiplicities and windings classify the walk up to the natural
+equivalence, and assemble() renders the canonical representative back as
+a banded walk.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,8 +55,10 @@ class ConstantSummand:
 class PrimeModelWalk:
     """One prime summand: rate p/q, counted with multiplicity.
 
-    band is the prime's own band on T_{2 pi q} (degree q, minimal period
-    2 pi q / p, multiplicity 1) carrying the canonical eigenvector section;
+    band is the band set's own band on T_{2 pi q} (degree q, minimal period
+    2 pi q / p) that the prime is read from, not a copy: its multiplicity
+    counts the band's coincident copies, the prime's multiplicity is that
+    count times p, and its eigvec_samples are the walk's own sections.
     p/q is the band's min_period/degree, already reduced.
     """
 
@@ -98,20 +101,6 @@ class Decomposition:
         }
 
 
-def _prime_band(band: Band) -> Band:
-    """The band with multiplicity 1 and the section e^{-i theta s / q} / sqrt(q), q = degree.
-
-    sample_bands folds every cycle by its support, so no band repeats on its
-    cover: the band is its prime's own band.  The section is in the gauge of
-    _finalize_band.
-    """
-    q = band.degree
-    length = band.samples.size
-    theta = 2.0 * np.pi * q * np.arange(length) / length
-    section = np.exp(-1j * np.outer(theta, np.arange(q)) / q) / math.sqrt(q)
-    return replace(band, multiplicity=1, eigvec_samples=section[None])
-
-
 def decompose(spec: WalkSpec, grid_size: int = 2048) -> Decomposition:
     """Split the walk into constant and prime model summands.
 
@@ -142,7 +131,7 @@ def decompose(spec: WalkSpec, grid_size: int = 2048) -> Decomposition:
                 rate=Fraction(m, band.degree),
                 multiplicity=band.multiplicity * m,
                 winding=band.winding,
-                band=_prime_band(band),
+                band=band,
             )
         )
     total = sum(Fraction(c.multiplicity) for c in constants) + sum(
@@ -187,7 +176,12 @@ def cover_walk(band: Band) -> WalkSpec:
 
 
 def _unresolved(band: Band, reason: str) -> ValueError:
-    """The refusal of a band its grid has not resolved (decompose, cover_walk, limit_law)."""
+    """The refusal of a band its grid has not resolved (decompose, cover_walk, limit_law).
+
+    It names 2G, twice the band's grid; that grid may refuse in turn (a
+    band near a narrow avoided crossing can need several doublings), so
+    the advice may need repeating.
+    """
     G = band.grid_size
     msg = "band sampled on grid %d is not resolved: %s; decompose on a finer grid, such as %d"
     return ValueError(msg % (G, reason, 2 * G))

@@ -521,6 +521,8 @@ def limit_law(dec: Decomposition, state: State) -> LimitLaw:
     A band whose Band.support is one frequency ell is an atom at ell / degree;
     every other band adds its FFT-derivative velocities, within the commutator
     bound L; a velocity past L + 1e-6 refuses the band (decompose._unresolved).
+    The refusal names 2G, twice the band's grid, which may refuse in turn:
+    coined(1 - 1e-4) is refused at 256 and at 512 and answers at 1024.
     """
     band_set = dec.band_set
     _check_components(state, band_set.n)

@@ -81,6 +81,27 @@ def test_prime_band_shape():
     assert band.samples.shape == (band.degree * 256,)
 
 
+WALKS = {name: FIXTURES[name] for name in sorted(FIXTURES)}
+WALKS["amplify(coined(0.5), 2)"] = lambda: amplify(coined(0.5), 2)
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("name", list(WALKS))
+def test_a_prime_summand_is_its_band(name, grid):
+    # a prime keeps the band set's own band: its multiplicity counts the
+    # band's copies, and the prime's is that count times the rate numerator
+    dec = decompose(WALKS[name](), grid)
+    for p in dec.primes:
+        assert any(p.band is b for b in dec.band_set.bands)
+        assert p.multiplicity == p.band.multiplicity * p.band.min_period
+        assert p.rate == Fraction(p.band.min_period, p.band.degree)
+        assert p.winding == p.band.winding
+    if name == "amplify(coined(0.5), 2)":
+        assert [p.band.multiplicity for p in dec.primes] == [2, 2]
+    if name == "cube_root":
+        assert [p.band.min_period for p in dec.primes] == [2]
+
+
 def scrambled_double(v, rng):
     """U = W (V (x) I_2) W^*, W a shift-coin walk with a seeded unitary coin
     and shifts in {-1, 0, 1}: the bands of V twice over, with no constant

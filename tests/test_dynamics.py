@@ -669,18 +669,26 @@ def test_fourier_support_agrees_with_the_sample_and_derivative_rules(grid):
             assert np.array_equal(law.weights, want[2])
 
 
-def test_unresolved_band_is_refused_with_a_finer_grid():
-    # coined(1 - 10^-3.5) at grid 256: near the avoided crossing the band's
-    # FFT derivative passes the commutator bound 1; grid 512 resolves it
-    spec = coined(1 - 10**-3.5)
+@pytest.mark.parametrize(
+    "r, refused",
+    [(1 - 10**-3.5, (256,)), (1 - 10**-4, (256, 512))],
+    ids=["coined_1-1e-3.5", "coined_1-1e-4"],
+)
+def test_unresolved_band_is_refused_with_a_finer_grid(r, refused):
+    # near the avoided crossing of coined(r -> 1) the band's FFT derivative
+    # passes the commutator bound 1; the refusal names twice its grid, which
+    # may refuse in turn, and the first grid past the refused ones answers
+    spec = coined(r)
     st = uniform_coin_state(2)
-    with pytest.raises(ValueError) as err:
-        limit_law(decompose(spec, 256), st)
-    msg = str(err.value)
-    assert msg.startswith("band sampled on grid 256 is not resolved: its velocity reaches 1.0")
-    assert "past the commutator bound 1;" in msg
-    assert msg.endswith("such as 512")
-    assert limit_law(decompose(spec, 512), st).total_mass() == pytest.approx(1.0)
+    for grid in refused:
+        with pytest.raises(ValueError) as err:
+            limit_law(decompose(spec, grid), st)
+        msg = str(err.value)
+        assert msg.startswith("band sampled on grid %d is not resolved: its velocity reaches 1.0" % grid)
+        assert "past the commutator bound 1;" in msg
+        assert msg.endswith("such as %d" % (2 * grid))
+    answered = 2 * refused[-1]
+    assert limit_law(decompose(spec, answered), st).total_mass() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("grid", [256, 2048])
