@@ -12,20 +12,24 @@ that coincide pointwise are then merged into one band with a
 multiplicity.  So no band repeats on its cover: a non-constant band has
 gcd(min_period, degree) = 1.
 
-The symbol grid is solved by one batched eigh of the Cayley transform of
-U_hat(k), which gives orthonormal frames, degenerate clusters included.
-Each fiber first tries the Cayley phase farthest from the spectrum that
-one batched eigvals of every 16th fiber predicts for it, so almost every
-fiber is solved once.  That first trial covers the whole grid and its
-arrays are kept as the result; only the fibers it fails are gathered for
-the next phases and written back.  When every coefficient of a walk (or
-of a block, below) is real, an exact test, U_hat(-k) is the conjugate of
-U_hat(k): only the fibers 0 ... G/2 are solved, and fiber G - m takes the
-conjugates of fiber m's values and sections.  Sheet labels follow the
-solver's column order, so each cycle starts at a canonical sheet: least
-argument in [0, 2pi) at k = 0, ties within MERGE_TOL ordered where the
-sheets separate.  Band samples, order and values at k = 0 then depend on
-the walk alone.
+Extraction has a values pass and a sections pass.  The values pass
+solves the symbol grid by one batched eigvalsh of the Cayley transform
+of U_hat(k).  Each fiber first tries the Cayley phase farthest from the
+spectrum that one batched eigvals of every 16th fiber predicts for it,
+so almost every fiber is solved once.  That first trial covers the whole
+grid and its arrays are kept as the result; only the fibers it fails are
+gathered for the next phases and written back.  The accepted Cayley
+matrices are kept as well: a block that goes to the tracker (below)
+takes its values and orthonormal eigenvectors, degenerate clusters
+included, from one batched eigh of them, with no second symbol grid,
+prediction or solve.  When every coefficient of a walk (or of a block,
+below) is real, an exact test, U_hat(-k) is the conjugate of U_hat(k):
+only the fibers 0 ... G/2 are solved, and fiber G - m takes the
+conjugates of fiber m's values and sections.  Sheet labels do not
+depend on the solver's column order: each cycle starts at a canonical
+sheet, least argument in [0, 2pi) at k = 0, ties within MERGE_TOL
+ordered where the sheets separate.  Band samples, order and values at
+k = 0 then depend on the walk alone.
 
 Each block (below) is first offered to the certificate, _certify, which
 needs only the solved eigenvalues.  P(k) = prod_{i<j} |lambda_i -
@@ -76,12 +80,21 @@ a map that is not a permutation refuses the seam step.  Scalar steps are
 not proven, so a tracked walk whose avoided crossing is narrower than
 the grid can still be answered wrongly there.
 
-Labelling and tracking only permute the solver's columns (tracking also
-rotates a degenerate cluster onto its predecessor as a block); no
-invariant depends on a section's phase, so phases are set once, in
-_assemble_bands, for both paths: each cycle's joined section is turned
-sample by sample so that consecutive overlaps are real and positive,
-before the cycle is folded and copies are merged.
+Every invariant is read from the values: a certified block is labelled
+from eigvalsh's values and holds no eigenvector.  The sections pass runs
+once, on the first read of any band's eigvec_samples (_Sections).  A
+tracked block's sections are the tracker's, eigh's columns permuted (and
+a degenerate cluster rotated onto its predecessor as a block).  A
+certified block is solved again, values and then eigh of the same Cayley
+matrices, and each labelled value takes the eigh column whose value is
+nearest it: no two of its values are within MERGE_TOL, and eigvalsh's
+and eigh's differ by rounding (at most 5.6e-15 over the ledger corpus,
+and not at all at n <= 2).  So a certified band's samples are eigvalsh's
+and its sections eigh's.  No invariant depends on a section's phase, so phases
+are set once, in the sections pass, for both paths: each cycle's joined
+section is turned sample by sample so that consecutive overlaps are real
+and positive, before the cycle's copies are split off, rolled onto the
+band they merged into, and gauged at k = 0.
 
 A walk whose constant commutant (the X with X A_j = A_j X for every j)
 holds more than the scalars is a direct sum of smaller walks, and each
@@ -119,7 +132,8 @@ on every call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -192,7 +206,10 @@ class Band:
     degree * grid_size); eigvec_samples holds one orthonormal section per
     coincident copy, shape (multiplicity, len(samples), n), phase-continuous
     along the cover: consecutive samples have a real positive overlap
-    wherever it does not vanish.  fourier are
+    wherever it does not vanish.  Sections are built on the first read of
+    any band's eigvec_samples, for every band of the extraction at once,
+    and kept (_Sections); until then a certified block holds no
+    eigenvector.  fourier are
     the coefficients of lambda in the basis e^{i ell k / degree}, numpy FFT
     ordering; support, the frequencies whose coefficient clears _noise_floor,
     decides the fold of its cycle (_assemble_bands), constancy, the minimal
@@ -204,19 +221,24 @@ class Band:
 
     degree: int
     samples: np.ndarray
-    eigvec_samples: np.ndarray
     fourier: np.ndarray
     support: np.ndarray
     multiplicity: int
     winding: int
     min_period: int | None
     grid_size: int
+    _sections: Callable = field(repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("samples", "eigvec_samples", "fourier", "support"):
+        for name in ("samples", "fourier", "support"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def eigvec_samples(self) -> np.ndarray:
+        """Section copies (multiplicity, len(samples), n), read-only."""
+        return self._sections()
 
     @property
     def is_constant(self) -> bool:
@@ -281,7 +303,8 @@ def _trial_cap(n: int) -> float:
 
 
 def _eig_grid(spec: WalkSpec, ks: np.ndarray):
-    """Eigenvalues (G, n) and orthonormal eigenvector columns (G, n, n) of U_hat(k).
+    """Eigenvalues (G, n) of U_hat(k), and a function that gives the fibers'
+    eigenvalues and orthonormal eigenvector columns (G, n, n) by eigh.
 
     With z = e^{-i phi}, H = i (I + z U)(I - z U)^{-1} is Hermitian with
     U's eigenvectors and eigenvalues mu = -cot((theta - phi) / 2), so
@@ -291,17 +314,21 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
     eigenvalue, twice what the bound asks.  The phases are tried in cyclic
     order from a predicted one: the phase farthest from the eigenvalues of
     the nearest of every 16th fiber, estimated by one batched eigvals, so
-    that almost every fiber is solved once.  The first trial runs on the
-    whole grid, and its arrays are the result; only the fibers it fails are
-    gathered for the next phase, and only their passes are written back.
+    that almost every fiber is solved once.  Each trial takes mu from a
+    batched eigvalsh.  The first trial runs on the whole grid, and its
+    arrays are the result; only the fibers it fails are gathered for the
+    next phase, and only their passes are written back.  The accepted H
+    are kept, so the returned function solves them once by eigh, with no
+    second symbol grid, prediction or Cayley solve.  eigh's values differ
+    from eigvalsh's by rounding.
     A phase where I - z U is exactly singular is skipped for that fiber;
     only a trial whose batched solve fails looks for such fibers, by their
-    determinant.  H is not symmetrized, and eigh reads only its lower
-    triangle and the real part of its diagonal, so near a pole mu can miss
-    the blow-up: a 1 x 1 symbol within rounding of the trial phase gives a
-    huge imaginary H and mu = 0.  So a fiber is also refused when an entry
-    of H exceeds the bound, which no entry of a Hermitian H with max|mu|
-    within it does.
+    determinant.  H is not symmetrized, and eigvalsh and eigh read only its
+    lower triangle and the real part of its diagonal, so near a pole mu can
+    miss the blow-up: a 1 x 1 symbol within rounding of the trial phase
+    gives a huge imaginary H and mu = 0.  So a fiber is also refused when
+    an entry of H exceeds the bound, which no entry of a Hermitian H with
+    max|mu| within it does.
     """
     mats = symbol_on_grid(spec, ks)
     n = spec.n
@@ -316,30 +343,40 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
     cap = _trial_cap(n)
 
     def attempt(m, r):
-        """Values, vectors and pass mask of the fibers m at the trials r."""
+        """Values, Cayley matrices and pass mask of the fibers m at the trials r."""
         zu = ephi[r].conj()[:, None, None] * m
         a = eye - zu
+        zu += eye
         singular = np.zeros(r.size, dtype=bool)
         try:
-            h = 1j * np.linalg.solve(a, eye + zu)
+            h = np.linalg.solve(a, zu)
         except np.linalg.LinAlgError:
             singular = np.linalg.det(a) == 0
             a[singular] = eye
-            h = 1j * np.linalg.solve(a, eye + zu)
-        mu, v = np.linalg.eigh(h)
+            h = np.linalg.solve(a, zu)
+        del a, zu
+        h *= 1j
+        mu = np.linalg.eigvalsh(h)
         ok = ~singular & (np.abs(mu).max(axis=1) <= cap) & (np.abs(h).max(axis=(1, 2)) <= cap)
-        return ephi[r][:, None] * (mu - 1j) / (mu + 1j), v, ok
+        return ephi[r][:, None] * (mu - 1j) / (mu + 1j), h, ok
 
-    vals, vecs, ok = attempt(mats, first)
+    vals, cayley, ok = attempt(mats, first)
     todo = np.flatnonzero(~ok)
     for t in range(1, n + 1):
         if not todo.size:
             break
-        w, v, ok = attempt(mats[todo], (first[todo] + t) % (n + 1))
+        r = (first[todo] + t) % (n + 1)
+        w, h, ok = attempt(mats[todo], r)
         vals[todo[ok]] = w[ok]
-        vecs[todo[ok]] = v[ok]
+        cayley[todo[ok]] = h[ok]
+        first[todo[ok]] = r[ok]
         todo = todo[~ok]
-    return vals, vecs
+
+    def vectors():
+        mu, v = np.linalg.eigh(cayley)
+        return ephi[first][:, None] * (mu - 1j) / (mu + 1j), v
+
+    return vals, vectors
 
 
 def _clusters(vals: np.ndarray, tol: float):
@@ -425,7 +462,8 @@ def _chain_match(spec, k_start, k_end, start_vals, end_vals, slope=None):
     for level in range(1, MAX_HALVINGS + 1):
         steps = 2 ** (level + 1)
         sub = np.linspace(k_start, k_end, steps + 1)
-        vals = np.append(_eig_grid(spec, sub[1:-1] % (2.0 * np.pi))[0], [end_vals], axis=0)
+        # eigh's values, as on the tracked grid
+        vals = np.append(_eig_grid(spec, sub[1:-1] % (2.0 * np.pi))[1]()[0], [end_vals], axis=0)
         hist = [start_vals]
         if slope is not None:
             hist.insert(0, start_vals - slope * (sub[1] - sub[0]))
@@ -527,11 +565,13 @@ def _scalar_step(spec, ks, vals, vecs, tv, tw, t, bound):
     return perm
 
 
-def _sweep(spec, ks, vals, vecs, tv, tw, gap, bound):
-    """Track positions 1.. of one sweep; position 0 is the start fiber.
+def _sweep(spec, ks, vals, vecs, tv, tw, gap, bound, start=1):
+    """Track positions start.. of one sweep.
 
-    Every argument is a view in sweep order, tv[0] and tw[0] already set,
-    and gap[t] is the smallest distance between two values of fiber t.  A
+    Every argument is a view in sweep order.  The positions before start
+    are tracked, tv and tw set, and hold their columns in sheet order (the
+    start fiber, or tracked fibers passed as vals and vecs); gap[t] is the
+    smallest distance between two values of fiber t.  A
     step is proven when either end's gap exceeds 2 h bound and neither end
     holds a pair within MERGE_TOL (module docstring); runs of proven steps
     are matched by nearest value and composed by _compose_prefix.  Every
@@ -549,7 +589,7 @@ def _sweep(spec, ks, vals, vecs, tv, tw, gap, bound):
     # q[t - 1] maps each column of fiber t - 1 to its nearest value on fiber t
     q = np.abs(vals[:-1, :, None] - vals[1:, None, :]).argmin(axis=2)
     perm = np.arange(n)  # sheet -> column of the last tracked fiber
-    t = 1
+    t = start
     while t < L:
         f = t + int(np.argmax(np.append(~proven[t:], True)))
         if f > t:
@@ -567,22 +607,26 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
            bound: float):
     """Tracked values (G, n), sections (G, n, n) and the seam permutation.
 
-    The forward sweep runs one step past the last fiber, onto fiber 0 again
-    at k = 2pi; sigma[s] is the backward sheet whose section at k = 0
-    overlaps forward sheet s's section there the most.
+    The forward sweep takes one step past the last fiber, onto fiber 0
+    again at k = 2pi, on a window of the last tracked fibers and fiber 0;
+    sigma[s] is the backward sheet whose section at k = 0 overlaps forward
+    sheet s's section there the most.
     """
     G, n = vals.shape
     gap = _pair_gaps(vals).min(axis=1, initial=np.inf)
-    ks, vals, vecs, gap = (
-        np.concatenate([a, a[:1]]) for a in (ks, vals, vecs, gap)
-    )
-    ks[G] = 2.0 * np.pi
     tv = np.empty_like(vals)
     tw = np.empty_like(vecs)
-    g0 = _best_start(vals[:G])
+    g0 = _best_start(vals)
     tv[g0] = vals[g0]
     tw[g0] = vecs[g0]
     _sweep(spec, ks[g0:], vals[g0:], vecs[g0:], tv[g0:], tw[g0:], gap[g0:], bound)
+    # the seam step: the window holds the history a step at G would read
+    last = slice(max(g0, G - 2), G)
+    wk = np.append(ks[last], 2.0 * np.pi)
+    wv = np.concatenate([tv[last], vals[:1]])
+    ww = np.concatenate([tw[last], vecs[:1]])
+    wgap = np.append(gap[last], gap[0])
+    _sweep(spec, wk, wv, ww, wv, ww, wgap, bound, start=wk.size - 1)
     _sweep(
         spec, ks[g0::-1], vals[g0::-1], vecs[g0::-1], tv[g0::-1], tw[g0::-1],
         gap[g0::-1], bound,
@@ -590,10 +634,10 @@ def _track(spec: WalkSpec, ks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
     # the start frame of a degenerate cluster is an arbitrary basis; rotate
     # it toward its neighbour so the section is continuous there too
     _align_frame(tw[g0 + 1 if g0 + 1 < G else g0 - 1], tw[g0], tv[g0])
-    sigma = np.abs(tw[G].conj().T @ tw[0]).argmax(axis=1)
+    sigma = np.abs(ww[-1].conj().T @ tw[0]).argmax(axis=1)
     if np.bincount(sigma, minlength=n).max() > 1:
-        raise UnresolvedCrossing(ks[G - 1], ks[G], _min_gap(vals[G - 1], vals[G]), bound)
-    return tv[:G], tw[:G], sigma
+        raise UnresolvedCrossing(ks[G - 1], 2.0 * np.pi, _min_gap(vals[G - 1], vals[0]), bound)
+    return tv, tw, sigma
 
 
 def _certify(vals: np.ndarray, shifts) -> bool:
@@ -615,15 +659,16 @@ def _certify(vals: np.ndarray, shifts) -> bool:
       is off by s = eps (1 + J + 3 pi max|j|) sqrt(J n).  _eig_grid keeps
       a trial only when every |mu| <= c = cot(pi / (4 (n + 1))), so
       ||(I - zU)^{-1}|| <= sqrt(1 + c^2) / 2.  That carries s to H as
-      2i z (I - zU)^{-1} dU (I - zU)^{-1}, at most (1 + c^2) s / 2 (eigh
-      reads H's lower triangle, so mu moves by that much whether or not dU
-      kept U unitary); the solve gives H within eps (1 + c)^2, and eigh
-      adds eps ||H|| <= eps c.  lambda = e^{i phi} (mu - i) / (mu + i)
+      2i z (I - zU)^{-1} dU (I - zU)^{-1}, at most (1 + c^2) s / 2
+      (eigvalsh reads H's lower triangle, so mu moves by that much
+      whether or not dU kept U unitary); the solve gives H within
+      eps (1 + c)^2, and eigvalsh, backward-stable like eigh, adds
+      eps ||H|| <= eps c.  lambda = e^{i phi} (mu - i) / (mu + i)
       moves by 2 / (1 + mu^2) <= 2 times mu's error, so each eigenvalue is
       within eta = (1 + c^2) s + 2 eps ((1 + c)^2 + c), 423 eps for the
       coined walk.  Against 40-digit eigenvalues at 6 fibers of each of
-      134 blocks of the ledger corpus (tests/ledger.py) the largest error
-      measured is 19 eps.
+      the 463 blocks of the ledger corpus (tests/ledger.py), grid 256, the
+      largest error measured is 11 eps.
     - the factors.  Each distance d = |lambda_i - lambda_j| is then within
       2 eta, so d^2 within 4 eta d, and P within 4 eta P / d per factor;
       the 2N - 1 products and squares of N pairs round by 2N eps P <=
@@ -717,8 +762,8 @@ def _allowance(p, gaps, n, shifts, degree) -> float:
     return float(np.sqrt((2 * degree + 1) / G) * (np.linalg.norm(err) + np.linalg.norm(rounding)))
 
 
-def _label(vals: np.ndarray, vecs: np.ndarray, winding: int):
-    """Sheet values, sections and seam permutation of a certified block, or None.
+def _label(vals: np.ndarray, winding: int):
+    """Column order (G, n) and seam permutation of a certified block, or None.
 
     With no collision the eigenphases keep their cyclic order, and their
     lifted sum is arg det U_hat(k) = arg det U_hat(0) + winding k.  Each
@@ -737,11 +782,7 @@ def _label(vals: np.ndarray, vecs: np.ndarray, winding: int):
     if not np.abs(turns - rot).max() < 0.25:
         return None
     cols = np.take_along_axis(order, (np.arange(n) + rot.astype(int)[:, None]) % n, axis=1)
-    return (
-        np.take_along_axis(vals, cols, axis=1),
-        np.take_along_axis(vecs, cols[:, None, :], axis=2),
-        (np.arange(n) + winding) % n,
-    )
+    return cols, (np.arange(n) + winding) % n
 
 
 def _noise_floor(fourier: np.ndarray, freqs: np.ndarray) -> float:
@@ -755,35 +796,94 @@ def _noise_floor(fourier: np.ndarray, freqs: np.ndarray) -> float:
     return max(COEF_TOL, 20.0 * float(np.abs(fourier[np.abs(freqs) >= cut]).max()))
 
 
-def _finalize_band(degree, samples, fourier, support, sections, grid_size) -> Band:
+def _finalize_band(degree, samples, fourier, support, multiplicity, sections, grid_size) -> Band:
     # every step moves the band by an arc below pi (_extract_bands refuses
     # coarser grids), so the principal increments are the true ones
     winding = round(float(np.angle(np.roll(samples, -1) / samples).sum()) / (2.0 * np.pi))
     # lambda(k + 2 pi degree / m) = lambda(k) exactly when every supported
     # frequency is a multiple of m
     min_period = int(np.gcd.reduce(np.abs(support))) if support.any() else None
-    secs = sections[0][None] if len(sections) == 1 else np.array(sections)
-    # gauge: at ktilde = 0, the largest component (first of ties) real positive
+    return Band(
+        degree=degree,
+        samples=samples,
+        fourier=fourier,
+        support=support,
+        multiplicity=multiplicity,
+        winding=winding,
+        min_period=min_period,
+        grid_size=grid_size,
+        _sections=sections,
+    )
+
+
+def _gauge(copies) -> np.ndarray:
+    """A band's section copies stacked, read-only, each turned so that at
+    ktilde = 0 its largest component (first of ties) is real positive."""
+    secs = copies[0][None] if len(copies) == 1 else np.array(copies)
     for c in range(secs.shape[0]):
         v0 = secs[c, 0]
         comp = int(np.argmax(np.abs(v0) >= np.abs(v0).max() - 1e-12))
         ph = v0[comp]
         if abs(ph) > 1e-12:
             secs[c] *= np.conj(ph) / abs(ph)
-    return Band(
-        degree=degree,
-        samples=samples,
-        eigvec_samples=secs,
-        fourier=fourier,
-        support=support,
-        multiplicity=secs.shape[0],
-        winding=winding,
-        min_period=min_period,
-        grid_size=grid_size,
-    )
+    secs.setflags(write=False)
+    return secs
+
+
+class _Sections:
+    """The sections of one extraction's bands, built on the first read of any.
+
+    make() gives the sheet sections (G, n, n) of the whole walk; cycles
+    holds each cycle's sheets and fold, and bands, per band, the (cycle,
+    copy, deck roll) of each of its copies.  The first read runs the
+    sections half of _assemble_bands for every band at once, keeps the
+    result and drops the rest.
+    """
+
+    def __init__(self, make, cycles, bands):
+        self._make, self._cycles, self._bands = make, cycles, bands
+        self._built = None
+
+    def read(self, index: int) -> np.ndarray:
+        if self._built is None:
+            self._built = self._build()
+            self._make = self._cycles = self._bands = None
+        return self._built[index]
+
+    def _build(self) -> list:
+        tw = self._make()
+        G, n = tw.shape[:2]
+        copies = []
+        for sheets, fold in self._cycles:
+            d = len(sheets)
+            section = np.moveaxis(tw, 2, 0)[sheets].reshape(d * G, n)
+            # the one phase rule: turn each sample so that its overlap with
+            # the previous one is real and positive; a step with |vdot| <=
+            # 1e-12 keeps its phase, and the running product is held to
+            # modulus 1
+            z = np.einsum("ti,ti->t", section[:-1].conj(), section[1:])
+            mag = np.abs(z)
+            keep = mag <= 1e-12
+            turn = np.cumprod(np.where(keep, 1.0, z.conj() / np.where(keep, 1.0, mag)))
+            section[1:] *= (turn / np.abs(turn))[:, None]
+            length = d // fold * G
+            copies.append([section[c * length : (c + 1) * length] for c in range(fold)])
+        return [
+            _gauge([
+                copies[i][c] if r == 0 else np.roll(copies[i][c], r * G, axis=0)
+                for i, c, r in band
+            ])
+            for band in self._bands
+        ]
 
 
 def _assemble_bands(tv, tw, sigma, grid_size):
+    """Bands of the sheet values tv (G, n) under the seam permutation sigma.
+
+    This is the values half: cycles, support, fold, merge and order.  tw()
+    gives the sheet sections (G, n, n); the sections half calls it on the
+    first read of a band's eigvec_samples (_Sections).
+    """
     G, n = tv.shape
     # canonical order: argument at k = 0, or at the first fiber where two
     # sheets tied there separate; arguments run from MERGE_TOL below 1, so
@@ -795,7 +895,8 @@ def _assemble_bands(tv, tw, sigma, grid_size):
         return np.sign(args[g, s] - args[g, t])
 
     seen = set()
-    raw = []  # (degree, samples, fourier, support, [section copies])
+    cycles = []  # (sheets, fold)
+    raw = []  # (degree, samples, fourier, support, [(cycle, copy, deck roll)])
     for s0 in sorted(range(n), key=functools.cmp_to_key(compare)):
         if s0 in seen:
             continue
@@ -808,15 +909,6 @@ def _assemble_bands(tv, tw, sigma, grid_size):
             nxt = int(sigma[nxt])
         samples = np.concatenate([tv[:, s] for s in cycle])
         d = len(cycle)
-        section = np.moveaxis(tw, 2, 0)[cycle].reshape(d * G, n)
-        # the one phase rule: turn each sample so that its overlap with the
-        # previous one is real and positive; a step with |vdot| <= 1e-12
-        # keeps its phase, and the running product is held to modulus 1
-        z = np.einsum("ti,ti->t", section[:-1].conj(), section[1:])
-        mag = np.abs(z)
-        keep = mag <= 1e-12
-        turn = np.cumprod(np.where(keep, 1.0, z.conj() / np.where(keep, 1.0, mag)))
-        section[1:] *= (turn / np.abs(turn))[:, None]
         fourier = np.fft.fft(samples) / samples.size
         freqs = np.rint(np.fft.fftfreq(samples.size) * samples.size).astype(int)
         support = freqs[np.abs(fourier) > _noise_floor(fourier, freqs)]
@@ -824,8 +916,9 @@ def _assemble_bands(tv, tw, sigma, grid_size):
         # copies of a band of degree d / g; an empty support folds nothing
         g = int(np.gcd(d, np.gcd.reduce(support))) if support.size else 1
         length = d // g * G
-        copies = [section[c * length : (c + 1) * length] for c in range(g)]
-        raw.append([d // g, samples[:length], fourier[::g], support // g, copies])
+        raw.append([d // g, samples[:length], fourier[::g], support // g,
+                    [(len(cycles), c, 0) for c in range(g)]])
+        cycles.append((cycle, g))
     # merge bands that coincide pointwise (up to a deck shift of the cover)
     merged = []
     for d, samples, fourier, support, copies in raw:
@@ -836,14 +929,22 @@ def _assemble_bands(tv, tw, sigma, grid_size):
             for r in range(d):
                 rolled = np.roll(samples, r * G)
                 if np.max(np.abs(entry[1] - rolled)) < MERGE_TOL:
-                    entry[4].extend(np.roll(c, r * G, axis=0) for c in copies)
+                    entry[4].extend((i, c, r) for i, c, _ in copies)
                     placed = True
                     break
             if placed:
                 break
         if not placed:
-            merged.append([d, samples, fourier, support, list(copies)])
-    return sorted((_finalize_band(*entry, grid_size) for entry in merged), key=_band_sort_key)
+            merged.append([d, samples, fourier, support, copies])
+    sections = _Sections(tw, cycles, [entry[4] for entry in merged])
+    return sorted(
+        (
+            _finalize_band(d, samples, fourier, support, len(copies),
+                           functools.partial(sections.read, index), grid_size)
+            for index, (d, samples, fourier, support, copies) in enumerate(merged)
+        ),
+        key=_band_sort_key,
+    )
 
 
 def _band_sort_key(band: Band):
@@ -867,21 +968,71 @@ def _solve_grid(spec: WalkSpec, ks: np.ndarray):
     When every coefficient is real (an exact test, no tolerance), U_hat(-k)
     is the conjugate of U_hat(k), and k_{G - m} = 2 pi - k_m, so only the
     fibers 0 ... G / 2 are solved and fiber G - m takes the conjugates of
-    fiber m's values and sections, each array written once at full size.
+    fiber m's values, and of its sections when the returned function
+    solves them, each array written once at full size.
     """
     if not _is_real(spec):
         return _eig_grid(spec, ks)
-    half = ks.size // 2
-    out = []
-    for solved in _eig_grid(spec, ks[: half + 1]):
-        full = np.empty((ks.size,) + solved.shape[1:], dtype=complex)
-        full[: half + 1] = solved
-        np.conj(solved[half - 1 : 0 : -1], out=full[half + 1 :])
-        out.append(full)
-    vals, vecs = out
-    # + 0.0 turns the -0.0 that conj gives a real value back into 0.0
-    vals[half + 1 :] += 0.0
-    return vals, vecs
+    vals, vectors = _eig_grid(spec, ks[: ks.size // 2 + 1])
+
+    def mirrored():
+        vals, vecs = vectors()
+        return _mirror(vals, ks.size, values=True), _mirror(vecs, ks.size)
+
+    return _mirror(vals, ks.size, values=True), mirrored
+
+
+def _mirror(solved: np.ndarray, size: int, values: bool = False) -> np.ndarray:
+    """The fibers 0 ... size / 2 of solved, and the conjugate of fiber m at size - m."""
+    half = size // 2
+    full = np.empty((size,) + solved.shape[1:], dtype=complex)
+    full[: half + 1] = solved
+    np.conj(solved[half - 1 : 0 : -1], out=full[half + 1 :])
+    if values:
+        # + 0.0 turns the -0.0 that conj gives a real value back into 0.0
+        full[half + 1 :] += 0.0
+    return full
+
+
+def _solve_block(block: WalkSpec, ks: np.ndarray, bound: float | None):
+    """Sheet values (G, n_b), seam permutation and sections of one block.
+
+    The values are solved alone.  A block that certifies is labelled from
+    them and returns no sections: they are solved again when read
+    (_matched_sections).  Any other block is solved by eigh of the same
+    Cayley matrices and tracked, with the speed bound given, or with its
+    own when bound is None.
+    """
+    vals, vectors = _solve_grid(block, ks)
+    labels = None
+    if _certify(vals, tuple(block.terms)):
+        labels = _label(vals, det_winding(block))
+    if labels is not None:
+        cols, seam = labels
+        return np.take_along_axis(vals, cols, axis=1), seam, None
+    vals, vecs = vectors()
+    del vectors  # the Cayley matrices go before tracking
+    if bound is None:
+        bound = _speed_bound(block)
+    values, sections, seam = _track(block, ks, vals, vecs, bound)
+    return values, seam, sections
+
+
+def _matched_sections(block: WalkSpec, ks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sections (G, n_b, n_b) of a certified block's labelled values.
+
+    The block is solved again, and its Cayley matrices by eigh; each
+    labelled value takes the column whose value is nearest it.  The two
+    solves differ by rounding while a certified block has no pair within
+    MERGE_TOL, so that is a permutation on every fiber.
+    """
+    vals, vecs = _solve_grid(block, ks)[1]()
+    cols = np.abs(values[:, :, None] - vals[:, None, :]).argmin(axis=2)
+    if not (np.sort(cols, axis=1) == np.arange(values.shape[1])).all():
+        raise RuntimeError(
+            "internal error: a certified block's re-solve does not match its values"
+        )
+    return np.take_along_axis(vecs, cols[:, None, :], axis=2)
 
 
 def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
@@ -895,25 +1046,27 @@ def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
         )
     ks = 2.0 * np.pi * np.arange(grid_size) / grid_size
     # an irreducible walk is one block in the identity basis
-    tv, tw, sigma = [], [], []
+    tv, sigma, parts = [], [], []
     for block, basis in _invariant_blocks(spec) or [(spec, None)]:
-        vals, vecs = _solve_grid(block, ks)
-        labels = None
-        if _certify(vals, tuple(block.terms)):
-            labels = _label(vals, vecs, det_winding(block))
-        if labels is None:
-            block_bound = bound if basis is None else _speed_bound(block)
-            labels = _track(block, ks, vals, vecs, block_bound)
-        values, sections, seam = labels
+        values, seam, sections = _solve_block(block, ks, bound if basis is None else None)
         tv.append(values)
-        tw.append(sections if basis is None else basis @ sections)
         sigma.append(seam + sum(map(len, sigma)))
+        parts.append((block, basis, values, sections))
+
+    def sections():
+        """Sheet sections (G, n, n) of every block, mapped back by its basis."""
+        out = []
+        for block, basis, values, tracked in parts:
+            secs = _matched_sections(block, ks, values) if tracked is None else tracked
+            out.append(secs if basis is None else basis @ secs)
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=2)
+
     # a lone block goes on as it is, with no concatenating copy
-    tv, tw, sigma = (
-        parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
-        for parts, axis in ((tv, 1), (tw, 2), (sigma, 0))
+    tv, sigma = (
+        items[0] if len(items) == 1 else np.concatenate(items, axis=axis)
+        for items, axis in ((tv, 1), (sigma, 0))
     )
-    return _assemble_bands(tv, tw, sigma, grid_size)
+    return _assemble_bands(tv, sections, sigma, grid_size)
 
 
 def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:
@@ -929,7 +1082,8 @@ def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:
     -------
     BandSet
         Bands with covering degrees, multiplicities, windings, minimal
-        periods and continuously matched orthonormal eigenvector sections.
+        periods and continuously matched orthonormal eigenvector sections,
+        built on the first read of one (see the module docstring).
         While a caller holds it, later calls with this spec object and
         grid size return the same BandSet (see the module docstring).
 
