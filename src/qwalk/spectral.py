@@ -1052,21 +1052,25 @@ def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
         tv.append(values)
         sigma.append(seam + sum(map(len, sigma)))
         parts.append((block, basis, values, sections))
-
-    def sections():
-        """Sheet sections (G, n, n) of every block, mapped back by its basis."""
-        out = []
-        for block, basis, values, tracked in parts:
-            secs = _matched_sections(block, ks, values) if tracked is None else tracked
-            out.append(secs if basis is None else basis @ secs)
-        return out[0] if len(out) == 1 else np.concatenate(out, axis=2)
-
     # a lone block goes on as it is, with no concatenating copy
     tv, sigma = (
         items[0] if len(items) == 1 else np.concatenate(items, axis=axis)
         for items, axis in ((tv, 1), (sigma, 0))
     )
-    return _assemble_bands(tv, sections, sigma, grid_size)
+    return _assemble_bands(tv, functools.partial(_sheet_sections, parts, ks), sigma, grid_size)
+
+
+def _sheet_sections(parts, ks) -> np.ndarray:
+    """Sheet sections (G, n, n) of every block, mapped back by its basis.
+
+    parts holds per block (block, basis, labelled values, tracked sections
+    or None for a certified block).
+    """
+    out = []
+    for block, basis, values, tracked in parts:
+        secs = _matched_sections(block, ks, values) if tracked is None else tracked
+        out.append(secs if basis is None else basis @ secs)
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=2)
 
 
 def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:

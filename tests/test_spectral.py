@@ -1657,12 +1657,16 @@ def test_certified_walks_solve_eigenvectors_only_when_a_section_is_read(
     qwalk.intertwine.commutant_report(dec)
     assert certificates == [True]
     assert batched_eighs[0] == 0
+    # a band set pickles with its sections unbuilt, and builds its own
+    clone = pickle.loads(pickle.dumps(dec.band_set))
     first = dec.band_set.bands[0].eigvec_samples
     assert batched_eighs[0] == 1
+    assert np.array_equal(clone.bands[0].eigvec_samples, first)
+    assert batched_eighs[0] == 2
     for band in dec.band_set.bands:
         band.eigvec_samples
     assert dec.band_set.bands[0].eigvec_samples is first
-    assert batched_eighs[0] == 1
+    assert batched_eighs[0] == 2
 
 
 def test_tracked_walks_take_their_sections_from_the_one_solve(monkeypatch, batched_eighs, tracks):
