@@ -29,7 +29,7 @@ SCHEMA_VERSION = 2
 
 
 def _load_walk(token: str) -> WalkSpec:
-    if os.path.exists(token):
+    if os.path.isfile(token):
         with open(token, "r", encoding="utf-8") as fh:
             return parse_walk_spec(fh.read())
     if token.endswith(".json"):

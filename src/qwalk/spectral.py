@@ -19,9 +19,8 @@ spectrum that one batched eigvals of every 16th fiber predicts for it,
 so almost every fiber is solved once.  That first trial covers the whole
 grid and its arrays are kept as the result; only the fibers it fails are
 gathered for the next phases and written back.  The accepted Cayley
-matrices are kept as well: a block that goes to the tracker (below)
-takes its values and orthonormal eigenvectors, degenerate clusters
-included, from one batched eigh of them, with no second symbol grid,
+matrices are kept as well, and every eigenvector comes from one batched
+eigh of them, degenerate clusters included, with no second symbol grid,
 prediction or solve.  When every coefficient of a walk (or of a block,
 below) is real, an exact test, U_hat(-k) is the conjugate of U_hat(k):
 only the fibers 0 ... G/2 are solved, and fiber G - m takes the
@@ -81,20 +80,20 @@ not proven, so a tracked walk whose avoided crossing is narrower than
 the grid can still be answered wrongly there.
 
 Every invariant is read from the values: a certified block is labelled
-from eigvalsh's values and holds no eigenvector.  The sections pass runs
-once, on the first read of any band's eigvec_samples (_Sections).  A
-tracked block's sections are the tracker's, eigh's columns permuted (and
-a degenerate cluster rotated onto its predecessor as a block).  A
-certified block is solved again, values and then eigh of the same Cayley
-matrices, and each labelled value takes the eigh column whose value is
-nearest it: no two of its values are within MERGE_TOL, and eigvalsh's
-and eigh's differ by rounding (at most 5.6e-15 over the ledger corpus,
-and not at all at n <= 2).  So a certified band's samples are eigvalsh's
-and its sections eigh's.  No invariant depends on a section's phase, so phases
-are set once, in the sections pass, for both paths: each cycle's joined
-section is turned sample by sample so that consecutive overlaps are real
-and positive, before the cycle's copies are split off, rolled onto the
-band they merged into, and gauged at k = 0.
+from eigvalsh's values and holds its Cayley matrices, no eigenvector,
+until the sections pass, which runs once, on the first read of any
+band's eigvec_samples (_Sections).  A tracked block's sections are the
+tracker's, eigh's columns permuted (and a degenerate cluster rotated
+onto its predecessor as a block).  A certified block's are eigh's
+columns at _label's: eigh orders mu as eigvalsh does, and no two of its
+values are within MERGE_TOL, far above the two solvers' difference (at
+most 5.6e-15 over the ledger corpus, none at n <= 2).  So a certified
+band's samples are eigvalsh's and its sections eigh's.  No invariant
+depends on a section's phase, so phases are set once, in the sections
+pass, for both paths: each cycle's joined section is turned sample by
+sample so that consecutive overlaps are real and positive, before the
+cycle's copies are split off, rolled onto the band they merged into,
+and gauged at k = 0.
 
 A walk whose constant commutant (the X with X A_j = A_j X for every j)
 holds more than the scalars is a direct sum of smaller walks, and each
@@ -208,15 +207,15 @@ class Band:
     along the cover: consecutive samples have a real positive overlap
     wherever it does not vanish.  Sections are built on the first read of
     any band's eigvec_samples, for every band of the extraction at once,
-    and kept (_Sections); until then a certified block holds no
-    eigenvector.  fourier are
-    the coefficients of lambda in the basis e^{i ell k / degree}, numpy FFT
-    ordering; support, the frequencies whose coefficient clears _noise_floor,
-    decides the fold of its cycle (_assemble_bands), constancy, the minimal
-    period (the gcd of |support|, coprime to degree), limit_law's atoms and
-    intertwine's normalized coefficients.  Both are read once, on the
-    cycle, and a folded band keeps every g-th coefficient: an empty support
-    means the grid resolved no coefficient, and decompose refuses the band.
+    and kept (_Sections); until then a certified block holds its Cayley
+    matrices in their place.  fourier are the coefficients of lambda in
+    the basis e^{i ell k / degree}, numpy FFT ordering; support, the
+    frequencies whose coefficient clears _noise_floor, decides the fold of
+    its cycle (_assemble_bands), constancy, the minimal period (the gcd of
+    |support|, coprime to degree), limit_law's atoms and intertwine's
+    normalized coefficients.  Both are read once, on the cycle, and a
+    folded band keeps every g-th coefficient: an empty support means the
+    grid resolved no coefficient, and decompose refuses the band.
     """
 
     degree: int
@@ -234,6 +233,11 @@ class Band:
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __setstate__(self, state):
+        # unpickling skips __post_init__, and its arrays are writeable
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def eigvec_samples(self) -> np.ndarray:
@@ -317,10 +321,9 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
     that almost every fiber is solved once.  Each trial takes mu from a
     batched eigvalsh.  The first trial runs on the whole grid, and its
     arrays are the result; only the fibers it fails are gathered for the
-    next phase, and only their passes are written back.  The accepted H
-    are kept, so the returned function solves them once by eigh, with no
-    second symbol grid, prediction or Cayley solve.  eigh's values differ
-    from eigvalsh's by rounding.
+    next phase, and only their passes are written back.  The returned
+    function keeps the accepted H and solves them by eigh (_cayley_eigh),
+    whose values differ from eigvalsh's by rounding.
     A phase where I - z U is exactly singular is skipped for that fiber;
     only a trial whose batched solve fails looks for such fibers, by their
     determinant.  H is not symmetrized, and eigvalsh and eigh read only its
@@ -372,11 +375,13 @@ def _eig_grid(spec: WalkSpec, ks: np.ndarray):
         first[todo[ok]] = r[ok]
         todo = todo[~ok]
 
-    def vectors():
-        mu, v = np.linalg.eigh(cayley)
-        return ephi[first][:, None] * (mu - 1j) / (mu + 1j), v
+    return vals, functools.partial(_cayley_eigh, cayley, ephi[first])
 
-    return vals, vectors
+
+def _cayley_eigh(cayley: np.ndarray, ephi: np.ndarray):
+    """Eigenvalues and vectors of the fibers with Cayley matrices cayley at phases ephi."""
+    mu, v = np.linalg.eigh(cayley)
+    return ephi[:, None] * (mu - 1j) / (mu + 1j), v
 
 
 def _clusters(vals: np.ndarray, tol: float):
@@ -817,8 +822,8 @@ def _finalize_band(degree, samples, fourier, support, multiplicity, sections, gr
 
 
 def _gauge(copies) -> np.ndarray:
-    """A band's section copies stacked, read-only, each turned so that at
-    ktilde = 0 its largest component (first of ties) is real positive."""
+    """A band's section copies stacked, each turned so that at ktilde = 0
+    its largest component (first of ties) is real positive."""
     secs = copies[0][None] if len(copies) == 1 else np.array(copies)
     for c in range(secs.shape[0]):
         v0 = secs[c, 0]
@@ -826,35 +831,45 @@ def _gauge(copies) -> np.ndarray:
         ph = v0[comp]
         if abs(ph) > 1e-12:
             secs[c] *= np.conj(ph) / abs(ph)
-    secs.setflags(write=False)
     return secs
 
 
 class _Sections:
     """The sections of one extraction's bands, built on the first read of any.
 
-    make() gives the sheet sections (G, n, n) of the whole walk; cycles
-    holds each cycle's sheets and fold, and bands, per band, the (cycle,
-    copy, deck roll) of each of its copies.  The first read runs the
-    sections half of _assemble_bands for every band at once, keeps the
-    result and drops the rest.
+    parts holds per block its basis (None for the identity) and the
+    tracker's sheet sections, or a certified block's function that makes
+    them; cycles holds each cycle's sheets and fold, and bands, per band,
+    the (cycle, copy, deck roll) of each of its copies.  The first read
+    runs the sections half of _assemble_bands for every band at once,
+    keeps the result and drops the rest.
     """
 
-    def __init__(self, make, cycles, bands):
-        self._make, self._cycles, self._bands = make, cycles, bands
+    def __init__(self, parts, cycles, bands):
+        self._pending = (parts, cycles, bands)
         self._built = None
 
     def read(self, index: int) -> np.ndarray:
-        if self._built is None:
-            self._built = self._build()
-            self._make = self._cycles = self._bands = None
-        return self._built[index]
+        built = self._built
+        if built is None:
+            # one load of the inputs, dropped only after the result is stored
+            pending = self._pending
+            built = self._built if pending is None else self._build(*pending)
+            self._built, self._pending = built, None
+        # here, not when built: unpickled arrays are writeable
+        built[index].setflags(write=False)
+        return built[index]
 
-    def _build(self) -> list:
-        tw = self._make()
+    @staticmethod
+    def _build(parts, cycles, bands) -> list:
+        tw = []
+        for basis, secs in parts:
+            secs = secs() if callable(secs) else secs
+            tw.append(secs if basis is None else basis @ secs)
+        tw = tw[0] if len(tw) == 1 else np.concatenate(tw, axis=2)
         G, n = tw.shape[:2]
         copies = []
-        for sheets, fold in self._cycles:
+        for sheets, fold in cycles:
             d = len(sheets)
             section = np.moveaxis(tw, 2, 0)[sheets].reshape(d * G, n)
             # the one phase rule: turn each sample so that its overlap with
@@ -873,15 +888,15 @@ class _Sections:
                 copies[i][c] if r == 0 else np.roll(copies[i][c], r * G, axis=0)
                 for i, c, r in band
             ])
-            for band in self._bands
+            for band in bands
         ]
 
 
-def _assemble_bands(tv, tw, sigma, grid_size):
+def _assemble_bands(tv, parts, sigma, grid_size):
     """Bands of the sheet values tv (G, n) under the seam permutation sigma.
 
-    This is the values half: cycles, support, fold, merge and order.  tw()
-    gives the sheet sections (G, n, n); the sections half calls it on the
+    This is the values half: cycles, support, fold, merge and order.  The
+    sections half makes the sheet sections from each block's parts on the
     first read of a band's eigvec_samples (_Sections).
     """
     G, n = tv.shape
@@ -936,7 +951,7 @@ def _assemble_bands(tv, tw, sigma, grid_size):
                 break
         if not placed:
             merged.append([d, samples, fourier, support, copies])
-    sections = _Sections(tw, cycles, [entry[4] for entry in merged])
+    sections = _Sections(parts, cycles, [entry[4] for entry in merged])
     return sorted(
         (
             _finalize_band(d, samples, fourier, support, len(copies),
@@ -974,12 +989,13 @@ def _solve_grid(spec: WalkSpec, ks: np.ndarray):
     if not _is_real(spec):
         return _eig_grid(spec, ks)
     vals, vectors = _eig_grid(spec, ks[: ks.size // 2 + 1])
+    return _mirror(vals, ks.size, values=True), functools.partial(_mirrored, vectors, ks.size)
 
-    def mirrored():
-        vals, vecs = vectors()
-        return _mirror(vals, ks.size, values=True), _mirror(vecs, ks.size)
 
-    return _mirror(vals, ks.size, values=True), mirrored
+def _mirrored(vectors, size: int):
+    """vectors() of the fibers 0 ... size / 2, mirrored onto all size fibers."""
+    vals, vecs = vectors()
+    return _mirror(vals, size, values=True), _mirror(vecs, size)
 
 
 def _mirror(solved: np.ndarray, size: int, values: bool = False) -> np.ndarray:
@@ -998,10 +1014,10 @@ def _solve_block(block: WalkSpec, ks: np.ndarray, bound: float | None):
     """Sheet values (G, n_b), seam permutation and sections of one block.
 
     The values are solved alone.  A block that certifies is labelled from
-    them and returns no sections: they are solved again when read
-    (_matched_sections).  Any other block is solved by eigh of the same
-    Cayley matrices and tracked, with the speed bound given, or with its
-    own when bound is None.
+    them, and its sections are a function that makes them from the kept
+    Cayley matrices when read (_labelled_sections).  Any other block is
+    solved by eigh of those matrices and tracked, with the speed bound
+    given, or with its own when bound is None.
     """
     vals, vectors = _solve_grid(block, ks)
     labels = None
@@ -1009,7 +1025,8 @@ def _solve_block(block: WalkSpec, ks: np.ndarray, bound: float | None):
         labels = _label(vals, det_winding(block))
     if labels is not None:
         cols, seam = labels
-        return np.take_along_axis(vals, cols, axis=1), seam, None
+        sections = functools.partial(_labelled_sections, vectors, vals, cols)
+        return np.take_along_axis(vals, cols, axis=1), seam, sections
     vals, vecs = vectors()
     del vectors  # the Cayley matrices go before tracking
     if bound is None:
@@ -1018,19 +1035,13 @@ def _solve_block(block: WalkSpec, ks: np.ndarray, bound: float | None):
     return values, seam, sections
 
 
-def _matched_sections(block: WalkSpec, ks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sections (G, n_b, n_b) of a certified block's labelled values.
-
-    The block is solved again, and its Cayley matrices by eigh; each
-    labelled value takes the column whose value is nearest it.  The two
-    solves differ by rounding while a certified block has no pair within
-    MERGE_TOL, so that is a permutation on every fiber.
-    """
-    vals, vecs = _solve_grid(block, ks)[1]()
-    cols = np.abs(values[:, :, None] - vals[:, None, :]).argmin(axis=2)
-    if not (np.sort(cols, axis=1) == np.arange(values.shape[1])).all():
+def _labelled_sections(vectors, vals: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sections (G, n_b, n_b) of a certified block: the columns cols of
+    vectors(), eigh of the Cayley matrices eigvalsh gave vals from."""
+    values, vecs = vectors()
+    if not np.abs(values - vals).max() <= MERGE_TOL / 2:
         raise RuntimeError(
-            "internal error: a certified block's re-solve does not match its values"
+            "internal error: a certified block's eigh values do not match its eigvalsh values"
         )
     return np.take_along_axis(vecs, cols[:, None, :], axis=2)
 
@@ -1051,26 +1062,13 @@ def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
         values, seam, sections = _solve_block(block, ks, bound if basis is None else None)
         tv.append(values)
         sigma.append(seam + sum(map(len, sigma)))
-        parts.append((block, basis, values, sections))
+        parts.append((basis, sections))
     # a lone block goes on as it is, with no concatenating copy
     tv, sigma = (
         items[0] if len(items) == 1 else np.concatenate(items, axis=axis)
         for items, axis in ((tv, 1), (sigma, 0))
     )
-    return _assemble_bands(tv, functools.partial(_sheet_sections, parts, ks), sigma, grid_size)
-
-
-def _sheet_sections(parts, ks) -> np.ndarray:
-    """Sheet sections (G, n, n) of every block, mapped back by its basis.
-
-    parts holds per block (block, basis, labelled values, tracked sections
-    or None for a certified block).
-    """
-    out = []
-    for block, basis, values, tracked in parts:
-        secs = _matched_sections(block, ks, values) if tracked is None else tracked
-        out.append(secs if basis is None else basis @ secs)
-    return out[0] if len(out) == 1 else np.concatenate(out, axis=2)
+    return _assemble_bands(tv, parts, sigma, grid_size)
 
 
 def sample_bands(spec: WalkSpec, grid_size: int = 2048) -> BandSet:

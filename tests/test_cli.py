@@ -169,6 +169,13 @@ def test_walk_file_input(tmp_path):
     assert from_file["spec_digest"] == from_expr["spec_digest"]
 
 
+def test_a_directory_does_not_shadow_a_fixture(tmp_path, monkeypatch, capsys):
+    (tmp_path / "grover4").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["decompose", "grover4", "--grid", "256"]) == 0
+    assert json.loads(capsys.readouterr().out)["primes"]
+
+
 def test_invalid_inputs_exit_2(tmp_path):
     assert run_cli("analyze", "missing.json").returncode == 2
     bad = tmp_path / "bad.json"
