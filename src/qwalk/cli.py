@@ -3,7 +3,9 @@
 Subcommands: analyze, decompose, realizable, intertwine, simulate.  Walks
 are given either as a JSON file path or a fixture expression such as
 "grover4" or "coined(0.5)".  Reports are deterministic: the same inputs
-and flags produce byte-identical output.
+and flags produce byte-identical output.  Each subcommand returns its
+report, as JSON fields or as finished CSV text; main adds the common
+header to JSON fields and writes the report once, to stdout or --out.
 
 Exit codes: 0 success, 2 invalid input, 3 unresolved band crossing.
 """
@@ -11,6 +13,7 @@ Exit codes: 0 success, 2 invalid input, 3 unresolved band crossing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -37,30 +40,34 @@ def _load_walk(token: str) -> WalkSpec:
     return build_fixture(token)
 
 
-def _emit(text: str, out_path) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _report_header(command: str, spec: WalkSpec, args) -> dict:
+def _envelope(args, spec: WalkSpec, fields: dict) -> dict:
+    """The common header of every JSON report, then the subcommand's fields."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "qwalk",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "grid": args.grid,
         "spec_digest": spec_digest(spec),
         "n": spec.n,
+        **fields,
     }
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+def _csv_text(write, *items) -> str:
+    """What write(item, fh) writes for each item, under one header line.
+
+    Every write_*_csv begins with its header line, so the rows of each item
+    follow the first item's header.
+    """
+    rows = []
+    for item in items:
+        buf = io.StringIO()
+        write(item, buf)
+        buf.seek(0)
+        header = buf.readline()
+        rows.append(buf.read())
+    return header + "".join(rows)
 
 
 def _band_summaries(band_set) -> list:
@@ -80,66 +87,45 @@ def _band_summaries(band_set) -> list:
     return out
 
 
-def _cmd_analyze(args) -> int:
-    spec = _load_walk(args.spec)
+def _cmd_analyze(args, spec) -> dict | str:
     dec = decompose(spec, args.grid)
     band_set = dec.band_set
     if args.format == "csv":
-        buf = io.StringIO()
-        write_band_csv(band_set, buf)
-        _emit(buf.getvalue(), args.out)
-        return 0
+        return _csv_text(write_band_csv, band_set)
     from .realize import is_ct_realizable
 
     verdict = is_ct_realizable(spec, args.grid)
-    doc = _report_header("analyze", spec, args)
-    doc.update(
-        {
-            "bandwidth": spec.bandwidth,
-            "commutator_bound": dec.commutator_bound,
-            "monodromy": monodromy(spec, args.grid),
-            "bands": _band_summaries(band_set),
-            "decomposition": dec.to_dict(),
-            "det_winding": verdict.det_winding,
-            "realizable": verdict.realizable,
-            "homogeneity_broken": dec.homogeneity_broken,
-        }
-    )
-    _emit(_dump(doc), args.out)
-    return 0
+    return {
+        "bandwidth": spec.bandwidth,
+        "commutator_bound": dec.commutator_bound,
+        "monodromy": monodromy(spec, args.grid),
+        "bands": _band_summaries(band_set),
+        "decomposition": dec.to_dict(),
+        "det_winding": verdict.det_winding,
+        "realizable": verdict.realizable,
+        "homogeneity_broken": dec.homogeneity_broken,
+    }
 
 
-def _cmd_decompose(args) -> int:
-    spec = _load_walk(args.spec)
+def _cmd_decompose(args, spec) -> dict | str:
     if args.format == "csv":
         raise ValueError(
             "decompose has no csv form; use 'analyze --format csv' for bands"
         )
-    dec = decompose(spec, args.grid)
-    doc = _report_header("decompose", spec, args)
-    doc.update(dec.to_dict())
-    _emit(_dump(doc), args.out)
-    return 0
+    return decompose(spec, args.grid).to_dict()
 
 
-def _cmd_realizable(args) -> int:
+def _cmd_realizable(args, spec) -> dict | str:
     from .realize import is_ct_realizable, write_witness_csv
 
-    spec = _load_walk(args.spec)
     verdict = is_ct_realizable(spec, args.grid)
     if args.format == "csv":
         if not verdict.realizable:
             raise ValueError(
                 "walk is not realizable; there is no witness generator to dump"
             )
-        buf = io.StringIO()
-        write_witness_csv(verdict, buf)
-        _emit(buf.getvalue(), args.out)
-        return 0
-    doc = _report_header("realizable", spec, args)
-    doc.update(verdict.to_dict())
-    _emit(_dump(doc), args.out)
-    return 0
+        return _csv_text(write_witness_csv, verdict)
+    return verdict.to_dict()
 
 
 def _summand_labels(dec):
@@ -151,7 +137,7 @@ def _summand_labels(dec):
     return labels
 
 
-def _cmd_intertwine(args) -> int:
+def _cmd_intertwine(args, spec1) -> dict | str:
     from .intertwine import (
         build_intertwiner,
         commutant_report,
@@ -159,7 +145,6 @@ def _cmd_intertwine(args) -> int:
         write_intertwiner_csv,
     )
 
-    spec1 = _load_walk(args.spec)
     spec2 = _load_walk(args.spec2)
     dec1 = decompose(spec1, args.grid)
     dec2 = decompose(spec2, args.grid)
@@ -187,21 +172,13 @@ def _cmd_intertwine(args) -> int:
             )
         match, rate = first_match
         v = build_intertwiner(match, rate, args.window)
-        buf = io.StringIO()
-        write_intertwiner_csv(v, buf)
-        _emit(buf.getvalue(), args.out)
-        return 0
-    doc = _report_header("intertwine", spec1, args)
-    doc.update(
-        {
-            "spec_digest_2": spec_digest(spec2),
-            "pairs": pairs,
-            "commutant_1": commutant_report(dec1).to_dict(),
-            "commutant_2": commutant_report(dec2).to_dict(),
-        }
-    )
-    _emit(_dump(doc), args.out)
-    return 0
+        return _csv_text(write_intertwiner_csv, v)
+    return {
+        "spec_digest_2": spec_digest(spec2),
+        "pairs": pairs,
+        "commutant_1": commutant_report(dec1).to_dict(),
+        "commutant_2": commutant_report(dec2).to_dict(),
+    }
 
 
 def _initial_state(args, n):
@@ -213,14 +190,16 @@ def _initial_state(args, n):
     name = args.builtin or "uniform"
     if name == "uniform":
         return uniform_coin_state(n)
-    if name.startswith("e") and name[1:].isdigit() and int(name[1:]) < n:
-        return basis_state(n, int(name[1:]))
+    # int() also reads non-ASCII digits, and isdigit() passes '²', which int() refuses
+    index = name[1:]
+    if name.startswith("e") and index.isascii() and index.isdigit() and int(index) < n:
+        return basis_state(n, int(index))
     raise ValueError(
         "unknown built-in state %r (use 'uniform' or 'e0'..'e%d')" % (name, n - 1)
     )
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, spec) -> dict | str:
     from .dynamics import (
         MemoryCapExceeded,
         empirical_moment,
@@ -231,7 +210,6 @@ def _cmd_simulate(args) -> int:
         write_distribution_csv,
     )
 
-    spec = _load_walk(args.spec)
     state = _initial_state(args, spec.n)
     if args.format == "json":
         # an unresolved band is refused before any step is taken
@@ -245,53 +223,41 @@ def _cmd_simulate(args) -> int:
         raise ValueError(str(exc)) from exc
     snap = snaps[-1]
     if args.csv is not None:
+        # the checkpoint dump is a second file, not the report: it is written
+        # once the snapshots exist, before the report is built
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("t,x,x_over_t,mass\n")
-            for s in snaps:
-                buf = io.StringIO()
-                write_distribution_csv(s, buf)
-                fh.write(buf.getvalue().split("\n", 1)[1])
+            fh.write(_csv_text(write_distribution_csv, *snaps))
     if args.format == "csv":
-        buf = io.StringIO()
-        write_distribution_csv(snap, buf)
-        _emit(buf.getvalue(), args.out)
-        return 0
-    doc = _report_header("simulate", spec, args)
-    doc.update(
-        {
-            "steps": args.steps,
-            "total_mass": snap.total_mass(),
-            "support": [int(snap.sites[0]), int(snap.sites[-1])],
-            "moment_table": {
-                "t=%d" % s.t: {
-                    "m%d" % k: empirical_moment(s, k) for k in range(1, 5)
-                }
-                for s in snaps
-            },
-            "moments": {
-                "m%d" % k: empirical_moment(snap, k) for k in range(1, 5)
-            },
-            "limit_moments": {"m%d" % k: law.moment(k) for k in range(1, 5)},
-            "kolmogorov_distance": kolmogorov_distance(law, snap),
-            "atoms": [[v, m] for v, m in law.atoms],
-            "commutator_bound": dec.commutator_bound,
-        }
-    )
+        return _csv_text(write_distribution_csv, snap)
+    moment_table = {
+        "t=%d" % s.t: {"m%d" % k: empirical_moment(s, k) for k in range(1, 5)}
+        for s in snaps
+    }
+    atoms = [[v, m] for v, m in law.atoms]
+    limit_moments = {"m%d" % k: law.moment(k) for k in range(1, 5)}
+    fields = {
+        "steps": args.steps,
+        "total_mass": snap.total_mass(),
+        "support": [int(snap.sites[0]), int(snap.sites[-1])],
+        "moment_table": moment_table,
+        "moments": moment_table["t=%d" % snap.t],
+        "limit_moments": limit_moments,
+        "kolmogorov_distance": kolmogorov_distance(law, snap),
+        "atoms": atoms,
+        "commutator_bound": dec.commutator_bound,
+    }
     if args.limit_law:
-        doc["limit_law"] = {
-            "atoms": [[v, m] for v, m in law.atoms],
+        fields["limit_law"] = {
+            "atoms": atoms,
             "bin_edges": [float(e) for e in law.bin_edges],
             "bin_masses": [float(m) for m in law.bin_masses],
-            "moments": {"m%d" % k: law.moment(k) for k in range(1, 5)},
+            "moments": limit_moments,
         }
-    _emit(_dump(doc), args.out)
-    return 0
+    return fields
 
 
-def _add_common(parser, two_specs=False, simulate=False):
+def _add_common(parser):
     parser.add_argument("spec", help="walk JSON file or fixture expression")
-    if two_specs:
-        parser.add_argument("spec2", help="second walk file or fixture")
     parser.add_argument(
         "--grid",
         type=int,
@@ -305,31 +271,6 @@ def _add_common(parser, two_specs=False, simulate=False):
         default="json",
         help="report format (default json)",
     )
-    if simulate:
-        parser.add_argument(
-            "--steps", type=int, default=100, help="number of walk steps"
-        )
-        start = parser.add_mutually_exclusive_group()
-        start.add_argument(
-            "--state",
-            default=None,
-            help="initial state JSON file (default: uniform coin at the origin)",
-        )
-        start.add_argument(
-            "--builtin",
-            default=None,
-            help="built-in initial state: 'uniform' or 'e0'..'e(n-1)'",
-        )
-        parser.add_argument(
-            "--csv",
-            default=None,
-            help="also write the distribution at t/4, t/2, t to this CSV file",
-        )
-        parser.add_argument(
-            "--limit-law",
-            action="store_true",
-            help="embed the limit law (atoms, histogram, moments) in the report",
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -354,7 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_realizable)
 
     p = sub.add_parser("intertwine", help="classify intertwiners of two walks")
-    _add_common(p, two_specs=True)
+    _add_common(p)
+    p.add_argument("spec2", help="second walk file or fixture")
     p.add_argument(
         "--window",
         type=int,
@@ -364,7 +306,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_intertwine)
 
     p = sub.add_parser("simulate", help="evolve a state and compare to the limit law")
-    _add_common(p, simulate=True)
+    _add_common(p)
+    p.add_argument("--steps", type=int, default=100, help="number of walk steps")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument(
+        "--state",
+        default=None,
+        help="initial state JSON file (default: uniform coin at the origin)",
+    )
+    start.add_argument(
+        "--builtin",
+        default=None,
+        help="built-in initial state: 'uniform' or 'e0'..'e(n-1)'",
+    )
+    p.add_argument(
+        "--csv",
+        default=None,
+        help="also write the distribution at t/4, t/2, t to this CSV file",
+    )
+    p.add_argument(
+        "--limit-law",
+        action="store_true",
+        help="embed the limit law (atoms, histogram, moments) in the report",
+    )
     p.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -379,7 +343,15 @@ def main(argv=None) -> int:
         for flag in ("steps", "window"):
             if getattr(args, flag, 1) <= 0:
                 raise ValueError("--%s must be positive, got %d" % (flag, getattr(args, flag)))
-        return args.func(args)
+        spec = _load_walk(args.spec)
+        report = args.func(args, spec)
+        if isinstance(report, dict):
+            report = json.dumps(_envelope(args, spec, report), indent=2, sort_keys=True) + "\n"
+        # the one write: the report is complete before stdout or --out sees it
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w", encoding="utf-8")) as fh:
+            fh.write(report)
+        return 0
     except UnresolvedCrossing as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -99,21 +99,16 @@ def generator_coefficients(verdict: RealizabilityVerdict, max_shift: int) -> dic
         raise ValueError("walk is not realizable; no witness generator exists")
     bs = verdict.band_set
     G, n = bs.grid_size, bs.n
-    hhat = np.zeros((G, n, n), dtype=complex)
+    # sheet s of a band's cover is the base grid again, so H_hat(k_g) sums
+    # h v v^* over the band's copies c and sheets s at each g
+    hhat = 0.0
     for band, h in zip(bs.bands, verdict.witnesses):
-        for s in range(band.degree):
-            seg = slice(s * G, (s + 1) * G)
-            hseg = h[seg]
-            for c in range(band.multiplicity):
-                vec = band.eigvec_samples[c][seg]
-                hhat += hseg[:, None, None] * (
-                    vec[:, :, None] * vec[:, None, :].conj()
-                )
-    ks = 2.0 * np.pi * np.arange(G) / G
-    return {
-        j: (np.exp(-1j * j * ks)[:, None, None] * hhat).mean(axis=0)
-        for j in range(-max_shift, max_shift + 1)
-    }
+        vec = band.eigvec_samples.reshape(band.multiplicity, band.degree, G, n)
+        hsg = h.reshape(band.degree, G)
+        hhat = hhat + np.einsum("sg,csgi,csgj->gij", hsg, vec, vec.conj())
+    # e^{-i j k_g} is G-periodic in j, so H_j is entry j mod G of one FFT
+    js = range(-max_shift, max_shift + 1)
+    return dict(zip(js, np.fft.fft(hhat, axis=0)[np.mod(js, G)] / G))
 
 
 def write_witness_csv(verdict: RealizabilityVerdict, fileobj) -> None:

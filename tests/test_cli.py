@@ -12,7 +12,8 @@ from qwalk.cli import main
 from qwalk.fixtures import coined, shift_coin_walk
 from qwalk.walkspec import serialize_walk_spec
 
-from conftest import BAD_STATE_DOCUMENTS, BAD_WALK_DOCUMENTS
+from conftest import BAD_STATE_DOCUMENTS, BAD_WALK_DOCUMENTS, random_walk
+from ledger import walk_power
 
 
 def run_cli(*argv):
@@ -159,6 +160,81 @@ def test_out_writes_file(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert json.loads(out.read_text())["n"] == 1
+
+
+REPORT_RUNS = [
+    ["analyze", "{w}"],
+    ["decompose", "{w}"],
+    ["realizable", "{w}"],
+    ["intertwine", "{w}", "{w}"],
+    ["simulate", "{w}", "--steps", "40", "--limit-law"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("walk", ["coined(0.5)", "grover4"])
+@pytest.mark.parametrize("run", REPORT_RUNS, ids=lambda run: run[0])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, run, walk, fmt):
+    argv = [a.format(w=walk) for a in run] + ["--grid", "256", "--format", fmt]
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if run[0] == "decompose" and fmt == "csv":
+        assert code == 2
+        assert captured.err.startswith("error: decompose has no csv form")
+    if code != 0:
+        # grover4 is not realizable, so it has no witness csv either
+        assert (run[0], fmt) in {("decompose", "csv"), ("realizable", "csv")}
+        assert stdout == ""
+        assert not out.exists()
+        return
+    assert out.read_bytes() == stdout.encode("utf-8")
+    assert stdout.endswith("\n") and not stdout.endswith("\n\n")
+
+
+def test_simulate_csv_file_has_one_header_then_each_checkpoint(tmp_path, capsys):
+    # --steps 40 checkpoints t = 10, 20, 40; each --format csv report is the
+    # distribution at its own --steps
+    dump = tmp_path / "dist.csv"
+    argv = ["simulate", "coined(0.5)", "--grid", "256", "--format", "csv"]
+    assert main(argv + ["--steps", "40", "--csv", str(dump)]) == 0
+    capsys.readouterr()
+    header = "t,x,x_over_t,mass\n"
+    want = header
+    for t in (10, 20, 40):
+        assert main(argv + ["--steps", str(t)]) == 0
+        report = capsys.readouterr().out
+        assert report.startswith(header)
+        want += report[len(header):]
+    assert dump.read_text() == want
+
+
+def test_a_refused_run_leaves_the_out_file_untouched(tmp_path, capsys):
+    shift200 = tmp_path / "shift200.json"
+    shift200.write_text('{"n": 1, "terms": [{"shift": 200, "matrix": [[[1.0, 0.0]]]}]}')
+    cubed = tmp_path / "cubed.json"
+    cubed.write_text(serialize_walk_spec(walk_power(random_walk(3, shift_max=2), 3)))
+    out = tmp_path / "report.json"
+    out.write_text("kept\n")
+    for path, code in ((shift200, 2), (cubed, 3)):
+        for cmd in ("analyze", "decompose", "simulate"):
+            assert main([cmd, str(path), "--grid", "256", "--out", str(out)]) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("name", ["e²", "e٠"])
+def test_builtin_with_a_non_ascii_digit_is_an_unknown_state(capsys, name):
+    # '²'.isdigit() holds, but int('²') raises; int('٠') reads an Arabic-Indic 0
+    assert main(["simulate", "free", "--builtin", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown built-in state '%s' (use 'uniform' or 'e0'..'e0')\n" % name
 
 
 def test_walk_file_input(tmp_path):

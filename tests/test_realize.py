@@ -101,3 +101,38 @@ def test_witness_csv_matches_the_row_loop(grid):
         write_witness_csv(verdict, buf)
         assert buf.getvalue() == row_loop_witness_csv(verdict), name
     assert "grover3" in realizable and "coined" in realizable
+
+
+def per_shift_generator_coefficients(verdict, max_shift):
+    """generator_coefficients as one weighted mean over the grid per shift j."""
+    bs = verdict.band_set
+    G, n = bs.grid_size, bs.n
+    hhat = np.zeros((G, n, n), dtype=complex)
+    for band, h in zip(bs.bands, verdict.witnesses):
+        for s in range(band.degree):
+            seg = slice(s * G, (s + 1) * G)
+            for c in range(band.multiplicity):
+                vec = band.eigvec_samples[c][seg]
+                hhat += h[seg][:, None, None] * (vec[:, :, None] * vec[:, None, :].conj())
+    ks = 2.0 * np.pi * np.arange(G) / G
+    return {
+        j: (np.exp(-1j * j * ks)[:, None, None] * hhat).mean(axis=0)
+        for j in range(-max_shift, max_shift + 1)
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, grid, max_shift",
+    [
+        (grover3(), 256, 4),  # a degree-2 band
+        (coined(0.5), 256, 6),
+        (FIXTURES["constant"](2, 0.3), 64, 40),  # multiplicity 2; |j| up to past G/2
+    ],
+)
+def test_generator_coefficients_match_the_per_shift_mean(spec, grid, max_shift):
+    v = is_ct_realizable(spec, grid)
+    got = generator_coefficients(v, max_shift)
+    want = per_shift_generator_coefficients(v, max_shift)
+    assert list(got) == list(want)
+    for j in want:
+        np.testing.assert_allclose(got[j], want[j], rtol=0, atol=1e-13, err_msg=str(j))
