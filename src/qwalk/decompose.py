@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import Band, BandSet, sample_bands
+from .spectral import Band, BandSet, _unresolved, sample_bands
 from .walkspec import (
     UnitarityError,
     WalkSpec,
@@ -173,18 +173,6 @@ def cover_walk(band: Band) -> WalkSpec:
     except UnitarityError as exc:
         reason = "its cover walk violates unitarity identity m=%d by %.3e"
         raise _unresolved(band, reason % (exc.m, exc.residual)) from exc
-
-
-def _unresolved(band: Band, reason: str) -> ValueError:
-    """The refusal of a band its grid has not resolved (decompose, cover_walk, limit_law).
-
-    It names 2G, twice the band's grid; that grid may refuse in turn (a
-    band near a narrow avoided crossing can need several doublings), so
-    the advice may need repeating.
-    """
-    G = band.grid_size
-    msg = "band sampled on grid %d is not resolved: %s; decompose on a finer grid, such as %d"
-    return ValueError(msg % (G, reason, 2 * G))
 
 
 def assemble(dec: Decomposition) -> WalkSpec:

@@ -32,20 +32,19 @@ from __future__ import annotations
 
 import json
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Decomposition, _unresolved
-from .spectral import BandSet
-from .walkspec import WalkSpec, _complex_cell, _is_real, symbol_on_grid
+from .decompose import Decomposition
+from .spectral import BandSet, _unresolved
+from .walkspec import WalkSpec, _check_memory, _complex_cell, _is_real, _mem_cap_bytes
+from .walkspec import _write_table, symbol_on_grid
 
 __all__ = [
     "State",
     "DistributionSnapshot",
     "LimitLaw",
-    "MemoryCapExceeded",
     "basis_state",
     "uniform_coin_state",
     "parse_state",
@@ -58,17 +57,11 @@ __all__ = [
     "write_distribution_csv",
 ]
 
-MEM_CAP_ENV = "QWALK_MEM_CAP_MB"
-DEFAULT_MEM_CAP_MB = 2048
 ATOM_VELOCITY_TOL = 1e-9
 HISTOGRAM_BINS = 401
 # fibers per block of the propagator's k-grid: the real (block, 8, 8) stack of
 # an n = 4 walk is 0.5 MB, so the squarings stay in a 2 MB L2
 PROPAGATOR_BLOCK = 1024
-
-
-class MemoryCapExceeded(RuntimeError):
-    """Evolution window would outgrow the configured memory cap."""
 
 
 @dataclass(frozen=True)
@@ -85,6 +78,9 @@ class State:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 2 or amps.shape[0] == 0:
             raise ValueError("amplitudes must be a non-empty (sites, n) array")
+        if amps.flags.writeable and (amps is self.amplitudes or amps.base is not None):
+            # the caller's own array, or a view of it: freeze a copy, not it
+            amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -177,22 +173,6 @@ def adjoint_walk(spec: WalkSpec) -> WalkSpec:
     return WalkSpec(n=spec.n, terms={-j: a.conj().T for j, a in spec.terms.items()}, _valid=True)
 
 
-def _mem_cap_bytes() -> int:
-    """The cap in bytes: QWALK_MEM_CAP_MB, else the default.
-
-    The cap must be a positive whole number of MB; anything else raises a
-    ValueError naming QWALK_MEM_CAP_MB and the bad value.
-    """
-    raw = os.environ.get(MEM_CAP_ENV, str(DEFAULT_MEM_CAP_MB))
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError("%s must be a positive integer number of MB, got %r" % (MEM_CAP_ENV, raw))
-    return cap * 1024 * 1024
-
-
 def evolve(spec: WalkSpec, state: State, steps: int) -> State:
     """Apply the walk for the given number of steps, without truncation.
 
@@ -208,16 +188,11 @@ def evolve(spec: WalkSpec, state: State, steps: int) -> State:
     steps = operator.index(steps)
     if steps < 0:
         return evolve(adjoint_walk(spec), state, -steps)
-    cap = _mem_cap_bytes()
     if steps == 0:
+        _mem_cap_bytes()  # the setting is validated at every step count
         return state
     cosets = _cosets(spec, state.amplitudes, steps)
-    peak = _propagator_bytes(spec, state.amplitudes, steps, cosets)
-    if peak > cap:
-        raise MemoryCapExceeded(
-            "evolution window needs about %d MB, cap is %d MB"
-            % (peak // (1024 * 1024) + 1, cap // (1024 * 1024))
-        )
+    _check_memory(_propagator_bytes(spec, state.amplitudes, steps, cosets), "evolution window")
     return _propagate(spec, state, steps, cosets)
 
 
@@ -308,6 +283,7 @@ def _propagate(spec: WalkSpec, state: State, steps: int, cosets) -> State:
         out[off + c :: g][:span] = _power_on_grid(spec, amps[c::g], g, grid, steps)[:span]
     keep = _reachable(spec, amps, steps, g)
     out[off : off + keep.shape[0]][~keep] = 0.0
+    out.setflags(write=False)  # fresh, so State keeps it without a copy
     return State(x_min=state.x_min - b * steps, amplitudes=out)
 
 
@@ -481,13 +457,10 @@ def _to_band_coordinates(band_set: BandSet, state: State) -> list:
     psi_hat = _state_fourier(state, ks)
     out = []
     for band in band_set.bands:
-        coords = np.empty((band.multiplicity, band.degree * G), dtype=complex)
-        for c in range(band.multiplicity):
-            for s in range(band.degree):
-                seg = slice(s * G, (s + 1) * G)
-                vecs = band.eigvec_samples[c][seg]
-                coords[c, seg] = np.einsum("gi,gi->g", vecs.conj(), psi_hat)
-        out.append(coords)
+        # sheet s of a band's cover is the base grid again
+        vec = band.eigvec_samples.reshape(band.multiplicity, band.degree, G, band_set.n)
+        coords = np.einsum("csgi,gi->csg", vec.conj(), psi_hat)
+        out.append(coords.reshape(band.multiplicity, band.degree * G))
     return out
 
 
@@ -520,7 +493,7 @@ def limit_law(dec: Decomposition, state: State) -> LimitLaw:
 
     A band whose Band.support is one frequency ell is an atom at ell / degree;
     every other band adds its FFT-derivative velocities, within the commutator
-    bound L; a velocity past L + 1e-6 refuses the band (decompose._unresolved).
+    bound L; a velocity past L + 1e-6 refuses the band (spectral._unresolved).
     The refusal names 2G, twice the band's grid, which may refuse in turn:
     coined(1 - 1e-4) is refused at 256 and at 512 and answers at 1024.
     """
@@ -629,10 +602,9 @@ def kolmogorov_distance(law: LimitLaw, snapshot: DistributionSnapshot) -> float:
 
 def write_distribution_csv(snapshot: DistributionSnapshot, fileobj) -> None:
     """Rows t,x,x_over_t,mass for every occupied site; zero rows are skipped."""
-    fileobj.write("t,x,x_over_t,mass\n")
     t = snapshot.t
-    for x, m in zip(snapshot.sites, snapshot.masses):
-        if m == 0.0:
-            continue
-        ratio = x / t if t > 0 else 0.0
-        fileobj.write("%d,%d,%.17g,%.17g\n" % (t, x, ratio, m))
+    kept = snapshot.masses != 0.0
+    x = snapshot.sites[kept]
+    ratio = x / t if t > 0 else np.zeros(x.size)
+    _write_table(fileobj, "t,x,x_over_t,mass", "%d,%d,%.17g,%.17g",
+                 [np.full(x.size, t), x, ratio, snapshot.masses[kept]])

@@ -26,6 +26,7 @@ import numpy as np
 
 from .decompose import ConstantSummand, Decomposition, PrimeModelWalk
 from .spectral import MERGE_TOL, Band
+from .walkspec import _check_memory, _write_table
 
 __all__ = [
     "TranslationMatch",
@@ -166,8 +167,11 @@ def build_intertwiner(match: TranslationMatch, rate: Fraction, window: int) -> n
     """Dense window of the modulated translation intertwiner.
 
     Positions run over j - window//2.  The generator is the diagonal
-    modulation exp(i c j), c = alpha * rate.
+    modulation exp(i c j), c = alpha * rate.  A window whose 16 bytes per
+    entry, and the 9 that write_intertwiner_csv adds, pass the memory cap
+    is refused before anything is allocated.
     """
+    _check_memory(25 * window * window, "intertwiner window %d" % window)
     c = match.alpha * float(rate)
     positions = np.arange(window) - window // 2
     return np.diag(np.exp(1j * c * positions))
@@ -178,8 +182,10 @@ def model_walk_matrix(band: Band, window: int) -> np.ndarray:
 
     The walk is multiplication by the band on the torus; its position
     matrix is the Toeplitz array whose entry (i, j) is the normalized
-    Fourier coefficient at i - j.
+    Fourier coefficient at i - j.  A window whose 32 bytes per entry (the
+    matrix and two offset arrays) pass the memory cap is refused first.
     """
+    _check_memory(32 * window * window, "intertwiner window %d" % window)
     half = max(int(np.abs(band.support).max()) // band.min_period, window)
     offsets = np.subtract.outer(np.arange(window), np.arange(window))
     return _normalized_coefficients(band, half)[offsets + half]
@@ -277,9 +283,6 @@ def commutant_report(dec: Decomposition) -> CommutantReport:
 
 def write_intertwiner_csv(v: np.ndarray, fileobj) -> None:
     """Sparse triplet dump row,col,re,im of the window matrix."""
-    fileobj.write("row,col,re,im\n")
     rows, cols = np.nonzero(np.abs(v) > CSV_ZERO_TOL)
-    for i, j in zip(rows, cols):
-        fileobj.write(
-            "%d,%d,%.17g,%.17g\n" % (i, j, v[i, j].real, v[i, j].imag)
-        )
+    entries = v[rows, cols]
+    _write_table(fileobj, "row,col,re,im", "%d,%d,%.17g,%.17g", [rows, cols, entries.real, entries.imag])

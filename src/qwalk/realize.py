@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import BandSet, det_winding, sample_bands
-from .walkspec import WalkSpec
+from .walkspec import WalkSpec, _write_table
 
 __all__ = [
     "RealizabilityVerdict",
@@ -76,15 +76,20 @@ def is_ct_realizable(spec: WalkSpec, grid_size: int = 2048) -> RealizabilityVerd
     )
 
 
+def _witnesses(verdict: RealizabilityVerdict) -> tuple:
+    """The verdict's witness phases; a ValueError when the walk is not realizable."""
+    if not verdict.realizable:
+        raise ValueError("walk is not realizable; no witness generator exists")
+    return verdict.witnesses
+
+
 def witness_step(verdict: RealizabilityVerdict, t: float) -> tuple:
     """Band-diagonal evolution exp(i t h) sampled on each band's cover.
 
     At t = 1 this reproduces the band values; in t it satisfies the group
     law exactly up to rounding, which is what makes h a generator witness.
     """
-    if not verdict.realizable:
-        raise ValueError("walk is not realizable; no witness generator exists")
-    return tuple(np.exp(1j * t * h) for h in verdict.witnesses)
+    return tuple(np.exp(1j * t * h) for h in _witnesses(verdict))
 
 
 def generator_coefficients(verdict: RealizabilityVerdict, max_shift: int) -> dict:
@@ -95,14 +100,13 @@ def generator_coefficients(verdict: RealizabilityVerdict, max_shift: int) -> dic
     band structure the coefficients decay geometrically in |j|, so a
     modest max_shift captures the generator to high accuracy.
     """
-    if not verdict.realizable:
-        raise ValueError("walk is not realizable; no witness generator exists")
+    witnesses = _witnesses(verdict)
     bs = verdict.band_set
     G, n = bs.grid_size, bs.n
     # sheet s of a band's cover is the base grid again, so H_hat(k_g) sums
     # h v v^* over the band's copies c and sheets s at each g
     hhat = 0.0
-    for band, h in zip(bs.bands, verdict.witnesses):
+    for band, h in zip(bs.bands, witnesses):
         vec = band.eigvec_samples.reshape(band.multiplicity, band.degree, G, n)
         hsg = h.reshape(band.degree, G)
         hhat = hhat + np.einsum("sg,csgi,csgj->gij", hsg, vec, vec.conj())
@@ -113,11 +117,9 @@ def generator_coefficients(verdict: RealizabilityVerdict, max_shift: int) -> dic
 
 def write_witness_csv(verdict: RealizabilityVerdict, fileobj) -> None:
     """Long-format dump: band index, cover point k, witness phase h."""
-    if not verdict.realizable:
-        raise ValueError("walk is not realizable; no witness generator exists")
-    # one float table, band indices included (exact, and %d prints them alike)
-    table = np.concatenate([
-        np.column_stack([np.full(h.size, bi), band.kgrid, h])
-        for bi, (band, h) in enumerate(zip(verdict.band_set.bands, verdict.witnesses))
+    witnesses = _witnesses(verdict)
+    _write_table(fileobj, "band,k,h", "%d,%.17g,%.17g", [
+        np.concatenate([np.full(h.size, bi) for bi, h in enumerate(witnesses)]),
+        np.concatenate([band.kgrid for band in verdict.band_set.bands]),
+        np.concatenate(witnesses),
     ])
-    fileobj.write("band,k,h\n" + "%d,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist()))

@@ -136,7 +136,7 @@ from typing import Callable
 
 import numpy as np
 
-from .walkspec import WalkSpec, _invariant_blocks, _is_real, _speed_bound, symbol_on_grid
+from .walkspec import WalkSpec, _invariant_blocks, _is_real, _speed_bound, _write_table, symbol_on_grid
 
 __all__ = [
     "Band",
@@ -195,6 +195,18 @@ class UnresolvedCrossing(RuntimeError):
 
     def __reduce__(self):
         return (UnresolvedCrossing, (self.k_lo, self.k_hi, self.min_gap, self.bound))
+
+
+def _unresolved(band: Band, reason: str) -> ValueError:
+    """The refusal of a band its grid has not resolved (decompose, cover_walk, limit_law).
+
+    It names 2G, twice the band's grid; that grid may refuse in turn (a
+    band near a narrow avoided crossing can need several doublings), so
+    the advice may need repeating.
+    """
+    G = band.grid_size
+    msg = "band sampled on grid %d is not resolved: %s; decompose on a finer grid, such as %d"
+    return ValueError(msg % (G, reason, 2 * G))
 
 
 @dataclass(frozen=True)
@@ -1010,14 +1022,14 @@ def _mirror(solved: np.ndarray, size: int, values: bool = False) -> np.ndarray:
     return full
 
 
-def _solve_block(block: WalkSpec, ks: np.ndarray, bound: float | None):
+def _solve_block(block: WalkSpec, ks: np.ndarray):
     """Sheet values (G, n_b), seam permutation and sections of one block.
 
     The values are solved alone.  A block that certifies is labelled from
     them, and its sections are a function that makes them from the kept
     Cayley matrices when read (_labelled_sections).  Any other block is
-    solved by eigh of those matrices and tracked, with the speed bound
-    given, or with its own when bound is None.
+    solved by eigh of those matrices and tracked, held to the block's own
+    speed bound (memoized, so an unsplit walk's is _extract_bands' value).
     """
     vals, vectors = _solve_grid(block, ks)
     labels = None
@@ -1029,9 +1041,7 @@ def _solve_block(block: WalkSpec, ks: np.ndarray, bound: float | None):
         return np.take_along_axis(vals, cols, axis=1), seam, sections
     vals, vecs = vectors()
     del vectors  # the Cayley matrices go before tracking
-    if bound is None:
-        bound = _speed_bound(block)
-    values, sections, seam = _track(block, ks, vals, vecs, bound)
+    values, sections, seam = _track(block, ks, vals, vecs, _speed_bound(block))
     return values, seam, sections
 
 
@@ -1059,7 +1069,7 @@ def _extract_bands(spec: WalkSpec, grid_size: int) -> list:
     # an irreducible walk is one block in the identity basis
     tv, sigma, parts = [], [], []
     for block, basis in _invariant_blocks(spec) or [(spec, None)]:
-        values, seam, sections = _solve_block(block, ks, bound if basis is None else None)
+        values, seam, sections = _solve_block(block, ks)
         tv.append(values)
         sigma.append(seam + sum(map(len, sigma)))
         parts.append((basis, sections))
@@ -1166,6 +1176,5 @@ def write_band_csv(band_set: BandSet, fileobj) -> None:
                 headers.append("band%d_copy%d_sheet%d_re" % (bi, c, s))
                 headers.append("band%d_copy%d_sheet%d_im" % (bi, c, s))
                 columns.append(band.samples[s * G : (s + 1) * G])
-    table = np.column_stack([ks, *(part for col in columns for part in (col.real, col.imag))])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    fileobj.write(",".join(headers) + "\n" + row * G % tuple(table.ravel().tolist()))
+    parts = [ks, *(part for col in columns for part in (col.real, col.imag))]
+    _write_table(fileobj, ",".join(headers), ",".join(["%.17g"] * len(parts)), parts)

@@ -15,13 +15,15 @@ every quasi-momentum k; everything downstream (bands, windings,
 decomposition, dynamics) works through this symbol.
 
 The position observable is always D: delta_x -> x delta_x tensored with the
-identity on the coin space.
+identity on the coin space.  This module also holds the memory cap
+(QWALK_MEM_CAP_MB) and the table writer under every write_*_csv.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import weakref
 from dataclasses import InitVar, dataclass, field
 
@@ -31,6 +33,7 @@ __all__ = [
     "WalkSpec",
     "WalkSpecError",
     "UnitarityError",
+    "MemoryCapExceeded",
     "parse_walk_spec",
     "serialize_walk_spec",
     "spec_digest",
@@ -53,6 +56,8 @@ COMMUTANT_TOL = 1e-9
 BLOCK_TOL = 1e-6
 # largest entry of A_j V_b - V_b (V_b^* A_j V_b) for which a block is invariant
 COUPLING_TOL = 1e-12
+MEM_CAP_ENV = "QWALK_MEM_CAP_MB"
+DEFAULT_MEM_CAP_MB = 2048
 
 
 class WalkSpecError(ValueError):
@@ -72,6 +77,42 @@ class UnitarityError(WalkSpecError):
             "coefficient unitarity violated: identity m=%d has entrywise "
             "residual %.3e (tolerance %.1e)" % (m, residual, UNITARITY_TOL)
         )
+
+
+class MemoryCapExceeded(ValueError):
+    """A request whose projected peak passes the memory cap, QWALK_MEM_CAP_MB: refused input."""
+
+
+def _mem_cap_bytes() -> int:
+    """The cap in bytes: QWALK_MEM_CAP_MB, else the default.
+
+    The cap must be a positive whole number of MB; anything else raises a
+    ValueError naming QWALK_MEM_CAP_MB and the bad value.
+    """
+    raw = os.environ.get(MEM_CAP_ENV, str(DEFAULT_MEM_CAP_MB))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError("%s must be a positive integer number of MB, got %r" % (MEM_CAP_ENV, raw))
+    return cap * 1024 * 1024
+
+
+def _check_memory(need: int, what: str) -> None:
+    """Refuse what, whose projected peak is need bytes, when it passes the cap."""
+    cap = _mem_cap_bytes()
+    if need > cap:
+        msg = "%s needs about %d MB, cap is %d MB"
+        raise MemoryCapExceeded(msg % (what, need // 2**20 + 1, cap // 2**20))
+
+
+def _write_table(fileobj, header: str, fmt: str, columns) -> None:
+    """The header line, then fmt of each row of the stacked float columns, in one % expression.
+
+    Integer columns are exact as floats below 2**53, and %d prints them alike."""
+    table = np.column_stack(columns)
+    fileobj.write(header + "\n" + (fmt + "\n") * len(table) % tuple(table.ravel().tolist()))
 
 
 @dataclass(frozen=True, eq=False)

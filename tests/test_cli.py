@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -547,6 +548,35 @@ def test_memory_cap_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: evolution window needs about ")
+
+
+def test_realizable_csv_of_a_walk_with_no_witness_exits_2(capsys):
+    assert main(["realizable", "grover4", "--grid", "256", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: walk is not realizable; no witness generator exists\n"
+
+
+HUGE_WINDOW_RUN = """
+import sys
+from qwalk.cli import main
+code = main(["intertwine", "grover4", "grover4_subwalk", "--grid", "256",
+             "--format", "csv", "--window", "1000000"])
+print(code, sorted(m for m in sys.modules if m.startswith("qwalk.")))
+"""
+
+
+def test_a_huge_intertwiner_window_exits_2_without_dynamics():
+    env = {k: v for k, v in os.environ.items() if k != "QWALK_MEM_CAP_MB"}
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_WINDOW_RUN], capture_output=True, text=True, env=env
+    )
+    mods = ["qwalk." + m for m in ("cli", "decompose", "fixtures", "intertwine", "spectral", "walkspec")]
+    assert proc.stdout == "2 %r\n" % mods
+    assert proc.stderr == (
+        "error: intertwiner window 1000000 needs about %d MB, cap is 2048 MB\n"
+        % (25 * 10**12 // 2**20 + 1)
+    )
 
 
 # the benchmark's cli commands, each with the qwalk modules beyond

@@ -28,7 +28,6 @@ from qwalk import (
 )
 from qwalk import dynamics, walkspec
 from qwalk.dynamics import (
-    MEM_CAP_ENV,
     _cosets,
     _min_plus_power,
     _propagate,
@@ -48,7 +47,7 @@ from qwalk.fixtures import (
     shift_coin_walk,
 )
 from qwalk.spectral import _noise_floor
-from qwalk.walkspec import symbol_on_grid
+from qwalk.walkspec import MEM_CAP_ENV, symbol_on_grid
 
 from conftest import BAD_STATE_DOCUMENTS, random_walk
 
@@ -152,6 +151,33 @@ def test_state_constructors():
         State(x_min=0, amplitudes=np.zeros((0, 2)))
     with pytest.raises(ValueError):
         State(x_min=0, amplitudes=np.zeros(3))
+
+
+def test_state_leaves_the_callers_array_writeable():
+    a = np.zeros((3, 2), complex)
+    st = State(0, a)
+    a[0, 0] = 1.0  # the caller's next write still works
+    assert a.flags.writeable and not st.amplitudes.flags.writeable
+    assert st.amplitudes[0, 0] == 0.0
+    view = np.zeros((6, 2), complex)[::2]
+    assert not np.shares_memory(State(0, view).amplitudes, view)
+    frozen = np.ones((2, 2), complex)
+    frozen.setflags(write=False)
+    assert State(0, frozen).amplitudes is frozen
+
+
+def test_evolve_wraps_its_output_without_a_copy(monkeypatch):
+    wrapped = []
+
+    class Recording(State):
+        def __post_init__(self):
+            wrapped.append(self.amplitudes)
+            super().__post_init__()
+
+    monkeypatch.setattr(dynamics, "State", Recording)
+    out = evolve(grover3(), uniform_coin_state(3), 7)
+    assert out.amplitudes is wrapped[-1]
+    assert not out.amplitudes.flags.writeable
 
 
 def test_serialize_parse_round_trip():
@@ -264,6 +290,13 @@ def test_memory_cap_env_must_be_a_positive_integer(monkeypatch, value):
         with pytest.raises(ValueError, match="QWALK_MEM_CAP_MB") as info:
             evolve(grover4(), basis_state(4, 0), steps)
         assert repr(value) in str(info.value)
+
+
+def test_memory_cap_is_refused_input():
+    # main maps it to exit 2 as a ValueError; except RuntimeError misses it
+    exc = MemoryCapExceeded("evolution window needs about 5 MB, cap is 1 MB")
+    assert isinstance(exc, ValueError) and not isinstance(exc, RuntimeError)
+    assert MemoryCapExceeded is walkspec.MemoryCapExceeded
 
 
 def test_memory_cap_counts_propagator_grids(monkeypatch):
@@ -734,3 +767,36 @@ def test_distribution_csv_skips_zero_rows():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,x,x_over_t,mass"
     assert lines[1:] == ["10,10,1,1"]
+
+
+def row_loop_distribution_csv(snapshot):
+    """write_distribution_csv as one formatted row per occupied site."""
+    out = io.StringIO()
+    out.write("t,x,x_over_t,mass\n")
+    t = snapshot.t
+    for x, m in zip(snapshot.sites, snapshot.masses):
+        if m == 0.0:
+            continue
+        ratio = x / t if t > 0 else 0.0
+        out.write("%d,%d,%.17g,%.17g\n" % (t, x, ratio, m))
+    return out.getvalue()
+
+
+def test_distribution_csv_matches_the_row_loop():
+    # coined and Grover walks leave every other site empty, so zero rows are
+    # skipped; at t = 0 every ratio is 0, negative sites included
+    amps = np.array([[0.6, 0.0], [0.0, 0.0], [0.0, 0.8j]])
+    snaps = [position_distribution(State(-4, amps), 0)]
+    for name in sorted(FIXTURES):
+        spec = FIXTURES[name]()
+        st = uniform_coin_state(spec.n)
+        snaps += [position_distribution(evolve(spec, st, t), t) for t in (1, 50, 200)]
+    assert any(0.0 in s.masses for s in snaps)
+    for snap in snaps:
+        buf = io.StringIO()
+        write_distribution_csv(snap, buf)
+        assert buf.getvalue() == row_loop_distribution_csv(snap)
+    assert row_loop_distribution_csv(snaps[0]).splitlines()[1:] == [
+        "0,-4,0,0.35999999999999999",
+        "0,-2,0,0.64000000000000012",
+    ]

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import random_walk
 
 from qwalk import (
     ConstantSummand,
+    MemoryCapExceeded,
     WalkSpec,
     amplify,
     build_intertwiner,
@@ -145,6 +147,69 @@ def test_intertwiner_csv():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "row,col,re,im"
     assert len(lines) == 3  # zeros are skipped
+
+
+def row_loop_intertwiner_csv(v):
+    """write_intertwiner_csv as one formatted row per kept entry."""
+    out = io.StringIO()
+    out.write("row,col,re,im\n")
+    rows, cols = np.nonzero(np.abs(v) > intertwine.CSV_ZERO_TOL)
+    for i, j in zip(rows, cols):
+        out.write("%d,%d,%.17g,%.17g\n" % (i, j, v[i, j].real, v[i, j].imag))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+def test_intertwiner_csv_matches_the_row_loop(grid):
+    # every prime of every fixture: its self-intertwiner window and its
+    # Toeplitz model walk, whose entries below CSV_ZERO_TOL are skipped
+    windows = [np.zeros((5, 5), dtype=complex)]  # a header-only dump
+    for name in sorted(FIXTURES):
+        for prime in decompose(FIXTURES[name](), grid).primes:
+            match = intertwiner_space(prime, prime).match
+            windows.append(build_intertwiner(match, prime.rate, 40))
+            windows.append(model_walk_matrix(prime.band, 40))
+    assert len(windows) > 10
+    for v in windows:
+        buf = io.StringIO()
+        write_intertwiner_csv(v, buf)
+        assert buf.getvalue() == row_loop_intertwiner_csv(v)
+    assert row_loop_intertwiner_csv(windows[0]) == "row,col,re,im\n"
+
+
+@pytest.mark.parametrize("build", ["intertwiner", "model_walk"])
+def test_a_huge_window_is_refused_before_allocating(monkeypatch, build):
+    monkeypatch.delenv("QWALK_MEM_CAP_MB", raising=False)
+    prime = decompose(coined(0.5), 256).primes[0]
+    match = intertwiner_space(prime, prime).match
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryCapExceeded) as info:
+            if build == "intertwiner":
+                build_intertwiner(match, prime.rate, 10**6)
+            else:
+                model_walk_matrix(prime.band, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a refusal is invalid input, and the window's 8 MB of positions are never built
+    assert isinstance(info.value, ValueError)
+    assert peak < 1024 * 1024
+    per_entry = 25 if build == "intertwiner" else 32
+    need = per_entry * 10**12 // 2**20 + 1
+    assert str(info.value) == (
+        "intertwiner window 1000000 needs about %d MB, cap is 2048 MB" % need
+    )
+
+
+def test_the_largest_window_under_the_default_cap(monkeypatch):
+    # 25 bytes per entry: 9268 x 9268 fits under 2048 MB, 9269 x 9269 does not
+    monkeypatch.delenv("QWALK_MEM_CAP_MB", raising=False)
+    assert 25 * 9268**2 <= 2048 * 2**20 < 25 * 9269**2
+    prime = decompose(coined(0.5), 256).primes[0]
+    match = intertwiner_space(prime, prime).match
+    with pytest.raises(MemoryCapExceeded, match="window 9269 needs about 2049 MB, cap is 2048 MB"):
+        build_intertwiner(match, prime.rate, 9269)
 
 
 def pairwise_commutant_report(dec):

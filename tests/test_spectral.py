@@ -1701,10 +1701,9 @@ def resolved_bands(spec, grid):
     solve: the block solved again, and each labelled value taking the
     column of eigh whose value is nearest it."""
     ks = 2.0 * np.pi * np.arange(grid) / grid
-    bound = qwalk.walkspec._speed_bound(spec)
     tv, sigma, parts = [], [], []
     for block, basis in _invariant_blocks(spec) or [(spec, None)]:
-        values, seam, secs = qwalk.spectral._solve_block(block, ks, bound if basis is None else None)
+        values, seam, secs = qwalk.spectral._solve_block(block, ks)
         if callable(secs):
             vals, vecs = qwalk.spectral._solve_grid(block, ks)[1]()
             cols = np.abs(values[:, :, None] - vals[:, None, :]).argmin(axis=2)
